@@ -34,7 +34,7 @@ from .closedform import (
 from .errors import CapacityError, ConfigError, NumericalError
 from .fitters import (
     KINDS,
-    SUBSET_P_MAX,
+    SUBSET_PLAN_MAX_BYTES,
     BatchFit,
     FitOutput,
     FitProcedure,
@@ -113,7 +113,7 @@ __all__ = [
     "OptimismEstimate",
     "PiecewiseScalarFunction",
     "RngSpec",
-    "SUBSET_P_MAX",
+    "SUBSET_PLAN_MAX_BYTES",
     "SignalSpec",
     "SteinDecomposition",
     "best_subset_solve",

@@ -33,10 +33,16 @@ from .config import (
     resolve_options,
 )
 from .errors import CapacityError, ConfigError, NumericalError
-from .fitters import SUBSET_P_MAX, FitProcedure
+from .fitters import FitProcedure, check_subset_capacity
 from .model import DesignMatrix, RngSpec, SignalSpec, gen_block_design, gen_orthogonal_design
 from .montecarlo import ExperimentGrid, estimate_df, run_grid
-from .stein import function_library, stein_decompose_df, stein_lhs_univariate, stein_rhs_univariate
+from .stein import (
+    function_library,
+    stein_decompose_df,
+    stein_lhs_univariate,
+    stein_rhs_univariate,
+    thread_count,
+)
 from .svgplot import svg_plot
 
 __all__ = ["cmd_curves", "cmd_simulate", "cmd_stein_check", "main"]
@@ -257,10 +263,8 @@ def _auto_lambda_grid(design: DesignMatrix, signal: SignalSpec, count: int) -> t
 def cmd_simulate(config: dict, out_dir: str, svg: bool = False) -> list:
     """Run the Monte Carlo df/sdf grid for each requested procedure."""
     resolved = resolve_options(config, _SIM_OPTIONS, "simulate")
-    if "best-subset" in resolved["procedures"] and resolved["p"] > SUBSET_P_MAX:
-        raise CapacityError(
-            f"best-subset requested with p={resolved['p']} > {SUBSET_P_MAX}"
-        )
+    if "best-subset" in resolved["procedures"]:
+        check_subset_capacity(resolved["n"], resolved["p"])
     design = _build_design(resolved)
     signal = _build_signal(resolved, design)
     if resolved["lambda_grid"] is None:
@@ -377,6 +381,7 @@ def cmd_stein_check(config: dict, out_dir: str, svg: bool = False) -> list:
         resolved["p"] = resolved["n"]
     if any(s <= 0 for s in resolved["sigmas"]):
         raise ConfigError("sigmas must be positive")
+    thread_count()  # a bad DFSEARCH_THREADS fails before any work
 
     os.makedirs(out_dir, exist_ok=True)
     paths = []

@@ -11,6 +11,7 @@ runtime budget otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "lasso_solve",
     "lasso_kkt_residual",
     "best_subset_solve",
+    "check_subset_capacity",
     "relaxed_lasso_fit",
     "ridge_fit",
     "refit_on_active_sets",
@@ -44,12 +46,18 @@ KINDS = (
     "soft-threshold",
 )
 
-# Exhaustive enumeration guard: 2^p supports are visited explicitly.
-SUBSET_P_MAX = 25
+# Best-subset capacity: the enumeration plan keeps one length-n vector per
+# support, 2^p * n floats, and must fit in this many bytes.
+SUBSET_PLAN_MAX_BYTES = 512 << 20
 
-# Largest number of floats held in one enumeration table (supports x
-# replications); larger batches are processed in chunks.
+# Best subset refits responses in chunks of _MAX_TABLE // 2^p rows: the rows
+# of a chunk that select the same support share one least-squares solve.
 _MAX_TABLE = 1 << 24
+
+# Floats in one best-subset working table: a slice of the plan build, or the
+# scores of all supports against _BLOCK_FLOATS // 2^p responses (at least
+# one).  8 MB stays in cache at small p.
+_BLOCK_FLOATS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -217,7 +225,7 @@ def _cd_sweeps(X, Y, lam, B, rows, G, XtY, diag, tol, max_sweeps):
             delta = np.maximum(delta, np.abs(bj - Bact[:, j]))
             Bact[:, j] = bj
         B[rows] = Bact
-        rows = rows[delta >= tol]
+        rows = rows[~(delta < tol)]
         if rows.size == 0:
             return None
     return rows
@@ -245,7 +253,7 @@ def _batch_lasso(X: np.ndarray, Y: np.ndarray, lam: float) -> BatchFit:
         # verify stationarity; polish stragglers before giving up
         scale = max(1.0, float(np.abs(XtY).max()), lam)
         gate = 1e-8 * scale
-        bad = np.flatnonzero(_kkt_row_residuals(X, Y, lam, B) > gate)
+        bad = np.flatnonzero(~(_kkt_row_residuals(X, Y, lam, B) <= gate))
         for extra_tol in (_CD_TOL / 100, _CD_TOL / 1000):
             if bad.size == 0:
                 break
@@ -255,7 +263,7 @@ def _batch_lasso(X: np.ndarray, Y: np.ndarray, lam: float) -> BatchFit:
                 extra_tol, _CD_MAX_SWEEPS,
             )
             B[bad] = Bb
-            bad = bad[_kkt_row_residuals(X, Y[bad], lam, B[bad]) > gate]
+            bad = bad[~(_kkt_row_residuals(X, Y[bad], lam, B[bad]) <= gate)]
         if bad.size:
             res = _kkt_row_residuals(X, Y[bad], lam, B[bad])
             raise NumericalError(
@@ -288,98 +296,170 @@ _TIE_TOL = 1e-12
 _DEP_TOL = 1e-10
 
 
-def _enumerate_supports(X: np.ndarray, Yt: np.ndarray):
-    """Score every support against every response column in one pass.
+def check_subset_capacity(n: int, p: int) -> None:
+    """Raise CapacityError unless the best-subset plan of an n x p design
+    (one length-n vector per support, 2^p * n floats) fits in
+    SUBSET_PLAN_MAX_BYTES."""
+    if 8 * n * (1 << p) > SUBSET_PLAN_MAX_BYTES:
+        raise CapacityError(
+            f"best subset enumeration over 2^{p} supports with n={n} needs "
+            f"{8 * n * (1 << p) / 2**20:.0f} MB of plan, more than "
+            f"{SUBSET_PLAN_MAX_BYTES >> 20} MB"
+        )
 
-    Depth-first over the prefix tree of index sets: each downward edge adds
-    one column, extending an orthonormal basis by Gram-Schmidt (two passes),
-    so no projector ever needs downdating and the per-node cost is one basis
-    extension plus one (R,)-sized update of the running residual table.
-    Supports are recorded in preorder, which is exactly lexicographic order
-    on the index tuples, which is the tie-break order.
 
-    Returns (supports: list of tuples, cards: (m,), half_rss: (m, R)).
+@dataclass(frozen=True)
+class _SubsetPlan:
+    """The design-only part of best subset selection, built once per design.
+
+    Supports are rows in (cardinality, lexicographic) order, the tie-break
+    order; cardinality k occupies rows starts[k]:starts[k+1].  Row i
+    appends column last[i] to support parent[i] (row 0 is the empty
+    support), and q[i] is the unit vector that column adds to the parent's
+    orthonormal basis (zero when the column is dependent), so the support's
+    half residual sum of squares is its parent's minus (q[i]'y)^2 / 2.
+    """
+
+    q: np.ndarray
+    parent: np.ndarray
+    last: np.ndarray
+    starts: np.ndarray
+
+    def support(self, i: int) -> np.ndarray:
+        cols = []
+        while i:
+            cols.append(self.last[i])
+            i = self.parent[i]
+        return np.array(cols[::-1], dtype=np.intp)
+
+    def half_rss(self, Y: np.ndarray) -> np.ndarray:
+        """Half residual sum of squares of every support (rows) against
+        every response (columns, one per row of Y)."""
+        half = self.q @ Y.T
+        half *= half
+        half *= -0.5
+        half[0] = 0.5 * np.sum(Y * Y, axis=1)
+        for k in range(1, self.starts.size - 1):
+            blk = slice(self.starts[k], self.starts[k + 1])
+            half[blk] += half[self.parent[blk]]
+        return half
+
+    def block_min(self, half: np.ndarray) -> np.ndarray:
+        """Columnwise minimum of half over each cardinality, shape (p+1, R)."""
+        return np.stack([
+            half[self.starts[k]:self.starts[k + 1]].min(axis=0)
+            for k in range(self.starts.size - 1)
+        ])
+
+    def winners(self, half: np.ndarray, block_min: np.ndarray, lam: float) -> np.ndarray:
+        """Row of the winning support per column of half: minimal objective,
+        ties within 1e-12 broken by cardinality then lexicographic order.
+        block_min[k] is the columnwise minimum of cardinality k's rows."""
+        pen = lam * np.arange(block_min.shape[0])
+        M = block_min + pen[:, None]
+        vmin = M.min(axis=0)
+        if not np.all(np.isfinite(vmin)):
+            raise NumericalError("best subset objective is not finite")
+        thr = vmin + _TIE_TOL
+        card = np.argmax(M <= thr, axis=0)
+        win = np.empty(half.shape[1], dtype=np.intp)
+        for k in np.unique(card):
+            cols = np.flatnonzero(card == k)
+            blk = half[self.starts[k]:self.starts[k + 1], cols]
+            win[cols] = self.starts[k] + np.argmax(blk + pen[k] <= thr[cols], axis=0)
+        return win
+
+
+def _build_subset_plan(X: np.ndarray) -> _SubsetPlan:
+    """Orthonormal increments of all 2^p supports, one cardinality at a time.
+
+    The children of a support append each column after its last one, in
+    increasing order, so the rows come out in lexicographic order within a
+    cardinality.  A child's new column is orthogonalized against the
+    parent's basis (the q of every ancestor) by Gram-Schmidt in two passes.
+    It counts as dependent when what remains is within 1e-10 of zero
+    relative to the column norm, or when the parent's basis already has
+    min(n, p) vectors.
     """
     n, p = X.shape
-    R = Yt.shape[1]
-    m = 1 << p
-    half_rss = np.empty((m, R))
-    cards = np.empty(m, dtype=np.int64)
-    supports: list[tuple[int, ...]] = [()] * m
+    rank_cap = min(n, p)
     col_norms = np.sqrt(np.sum(X * X, axis=0))
-    Q = np.empty((n, min(n, p)))
-
-    half_rss[0] = 0.5 * np.sum(Yt * Yt, axis=0)
-    cards[0] = 0
-    counter = 1
-
-    def extend(prefix: tuple[int, ...], start: int, row: int, k: int):
-        nonlocal counter
-        for j in range(start, p):
-            cid = counter
-            counter += 1
-            child = prefix + (j,)
-            supports[cid] = child
-            cards[cid] = len(child)
-            w = X[:, j].copy()
-            if k:
-                Qk = Q[:, :k]
-                w -= Qk @ (Qk.T @ w)
-                w -= Qk @ (Qk.T @ w)
-            nrm = np.linalg.norm(w)
-            if nrm > _DEP_TOL * col_norms[j] and k < Q.shape[1]:
-                q = w / nrm
-                c = q @ Yt
-                half_rss[cid] = half_rss[row] - 0.5 * (c * c)
-                Q[:, k] = q
-                extend(child, j + 1, cid, k + 1)
-            else:
-                # column in the span of the current basis: no loss change
-                half_rss[cid] = half_rss[row]
-                extend(child, j + 1, cid, k)
-
-    extend((), 0, 0, 0)
-    return supports, cards, half_rss
+    starts = np.cumsum([0] + [math.comb(p, k) for k in range(p + 1)])
+    q = np.zeros((1 << p, n))
+    parent = np.zeros(1 << p, dtype=np.intp)
+    last = np.full(1 << p, -1, dtype=np.intp)
+    path = np.zeros((1, 0), dtype=np.intp)  # ancestor rows, per row of level k-1
+    rank = np.zeros(1, dtype=np.intp)
+    for k in range(1, p + 1):
+        first = last[starts[k - 1]:starts[k]] + 1
+        par = np.repeat(np.arange(first.size), p - first)
+        j = np.arange(par.size) - np.repeat(np.cumsum(p - first) - p, p - first)
+        rows = np.arange(starts[k], starts[k + 1])
+        parent[rows] = starts[k - 1] + par
+        last[rows] = j
+        new_rank = np.empty(rows.size, dtype=np.intp)
+        step = max(1, _BLOCK_FLOATS // (k * n))
+        for s in range(0, rows.size, step):
+            sl = slice(s, s + step)
+            w = X[:, j[sl]].T.copy()
+            A = q[path[par[sl]]]
+            for _ in range(2):
+                w -= np.einsum("bkn,bk->bn", A, np.einsum("bkn,bn->bk", A, w))
+            nrm = np.sqrt(np.einsum("bn,bn->b", w, w))
+            base = rank[par[sl]]
+            indep = (nrm > _DEP_TOL * col_norms[j[sl]]) & (base < rank_cap)
+            q[rows[sl][indep]] = w[indep] / nrm[indep, None]
+            new_rank[sl] = base + indep
+        path = np.column_stack([path[par], rows])
+        rank = new_rank
+    return _SubsetPlan(q=q, parent=parent, last=last, starts=starts)
 
 
-def _subset_winners(cards: np.ndarray, half_rss: np.ndarray, lam: float) -> np.ndarray:
-    """Index of the winning support per response column: minimal objective,
-    ties within 1e-12 broken by cardinality then lexicographic order."""
-    V = half_rss + lam * cards[:, None]
-    vmin = V.min(axis=0)
-    m = cards.shape[0]
-    rank = cards * m + np.arange(m, dtype=np.int64)
-    K = np.where(V <= vmin[None, :] + _TIE_TOL, rank[:, None], np.iinfo(np.int64).max)
-    return K.argmin(axis=0)
+# The most recent design's plan, as one (key, plan) pair: fits may run from
+# several threads, and a single assignment is atomic.
+_PLAN_CACHE = None
+
+
+def _subset_plan(X: np.ndarray) -> _SubsetPlan:
+    global _PLAN_CACHE
+    key = (X.shape, X.tobytes())
+    cached = _PLAN_CACHE
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    plan = _build_subset_plan(X)
+    _PLAN_CACHE = (key, plan)
+    return plan
 
 
 def _batch_best_subset_grid(X: np.ndarray, Y: np.ndarray, lams) -> list[BatchFit]:
-    """Fit best subset selection for every lambda in lams, sharing one
-    support enumeration across the whole grid (the scores depend on lambda
-    only through the cardinality penalty)."""
+    """Fit best subset selection for every lambda in lams.  One plan serves
+    the design, and one residual table per block of responses serves every
+    lambda (the scores depend on lambda only through the cardinality
+    penalty)."""
     n, p = X.shape
-    if p > SUBSET_P_MAX:
-        raise CapacityError(
-            f"best subset enumeration supports p <= {SUBSET_P_MAX}, got p={p}"
-        )
+    check_subset_capacity(n, p)
     for lam in lams:
         if lam < 0:
             raise ValueError("lam must be nonnegative")
+    plan = _subset_plan(X)
     R = Y.shape[0]
-    m = 1 << p
     beta = [np.zeros((R, p)) for _ in lams]
     fitted = [np.zeros((R, n)) for _ in lams]
     cache: dict = {}
-    chunk = max(1, _MAX_TABLE // m)
+    chunk = max(1, _MAX_TABLE // (1 << p))
+    step = max(1, _BLOCK_FLOATS // (1 << p))
     for start in range(0, R, chunk):
-        rows = slice(start, min(start + chunk, R))
-        Yc = Y[rows]
-        supports, cards, half_rss = _enumerate_supports(X, Yc.T)
-        for li, lam in enumerate(lams):
-            win = _subset_winners(cards, half_rss, lam)
-            for uid in np.unique(win):
-                S = np.asarray(supports[uid], dtype=int)
-                grp = np.flatnonzero(win == uid)
+        Yc = Y[start:start + chunk]
+        win = np.empty((len(lams), Yc.shape[0]), dtype=np.intp)
+        for s in range(0, Yc.shape[0], step):
+            half = plan.half_rss(Yc[s:s + step])
+            block_min = plan.block_min(half)
+            for li, lam in enumerate(lams):
+                win[li, s:s + step] = plan.winners(half, block_min, lam)
+        for li in range(len(lams)):
+            for uid in np.unique(win[li]):
+                S = plan.support(uid)
+                grp = np.flatnonzero(win[li] == uid)
                 if S.size == 0:
                     continue
                 coef, fit_g = _ls_fit_groups(X, Yc[grp], S, cache)
@@ -396,10 +476,12 @@ def _batch_best_subset_grid(X: np.ndarray, Y: np.ndarray, lams) -> list[BatchFit
 def best_subset_solve(X: DesignMatrix, y: np.ndarray, lam: float) -> FitOutput:
     """Minimize (1/2)||y - X beta||^2 + lam * ||beta||_0 exactly.
 
-    All 2^p supports are enumerated (guarded at p <= 25); the winning
-    support's coefficients are exact least squares on those columns.  Among
-    supports whose objectives agree to 1e-12, the smallest cardinality wins,
-    then the lexicographically smallest index set.
+    All 2^p supports are scored through the design's cached enumeration
+    plan (guarded by check_subset_capacity: 2^p * n floats within
+    SUBSET_PLAN_MAX_BYTES); the winning support's coefficients are exact
+    least squares on those columns.  Among supports whose objectives agree
+    to 1e-12, the smallest cardinality wins, then the lexicographically
+    smallest index set.
     """
     return _batch_best_subset_grid(X.values, np.asarray(y, dtype=float)[None, :], [lam])[0].row(0)
 
@@ -459,6 +541,17 @@ def _batch_threshold(X: np.ndarray, Y: np.ndarray, t: float, hard: bool) -> Batc
 # the procedure abstraction
 # ---------------------------------------------------------------------------
 
+def _responses(Y, n: int) -> np.ndarray:
+    """Y as a finite float array of shape (R, n): NaN or infinite responses
+    would otherwise yield silently wrong fits (all-zero best subsets)."""
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2 or Y.shape[1] != n:
+        raise ValueError(f"Y must have shape (R, {n})")
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("responses must be finite")
+    return Y
+
+
 @dataclass(frozen=True)
 class FitProcedure:
     """A fitting procedure as a deterministic function of the response.
@@ -490,17 +583,12 @@ class FitProcedure:
             object.__setattr__(self, "support", tuple(int(i) for i in S))
         elif self.support is not None:
             raise ValueError(f"support is not a parameter of kind {self.kind!r}")
-        if self.kind == "best-subset" and self.design.p > SUBSET_P_MAX:
-            raise CapacityError(
-                f"best subset enumeration supports p <= {SUBSET_P_MAX}, "
-                f"got p={self.design.p}"
-            )
+        if self.kind == "best-subset":
+            check_subset_capacity(self.design.n, self.design.p)
 
     def fit_many(self, Y: np.ndarray) -> BatchFit:
         """Fit every row of Y (shape (R, n)) against the shared design."""
-        Y = np.asarray(Y, dtype=float)
-        if Y.ndim != 2 or Y.shape[1] != self.design.n:
-            raise ValueError(f"Y must have shape (R, {self.design.n})")
+        Y = _responses(Y, self.design.n)
         X = self.design.values
         if self.kind == "least-squares-on-support":
             return _batch_ls_support(X, Y, np.asarray(self.support, dtype=int))
@@ -529,10 +617,11 @@ class FitProcedure:
 def fit_path(kind: str, design: DesignMatrix, Y: np.ndarray, lam_grid, support=None) -> list[BatchFit]:
     """Fit one procedure across a whole lambda grid with shared work.
 
-    Best subset reuses a single support enumeration for every lambda; other
-    kinds simply loop.  Returns one BatchFit per grid value, in order.
+    Best subset scores every support once per block of responses and picks
+    each lambda's winners from that one table; other kinds simply loop.
+    Returns one BatchFit per grid value, in order.
     """
-    Y = np.asarray(Y, dtype=float)
+    Y = _responses(Y, design.n)
     if kind == "best-subset":
         FitProcedure(kind=kind, lam=float(lam_grid[0]), design=design)  # validate guard
         return _batch_best_subset_grid(design.values, Y, [float(l) for l in lam_grid])

@@ -51,6 +51,7 @@ __all__ = [
     "verify_stein_univariate",
     "scan_discontinuities",
     "stein_decompose_df",
+    "thread_count",
     "check_jump_positivity",
 ]
 
@@ -470,6 +471,8 @@ def scan_discontinuities(proc: FitProcedure, coord: int, y_fixed: np.ndarray,
     y = np.asarray(y_fixed, dtype=float).copy()
     if y.ndim != 1 or y.size != proc.design.n:
         raise ValueError(f"y_fixed must be a vector of length {proc.design.n}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y_fixed must be finite")
     if not coord in range(proc.design.n):
         raise ValueError("coord out of range")
     if not lo < hi:
@@ -597,6 +600,23 @@ def _boundary_term_one(proc: FitProcedure, y: np.ndarray, signal: SignalSpec,
     return total
 
 
+def thread_count() -> int:
+    """Worker threads for the decomposition scans, from the environment
+    variable DFSEARCH_THREADS: unset or empty means 1, otherwise a positive
+    integer, capped at the machine's CPU count.  Raises ValueError for
+    anything else."""
+    raw = os.environ.get("DFSEARCH_THREADS", "").strip()
+    if not raw:
+        return 1
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"DFSEARCH_THREADS must be a positive integer, got {raw!r}")
+    return min(value, os.cpu_count() or 1)
+
+
 def stein_decompose_df(proc: FitProcedure, signal: SignalSpec, reps: int, seed: int,
                        *, fd_step: float = 1e-5, grid_points: int = 4096,
                        jump_threshold: float = 1e-4, span: float = 8.0) -> SteinDecomposition:
@@ -607,11 +627,13 @@ def stein_decompose_df(proc: FitProcedure, signal: SignalSpec, reps: int, seed: 
     boundary term scans every coordinate map over mu_i +/- span * sigma for
     jumps, weighting each by the normal density at its location.  Returns
     the two Monte Carlo means; their sum estimates df.  The environment
-    variable DFSEARCH_THREADS (default 1) parallelizes the per-replication
-    scans; the reduction order is fixed, so results do not depend on it.
+    variable DFSEARCH_THREADS (default 1, see thread_count) parallelizes the
+    per-replication scans; the reduction order is fixed, so results do not
+    depend on it.
     """
     if reps < 2:
         raise ValueError("reps must be at least 2")
+    workers = thread_count()
     Y0 = draw_responses(signal, reps, seed)
     F0 = proc.fit_many(Y0).fitted
     h0 = fd_step * signal.sigma
@@ -623,7 +645,6 @@ def stein_decompose_df(proc: FitProcedure, signal: SignalSpec, reps: int, seed: 
         for i in range(signal.n)
     ]
     bnd = np.empty(reps)
-    workers = int(os.environ.get("DFSEARCH_THREADS", "1") or "1")
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 

@@ -129,6 +129,16 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert "capacity" in capsys.readouterr().err
 
+    def test_best_subset_plan_beyond_capacity_exits_3(self, tmp_path, capsys):
+        # 2^22 supports x 30 floats: a 960 MB plan
+        text = (
+            "procedures=best-subset\nn=30\np=22\nblock_sizes=11,11\n"
+            "signal=null\nreps=4\nseed=0\nlambda_grid=0.5,1.0\n"
+        )
+        cfg = _write(tmp_path / "sim.txt", text)
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert "capacity" in capsys.readouterr().err
+
     def test_bad_support_index_exits_2(self, tmp_path):
         cfg = self._cfg(tmp_path, extra="")
         text = (tmp_path / "sim.txt").read_text().replace("support=0,1", "support=0,9")
@@ -179,6 +189,14 @@ class TestSteinCheckCommand:
         assert cli.main(["stein-check", "--config", str(side), "--out", str(out2)]) == 0
         for name in ("stein-univariate.csv", "stein-decompose.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_bad_thread_count_exits_2_before_any_output(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DFSEARCH_THREADS", "abc")
+        cfg = _write(tmp_path / "st.txt", "mode=both\nn=3\nprocedures=hard-threshold\nreps=5\n")
+        out = tmp_path / "o"
+        assert cli.main(["stein-check", "--config", cfg, "--out", str(out)]) == 2
+        assert "DFSEARCH_THREADS" in capsys.readouterr().err
+        assert not (out / "stein-univariate.csv").exists()
 
     def test_block_design_requires_sizes(self, tmp_path):
         cfg = _write(tmp_path / "st.txt", "mode=decompose\ndesign=block\nreps=4\n")

@@ -1,15 +1,20 @@
 """Fitting procedures: exactness, KKT conditions, ties, and batching."""
 
 import itertools
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from dfsearch.errors import CapacityError
+from dfsearch import fitters
+from dfsearch.errors import CapacityError, NumericalError
 from dfsearch.fitters import (
+    KINDS,
     FitProcedure,
-    SUBSET_P_MAX,
     best_subset_solve,
     fit_path,
     hard_threshold,
@@ -141,11 +146,11 @@ class TestLasso:
         assert all(a >= b for a, b in zip(sizes[:-1], sizes[1:]))
 
 
-def _brute_force_subset(X, y, lam):
-    """Smallest penalized objective over every support, preferring small
-    then lexicographically earliest supports on ties."""
+def _subset_objectives(X, y, lam):
+    """(penalized objective, support) of every support by lstsq, smallest
+    supports first, lexicographic within a size."""
     p = X.shape[1]
-    best = (np.inf, None)
+    out = []
     for size in range(p + 1):
         for S in itertools.combinations(range(p), size):
             if S:
@@ -153,9 +158,17 @@ def _brute_force_subset(X, y, lam):
                 rss = np.sum((y - X[:, S] @ coef) ** 2)
             else:
                 rss = np.sum(y**2)
-            val = 0.5 * rss + lam * size
-            if val < best[0] - 1e-12:
-                best = (val, S)
+            out.append((0.5 * rss + lam * size, S))
+    return out
+
+
+def _brute_force_subset(X, y, lam):
+    """Smallest penalized objective over every support, preferring small
+    then lexicographically earliest supports on ties."""
+    best = (np.inf, None)
+    for val, S in _subset_objectives(X, y, lam):
+        if val < best[0] - 1e-12:
+            best = (val, S)
     return best
 
 
@@ -210,9 +223,36 @@ class TestBestSubset:
         npt.assert_allclose(out.beta, hard_threshold(y, np.sqrt(2 * lam)), atol=1e-12)
 
     def test_capacity_guard(self):
-        d = _random_design(30, SUBSET_P_MAX + 1, 0)
+        d = _random_design(30, 26, 0)
         with pytest.raises(CapacityError):
             FitProcedure(kind="best-subset", lam=1.0, design=d)
+
+    def test_capacity_guard_counts_plan_size(self):
+        # 2^22 supports x 30 floats is 960 MB of plan; 2^20 x 30 is 240 MB
+        wide = _random_design(30, 22, 0)
+        with pytest.raises(CapacityError):
+            FitProcedure(kind="best-subset", lam=1.0, design=wide)
+        with pytest.raises(CapacityError):
+            fit_path("best-subset", wide, np.zeros((1, 30)), [1.0])
+        with pytest.raises(CapacityError):
+            best_subset_solve(wide, np.zeros(30), 1.0)
+        FitProcedure(kind="best-subset", lam=1.0, design=_random_design(30, 20, 0))
+
+    def test_overflowing_scores_raise(self):
+        # finite responses whose squares overflow leave no finite objective
+        d = _random_design(6, 3, 5)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError):
+            best_subset_solve(d, np.full(6, 1e200), 0.5)
+
+    def test_plan_is_reused_for_the_same_design(self):
+        d = _random_design(9, 5, 3)
+        y = np.random.default_rng(4).standard_normal(9)
+        best_subset_solve(d, y, 0.3)
+        plan = fitters._PLAN_CACHE[1]
+        best_subset_solve(d, 2.0 * y, 0.7)
+        assert fitters._PLAN_CACHE[1] is plan
+        best_subset_solve(_random_design(9, 5, 4), y, 0.3)
+        assert fitters._PLAN_CACHE[1] is not plan
 
     def test_path_matches_single_solves(self):
         d = _random_design(14, 7, 77)
@@ -226,6 +266,114 @@ class TestBestSubset:
                 batch = path[li].row(r)
                 npt.assert_array_equal(batch.beta, solo.beta)
                 npt.assert_array_equal(batch.active_set, solo.active_set)
+
+    def test_threads_alternating_designs_get_their_own_plan(self):
+        # more threads than cores, switching often, racing to replace the
+        # cached plan: a fit scored against the other design's plan would
+        # select different supports
+        designs = [_random_design(10, 6, s) for s in (11, 12)]
+        Y = np.random.default_rng(13).standard_normal((5, 10))
+        expected = [fit_path("best-subset", d, Y, [0.2, 0.9]) for d in designs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(fit_path, "best-subset", designs[i % 2], Y, [0.2, 0.9])
+                           for i in range(64)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for i, path in enumerate(results):
+            for got, want in zip(path, expected[i % 2]):
+                npt.assert_array_equal(got.active, want.active)
+                npt.assert_array_equal(got.beta, want.beta)
+
+
+def _structured_design(n, p, seed, structure):
+    """Random n x p design, optionally with a duplicated column or a
+    column that is an exact combination of two others."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    if structure == "duplicate" and p >= 2:
+        X[:, p - 1] = X[:, 0]
+    if structure == "collinear" and p >= 3:
+        X[:, 1] = 0.5 * X[:, 0] - 2.0 * X[:, 2]
+    return X
+
+
+def _separated_from_ties(X, y, lam, lo=1e-13, hi=1e-6):
+    """True when every support's objective is either within lo of the
+    minimum (an exact tie) or more than hi above it."""
+    vals = np.array([val for val, _ in _subset_objectives(X, y, lam)])
+    gaps = vals - vals.min()
+    return not np.any((gaps > lo) & (gaps <= hi))
+
+
+class TestBestSubsetProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from([(8, 4), (10, 6), (6, 5), (3, 5), (2, 6), (4, 6)]),
+        structure=st.sampled_from(["plain", "duplicate", "collinear"]),
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.floats(0.01, 3.0),
+    )
+    def test_matches_brute_force(self, shape, structure, seed, lam):
+        # shapes with n < p exercise the rank cap
+        n, p = shape
+        X = _structured_design(n, p, seed, structure)
+        y = np.random.default_rng(seed + 1).standard_normal(n)
+        assume(_separated_from_ties(X, y, lam))
+        out = best_subset_solve(DesignMatrix(X, orthogonal=False), y, lam)
+        ref_val, ref_support = _brute_force_subset(X, y, lam)
+        assert out.objective == pytest.approx(ref_val, abs=1e-9)
+        assert tuple(out.active_set) == ref_support
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from([(6, 6), (9, 5), (12, 7)]),
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.floats(0.01, 3.0),
+    )
+    def test_orthogonal_is_hard_thresholding(self, shape, seed, lam):
+        n, p = shape
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, p)))
+        y = rng.standard_normal(n)
+        z = Q.T @ y
+        t = np.sqrt(2 * lam)
+        assume(np.min(np.abs(np.abs(z) - t)) > 1e-6)
+        out = best_subset_solve(DesignMatrix(Q, orthogonal=True), y, lam)
+        expected = hard_threshold(z, t)
+        npt.assert_array_equal(out.active_set, np.flatnonzero(expected))
+        npt.assert_allclose(out.beta, expected, atol=1e-10)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        p=st.integers(2, 6),
+        reps=st.integers(2, 9),
+        per_chunk=st.integers(1, 4),
+        per_block=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_chunked_path_matches_single_solves(self, p, reps, per_chunk, per_block, seed):
+        # the selected supports must agree exactly; the refit's last bits
+        # depend on how many rows share a support (BLAS picks a different
+        # kernel for one to three rows), so values agree to rounding only
+        d = _random_design(8, p, seed)
+        rng = np.random.default_rng(seed + 1)
+        Y = rng.standard_normal((reps, 8))
+        lams = [0.05, 0.4, 1.5]
+        with pytest.MonkeyPatch.context() as mp:
+            # refit chunks of per_chunk responses, scored per_block at a time
+            mp.setattr(fitters, "_MAX_TABLE", per_chunk << p)
+            mp.setattr(fitters, "_BLOCK_FLOATS", per_block << p)
+            path = fit_path("best-subset", d, Y, lams)
+            for li, lam in enumerate(lams):
+                for r in range(reps):
+                    solo = best_subset_solve(d, Y[r], lam)
+                    npt.assert_array_equal(path[li].row(r).active_set, solo.active_set)
+                    npt.assert_allclose(path[li].beta[r], solo.beta, rtol=0, atol=1e-12)
+                    npt.assert_allclose(path[li].fitted[r], solo.fitted, rtol=0, atol=1e-12)
 
 
 class TestRelaxedLasso:
@@ -337,6 +485,21 @@ class TestFitProcedure:
         y = np.random.default_rng(34).standard_normal(12)
         proc = FitProcedure(kind="lasso", lam=0.8, design=d)
         npt.assert_array_equal(proc.fit(y).beta, proc.fit(y).beta)
+
+
+class TestNonFiniteResponses:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejected_by_every_kind(self, kind, bad):
+        d = gen_orthogonal_design(6, 4)
+        support = (0, 2) if kind == "least-squares-on-support" else None
+        Y = np.random.default_rng(5).standard_normal((3, 6))
+        Y[1, 2] = bad
+        proc = FitProcedure(kind=kind, lam=0.5, design=d, support=support)
+        with pytest.raises(ValueError, match="finite"):
+            proc.fit_many(Y)
+        with pytest.raises(ValueError, match="finite"):
+            fit_path(kind, d, Y, [0.5, 1.0], support=support)
 
 
 class TestRefitOnActiveSets:

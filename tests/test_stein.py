@@ -1,5 +1,6 @@
 """Univariate identity suite, discontinuity scanning, df decomposition."""
 
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +21,7 @@ from dfsearch.stein import (
     stein_decompose_df,
     stein_lhs_univariate,
     stein_rhs_univariate,
+    thread_count,
     verify_stein_univariate,
 )
 
@@ -110,6 +112,14 @@ class TestScanDiscontinuities:
         npt.assert_allclose([r.jump for r in records], [1.0, 1.0], atol=1e-6)
         assert records[0].left == pytest.approx(-1.0, abs=1e-6)
         assert records[0].right == pytest.approx(0.0, abs=1e-6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_response_rejected(self, bad):
+        d = gen_orthogonal_design(4, 4)
+        proc = FitProcedure(kind="best-subset", lam=0.5, design=d)
+        y = np.array([0.3, bad, 0.8, 1.4])
+        with pytest.raises(ValueError, match="finite"):
+            scan_discontinuities(proc, 0, y, -8.0, 8.0)
 
     def test_soft_threshold_has_no_jumps(self):
         d = gen_orthogonal_design(4, 4)
@@ -254,14 +264,32 @@ class TestSteinDecomposition:
         assert dec.boundary == pytest.approx(0.0, abs=1e-12)
         assert dec.divergence == pytest.approx(trace, abs=1e-6)
 
-    def test_threaded_run_matches_serial(self, monkeypatch):
+    @pytest.mark.parametrize("kind,lam", [("hard-threshold", 1.0), ("best-subset", 0.5)])
+    def test_threaded_run_matches_serial(self, monkeypatch, kind, lam):
+        # best subset's threads share one cached enumeration plan
         d = gen_orthogonal_design(4, 4)
         signal = SignalSpec(np.zeros(4), 1.0)
-        proc = FitProcedure(kind="hard-threshold", lam=1.0, design=d)
+        proc = FitProcedure(kind=kind, lam=lam, design=d)
         serial = stein_decompose_df(proc, signal, reps=24, seed=9)
         monkeypatch.setenv("DFSEARCH_THREADS", "4")
         threaded = stein_decompose_df(proc, signal, reps=24, seed=9)
         assert serial == threaded
+
+    @pytest.mark.parametrize("value", ["0", "-1", "abc", "2.5"])
+    def test_thread_count_rejects_bad_values(self, monkeypatch, value):
+        monkeypatch.setenv("DFSEARCH_THREADS", value)
+        with pytest.raises(ValueError, match="DFSEARCH_THREADS"):
+            thread_count()
+
+    def test_thread_count_defaults_to_one_and_caps_at_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("DFSEARCH_THREADS", raising=False)
+        assert thread_count() == 1
+        monkeypatch.setenv("DFSEARCH_THREADS", "")
+        assert thread_count() == 1
+        monkeypatch.setenv("DFSEARCH_THREADS", "1")
+        assert thread_count() == 1
+        monkeypatch.setenv("DFSEARCH_THREADS", "1000000")
+        assert thread_count() == (os.cpu_count() or 1)
 
     def test_reps_validated(self):
         d = gen_orthogonal_design(3, 3)
