@@ -106,14 +106,16 @@ _CURVES_OPTIONS = [
 ]
 
 
-def _regime_coefficients(regime: str, p: int, rho: float, sparsity: int) -> np.ndarray:
+def _coefficients(regime: str, p: int, rho: float, support) -> np.ndarray:
+    """Coefficients of a null, dense (rho everywhere) or sparse (rho on the
+    support indices) signal."""
     beta = np.zeros(p)
     if regime == "dense":
         beta[:] = rho
     elif regime == "sparse":
-        if not 0 <= sparsity <= p:
-            raise ConfigError(f"sparsity must lie in [0, {p}]")
-        beta[:sparsity] = rho
+        if any(j < 0 or j >= p for j in support):
+            raise ConfigError(f"support indices must lie in [0, {p - 1}]")
+        beta[list(support)] = rho
     return beta
 
 
@@ -135,7 +137,9 @@ def cmd_curves(config: dict, out_dir: str, svg: bool = False) -> list:
     if not 0 < resolved["active_min"] <= resolved["active_max"] <= p:
         raise ConfigError(f"need 0 < active_min <= active_max <= p={p}")
 
-    xtmu = _regime_coefficients(resolved["regime"], p, resolved["rho"], resolved["sparsity"])
+    if resolved["regime"] == "sparse" and not 0 <= resolved["sparsity"] <= p:
+        raise ConfigError(f"sparsity must lie in [0, {p}]")
+    xtmu = _coefficients(resolved["regime"], p, resolved["rho"], range(resolved["sparsity"]))
     lams = np.linspace(resolved["lambda_min"], resolved["lambda_max"], resolved["lambda_count"])
     targets = np.linspace(resolved["active_min"], resolved["active_max"], resolved["active_count"])
 
@@ -234,20 +238,6 @@ def _build_design(resolved: dict) -> DesignMatrix:
     )
 
 
-def _build_signal(resolved: dict, design: DesignMatrix) -> SignalSpec:
-    p = design.p
-    beta = np.zeros(p)
-    kind = resolved["signal"]
-    if kind == "dense":
-        beta[:] = resolved["rho"]
-    elif kind == "sparse":
-        support = resolved["support"]
-        if any(j < 0 or j >= p for j in support):
-            raise ConfigError(f"support indices must lie in [0, {p - 1}]")
-        beta[list(support)] = resolved["rho"]
-    return SignalSpec.from_coefficients(design, beta, resolved["sigma"])
-
-
 def _auto_lambda_grid(design: DesignMatrix, signal: SignalSpec, count: int) -> tuple:
     """Log-spaced grid up to the smallest penalty that zeroes a noiseless
     fit; under a null signal that scale is set by the noise level instead."""
@@ -266,7 +256,10 @@ def cmd_simulate(config: dict, out_dir: str, svg: bool = False) -> list:
     if "best-subset" in resolved["procedures"]:
         check_subset_capacity(resolved["n"], resolved["p"])
     design = _build_design(resolved)
-    signal = _build_signal(resolved, design)
+    signal = SignalSpec.from_coefficients(
+        design, _coefficients(resolved["signal"], design.p, resolved["rho"], resolved["support"]),
+        resolved["sigma"],
+    )
     if resolved["lambda_grid"] is None:
         if resolved["lambda_count"] < 2:
             raise ConfigError("lambda_count must be at least 2")
@@ -409,7 +402,11 @@ def cmd_stein_check(config: dict, out_dir: str, svg: bool = False) -> list:
                 resolved["corr_low"], resolved["corr_high"],
                 RngSpec(seed=resolved["design_seed"], stream_id=0),
             )
-        signal = _build_signal(resolved, design)
+        signal = SignalSpec.from_coefficients(
+            design, _coefficients(resolved["signal"], design.p, resolved["rho"],
+                                  resolved["support"]),
+            resolved["sigma"],
+        )
         rows = []
         for kind in resolved["procedures"]:
             lam = resolved["threshold"] if kind.endswith("threshold") else resolved["lambda"]

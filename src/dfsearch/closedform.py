@@ -182,10 +182,7 @@ def sdf_null(p: int, sigma: float, lam):
     As a function of lam this is maximized at lam = sigma^2/2, where it
     equals 2 p phi(1) and the expected active-set size is 2 Phi(-1) p.
     """
-    lam_arr, scalar = _as_grid(lam)
-    t = np.sqrt(2.0 * lam_arr)
-    val = 2.0 * p * (t / sigma) * normal_pdf(t / sigma)
-    return float(val) if scalar else val
+    return _sdf_hard(np.zeros(p), sigma, np.sqrt(2.0 * np.asarray(lam, dtype=float)))
 
 
 def sdf_sparse(beta_star, sigma: float, lam):
@@ -196,19 +193,7 @@ def sdf_sparse(beta_star, sigma: float, lam):
     phi((t+b_i)/sigma)]`` and each null coordinate contributes
     ``2 (t/sigma) phi(t/sigma)``, with t = sqrt(2*lam).
     """
-    b = np.atleast_1d(np.asarray(beta_star, dtype=float))
-    p = b.shape[0]
-    active = b[b != 0]
-    k_star = active.shape[0]
-    lam_arr, scalar = _as_grid(lam)
-    t = np.sqrt(2.0 * lam_arr)
-    tt = t[..., None]
-    support_term = (t / sigma) * np.sum(
-        normal_pdf((tt - active) / sigma) + normal_pdf((tt + active) / sigma), axis=-1
-    )
-    null_term = 2.0 * (p - k_star) * (t / sigma) * normal_pdf(t / sigma)
-    val = support_term + null_term
-    return float(val) if scalar else val
+    return _sdf_hard(beta_star, sigma, np.sqrt(2.0 * np.asarray(lam, dtype=float)))
 
 
 def sdf_dense(beta_star, sigma: float, lam):
@@ -216,14 +201,7 @@ def sdf_dense(beta_star, sigma: float, lam):
     coordinate treated through its own amplitude:
     ``(t/sigma) sum_i [phi((t-b_i)/sigma) + phi((t+b_i)/sigma)]``, t = sqrt(2*lam).
     """
-    b = np.atleast_1d(np.asarray(beta_star, dtype=float))
-    lam_arr, scalar = _as_grid(lam)
-    t = np.sqrt(2.0 * lam_arr)
-    tt = t[..., None]
-    val = (t / sigma) * np.sum(
-        normal_pdf((tt - b) / sigma) + normal_pdf((tt + b) / sigma), axis=-1
-    )
-    return float(val) if scalar else val
+    return _sdf_hard(beta_star, sigma, np.sqrt(2.0 * np.asarray(lam, dtype=float)))
 
 
 def threshold_for_expected_active(xtmu, sigma: float, target: float) -> float:

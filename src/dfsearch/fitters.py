@@ -59,6 +59,10 @@ _MAX_TABLE = 1 << 24
 # one).  8 MB stays in cache at small p.
 _BLOCK_FLOATS = 1 << 20
 
+# Bytes of pseudoinverses the support table of a design may hold; past this
+# the table starts over empty.
+_SUPPORT_TABLE_BYTES = 32 << 20
+
 
 @dataclass(frozen=True)
 class FitOutput:
@@ -123,43 +127,59 @@ def _support_indices(S, p: int) -> np.ndarray:
     return S
 
 
-def _ls_fit_groups(X: np.ndarray, Y: np.ndarray, S: np.ndarray, pinv_cache: dict):
-    """Exact least squares of each row of Y on X[:, S] via the pseudoinverse.
-    Returns (coef (R,|S|), fitted (R,n))."""
-    key = tuple(S.tolist())
-    P = pinv_cache.get(key)
-    if P is None:
-        P = np.linalg.pinv(X[:, S]) if S.size else np.zeros((0, X.shape[0]))
-        pinv_cache[key] = P
-    coef = Y @ P.T
-    fitted = coef @ X[:, S].T if S.size else np.zeros_like(Y)
+def _ls_fit_groups(cache: _DesignCache, Y: np.ndarray, S: np.ndarray):
+    """Exact least squares of each row of Y on X[:, S] via the pseudoinverse
+    from the design's support table.  Returns (coef (R,|S|), fitted (R,n))."""
+    coef = Y @ cache.factors(S)[0].T
+    fitted = coef @ cache.X[:, S].T if S.size else np.zeros_like(Y)
     return coef, fitted
+
+
+def _group_rows(codes: np.ndarray) -> list:
+    """Row indices grouped by equal code, each group in increasing row order
+    (so a group's rows reach BLAS in the same shape however they are found)."""
+    if codes.size == 0:
+        return []
+    _, inv = np.unique(codes, return_inverse=True)
+    order = np.argsort(inv, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(inv))[:-1])
+
+
+def _mask_codes(masks: np.ndarray) -> np.ndarray:
+    """One opaque item per row of a boolean mask matrix: its packed bits."""
+    packed = np.ascontiguousarray(np.packbits(masks, axis=1))
+    return packed.view(f"V{packed.shape[1]}").ravel()
 
 
 def refit_on_active_sets(X: np.ndarray, Y: np.ndarray, masks: np.ndarray):
     """Least-squares refit of every response row on its own active set.
 
-    Rows sharing a support are solved together through one cached
+    Rows sharing a support are solved together through the support's
     pseudoinverse.  Returns (beta (R, p), fitted (R, n)).
     """
-    R, p = Y.shape[0], X.shape[1]
-    beta = np.zeros((R, p))
+    cache = _design_cache(X)
+    beta = np.zeros((Y.shape[0], X.shape[1]))
     fitted = np.zeros_like(Y)
-    uniq, inv = np.unique(masks, axis=0, return_inverse=True)
-    cache: dict = {}
-    for g in range(uniq.shape[0]):
-        S = np.flatnonzero(uniq[g])
-        if S.size == 0:
-            continue
-        rows = np.flatnonzero(inv == g)
-        coef, fit_g = _ls_fit_groups(X, Y[rows], S, cache)
-        beta[np.ix_(rows, S)] = coef
-        fitted[rows] = fit_g
+    for rows in _group_rows(_mask_codes(masks)):
+        S = np.flatnonzero(masks[rows[0]])
+        if S.size:
+            coef, fit_g = _ls_fit_groups(cache, Y[rows], S)
+            beta[np.ix_(rows, S)] = coef
+            fitted[rows] = fit_g
     return beta, fitted
 
 
+def _active_ranks(X: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """rank(X restricted to each row's active columns), one float per row."""
+    cache = _design_cache(X)
+    ranks = np.empty(masks.shape[0])
+    for rows in _group_rows(_mask_codes(masks)):
+        ranks[rows] = cache.factors(np.flatnonzero(masks[rows[0]]))[1]
+    return ranks
+
+
 def _batch_ls_support(X: np.ndarray, Y: np.ndarray, S: np.ndarray) -> BatchFit:
-    coef, fitted = _ls_fit_groups(X, Y, S, {})
+    coef, fitted = _ls_fit_groups(_design_cache(X), Y, S)
     beta = np.zeros((Y.shape[0], X.shape[1]))
     if S.size:
         beta[:, S] = coef
@@ -189,10 +209,16 @@ def lasso_kkt_residual(X: DesignMatrix, y: np.ndarray, lam: float, beta: np.ndar
     """Worst violation of the lasso stationarity conditions at beta.
 
     Zero at the exact minimizer: |X_j'(y - X beta)| <= lam off the support
-    and = lam with matching sign on it.
+    and = lam with matching sign on it.  Infinite when beta or the gradient
+    is not finite, so a NaN fit never passes.
     """
     Xv = X.values
+    beta = np.asarray(beta, dtype=float)
+    if not np.all(np.isfinite(beta)):
+        return float("inf")
     g = Xv.T @ (np.asarray(y, dtype=float) - Xv @ beta)
+    if not np.all(np.isfinite(g)):
+        return float("inf")
     active = beta != 0
     worst = 0.0
     if np.any(~active):
@@ -415,20 +441,67 @@ def _build_subset_plan(X: np.ndarray) -> _SubsetPlan:
     return _SubsetPlan(q=q, parent=parent, last=last, starts=starts)
 
 
-# The most recent design's plan, as one (key, plan) pair: fits may run from
-# several threads, and a single assignment is atomic.
+def _pinv_rank(A: np.ndarray):
+    """(pinv(A), rank(A)) from one SVD.  The pinv is np.linalg.pinv's own
+    computation (1e-15 relative cutoff), bit for bit; the rank uses
+    np.linalg.matrix_rank's tolerance, max(shape) * eps * s_max."""
+    if A.shape[1] == 0:
+        return np.zeros((0, A.shape[0])), 0
+    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    s_max = np.max(s)
+    rank = int(np.count_nonzero(s > s_max * (max(A.shape) * np.finfo(float).eps)))
+    large = s > 1e-15 * s_max
+    s = np.divide(1, s, where=large, out=s)
+    s[~large] = 0
+    return vt.T @ (s[:, None] * u.T), rank
+
+
+class _DesignCache:
+    """Everything fits on one design share: the best-subset plan, built on
+    first use, and the support table, which maps a support (its sorted
+    column indices) to the (pinv, rank) of X[:, S] and starts over empty
+    once it holds more than _SUPPORT_TABLE_BYTES of pseudoinverses.  Fits
+    from several threads may race on it; every entry they could write is
+    the same, so a lost write only costs a recomputation."""
+
+    def __init__(self, X: np.ndarray):
+        self.X = X
+        self._plan = None
+        self._table: dict = {}
+        self._nbytes = 0
+
+    def plan(self) -> _SubsetPlan:
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = _build_subset_plan(self.X)
+        return plan
+
+    def factors(self, S: np.ndarray):
+        key = S.astype(np.intp, copy=False).tobytes()
+        hit = self._table.get(key)
+        if hit is None:
+            hit = _pinv_rank(self.X[:, S])
+            if self._nbytes > _SUPPORT_TABLE_BYTES:
+                self._table, self._nbytes = {}, 0
+            self._table[key] = hit
+            self._nbytes += hit[0].nbytes
+        return hit
+
+
+# The most recent design's cache, as one (key, _DesignCache) pair: fits may
+# run from several threads, and a single assignment is atomic.
 _PLAN_CACHE = None
 
 
-def _subset_plan(X: np.ndarray) -> _SubsetPlan:
+def _design_cache(X: np.ndarray) -> _DesignCache:
     global _PLAN_CACHE
     key = (X.shape, X.tobytes())
     cached = _PLAN_CACHE
     if cached is not None and cached[0] == key:
         return cached[1]
-    plan = _build_subset_plan(X)
-    _PLAN_CACHE = (key, plan)
-    return plan
+    cache = _DesignCache(X)
+    _PLAN_CACHE = (key, cache)
+    return cache
 
 
 def _batch_best_subset_grid(X: np.ndarray, Y: np.ndarray, lams) -> list[BatchFit]:
@@ -441,11 +514,11 @@ def _batch_best_subset_grid(X: np.ndarray, Y: np.ndarray, lams) -> list[BatchFit
     for lam in lams:
         if lam < 0:
             raise ValueError("lam must be nonnegative")
-    plan = _subset_plan(X)
+    cache = _design_cache(X)
+    plan = cache.plan()
     R = Y.shape[0]
     beta = [np.zeros((R, p)) for _ in lams]
     fitted = [np.zeros((R, n)) for _ in lams]
-    cache: dict = {}
     chunk = max(1, _MAX_TABLE // (1 << p))
     step = max(1, _BLOCK_FLOATS // (1 << p))
     for start in range(0, R, chunk):
@@ -457,14 +530,12 @@ def _batch_best_subset_grid(X: np.ndarray, Y: np.ndarray, lams) -> list[BatchFit
             for li, lam in enumerate(lams):
                 win[li, s:s + step] = plan.winners(half, block_min, lam)
         for li in range(len(lams)):
-            for uid in np.unique(win[li]):
-                S = plan.support(uid)
-                grp = np.flatnonzero(win[li] == uid)
-                if S.size == 0:
-                    continue
-                coef, fit_g = _ls_fit_groups(X, Yc[grp], S, cache)
-                beta[li][start + grp[:, None], S[None, :]] = coef
-                fitted[li][start + grp] = fit_g
+            for grp in _group_rows(win[li]):
+                S = plan.support(win[li, grp[0]])
+                if S.size:
+                    coef, fit_g = _ls_fit_groups(cache, Yc[grp], S)
+                    beta[li][start + grp[:, None], S[None, :]] = coef
+                    fitted[li][start + grp] = fit_g
     out = []
     for li, lam in enumerate(lams):
         active = beta[li] != 0
@@ -520,13 +591,7 @@ def ridge_fit(X: DesignMatrix, y: np.ndarray, lam: float) -> FitOutput:
     probability zero."""
     if not lam > 0:
         raise ValueError("ridge requires lam > 0")
-    out = _batch_ridge(X.values, np.asarray(y, dtype=float)[None, :], lam)
-    return FitOutput(
-        beta=out.beta[0],
-        active_set=np.arange(X.p),
-        fitted=out.fitted[0],
-        objective=float(out.objective[0]),
-    )
+    return _batch_ridge(X.values, np.asarray(y, dtype=float)[None, :], lam).row(0)
 
 
 def _batch_threshold(X: np.ndarray, Y: np.ndarray, t: float, hard: bool) -> BatchFit:
@@ -603,29 +668,29 @@ class FitProcedure:
         return _batch_threshold(X, Y, self.lam, hard=self.kind == "hard-threshold")
 
     def fit(self, y: np.ndarray) -> FitOutput:
-        out = self.fit_many(np.asarray(y, dtype=float)[None, :])
-        if self.kind == "ridge":
-            return FitOutput(
-                beta=out.beta[0],
-                active_set=np.arange(self.design.p),
-                fitted=out.fitted[0],
-                objective=float(out.objective[0]),
-            )
-        return out.row(0)
+        return self.fit_many(np.asarray(y, dtype=float)[None, :]).row(0)
 
 
 def fit_path(kind: str, design: DesignMatrix, Y: np.ndarray, lam_grid, support=None) -> list[BatchFit]:
     """Fit one procedure across a whole lambda grid with shared work.
 
     Best subset scores every support once per block of responses and picks
-    each lambda's winners from that one table; other kinds simply loop.
+    each lambda's winners from that one table; other kinds simply loop, and
+    a NumericalError names the grid index and lambda it failed at.
     Returns one BatchFit per grid value, in order.
     """
     Y = _responses(Y, design.n)
     if kind == "best-subset":
         FitProcedure(kind=kind, lam=float(lam_grid[0]), design=design)  # validate guard
         return _batch_best_subset_grid(design.values, Y, [float(l) for l in lam_grid])
-    return [
-        FitProcedure(kind=kind, lam=float(l), design=design, support=support).fit_many(Y)
-        for l in lam_grid
-    ]
+    fits = []
+    for li, lam in enumerate(lam_grid):
+        proc = FitProcedure(kind=kind, lam=float(lam), design=design, support=support)
+        try:
+            fits.append(proc.fit_many(Y))
+        except NumericalError as err:
+            raise NumericalError(
+                f"grid index {li} (lambda={lam:g}): {err}",
+                diagnostic={**(err.diagnostic or {}), "grid_index": li, "lam": float(lam)},
+            ) from err
+    return fits

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
-from .fitters import FitProcedure, fit_path, refit_on_active_sets
+from .fitters import FitProcedure, _active_ranks, fit_path, refit_on_active_sets
 from .model import DesignMatrix, RngSpec, SignalSpec
 
 __all__ = [
@@ -92,22 +91,6 @@ def _delete_one_means(v: np.ndarray) -> np.ndarray:
     return (v.sum() - v) / (R - 1)
 
 
-def _ranks_for_masks(X: np.ndarray, masks: np.ndarray, cache: dict | None = None) -> np.ndarray:
-    """rank(X restricted to each row's active columns), one value per row."""
-    uniq, inv = np.unique(masks, axis=0, return_inverse=True)
-    vals = np.empty(uniq.shape[0])
-    for g in range(uniq.shape[0]):
-        key = uniq[g].tobytes()
-        r = None if cache is None else cache.get(key)
-        if r is None:
-            S = np.flatnonzero(uniq[g])
-            r = 0.0 if S.size == 0 else float(np.linalg.matrix_rank(X[:, S]))
-            if cache is not None:
-                cache[key] = r
-        vals[g] = r
-    return vals[inv]
-
-
 def _check_center(center: str):
     if center not in ("sample", "signal"):
         raise ValueError("center must be 'sample' or 'signal'")
@@ -135,6 +118,18 @@ def _require_reps(reps: int):
         raise ValueError("reps must be at least 2")
 
 
+def _estimate(proc: FitProcedure, signal: SignalSpec, reps: int, seed: int,
+              center: str, include_sdf: bool) -> CurveRow:
+    """proc's estimates as run_grid computes them for a one-value grid:
+    draw reps responses, fit them all, and estimate at proc.lam."""
+    _require_reps(reps)
+    _check_center(center)
+    Y = draw_responses(signal, reps, seed)
+    mu = signal.mu if center == "signal" else None
+    return _curve_row(proc.lam, Y, proc.fit_many(Y), proc.design.values,
+                      signal.sigma, mu, include_sdf)
+
+
 def estimate_df(proc: FitProcedure, signal: SignalSpec, reps: int, seed: int,
                 *, center: str = "sample") -> DfEstimate:
     """Estimate the degrees of freedom of proc under the given signal.
@@ -145,21 +140,9 @@ def estimate_df(proc: FitProcedure, signal: SignalSpec, reps: int, seed: int,
     centers the response at the known mean (1/reps), a lower-variance
     variant.
     """
-    _require_reps(reps)
-    _check_center(center)
-    Y = draw_responses(signal, reps, seed)
-    fits = proc.fit_many(Y)
-    mu = signal.mu if center == "signal" else None
-    value, loo = _cov_df_terms(Y, fits.fitted, signal.sigma, mu)
-    active_counts = fits.active.sum(axis=1).astype(float)
-    ranks = _ranks_for_masks(proc.design.values, fits.active)
-    return DfEstimate(
-        value=value,
-        std_error=_jackknife_se(loo),
-        reps=reps,
-        mean_active=float(active_counts.mean()),
-        mean_rank=float(ranks.mean()),
-    )
+    row = _estimate(proc, signal, reps, seed, center, include_sdf=False)
+    return DfEstimate(value=row.df, std_error=row.df_se, reps=reps,
+                      mean_active=row.mean_active, mean_rank=row.mean_rank)
 
 
 def estimate_sdf(proc: FitProcedure, signal: SignalSpec, reps: int, seed: int,
@@ -171,23 +154,9 @@ def estimate_sdf(proc: FitProcedure, signal: SignalSpec, reps: int, seed: int,
     active design is subtracted.  Selection and covariance accumulation use
     the same draws; the definition couples them.
     """
-    _require_reps(reps)
-    _check_center(center)
-    Y = draw_responses(signal, reps, seed)
-    fits = proc.fit_many(Y)
-    X = proc.design.values
-    _, refitted = refit_on_active_sets(X, Y, fits.active)
-    mu = signal.mu if center == "signal" else None
-    value, loo = _cov_df_terms(Y, refitted, signal.sigma, mu)
-    ranks = _ranks_for_masks(X, fits.active)
-    loo_sdf = loo - _delete_one_means(ranks)
-    return DfEstimate(
-        value=value - float(ranks.mean()),
-        std_error=_jackknife_se(loo_sdf),
-        reps=reps,
-        mean_active=float(fits.active.sum(axis=1).mean()),
-        mean_rank=float(ranks.mean()),
-    )
+    row = _estimate(proc, signal, reps, seed, center, include_sdf=True)
+    return DfEstimate(value=row.sdf, std_error=row.sdf_se, reps=reps,
+                      mean_active=row.mean_active, mean_rank=row.mean_rank)
 
 
 def estimate_excess_df(proc: FitProcedure, signal: SignalSpec, reps: int, seed: int,
@@ -195,58 +164,28 @@ def estimate_excess_df(proc: FitProcedure, signal: SignalSpec, reps: int, seed: 
     """Estimate df minus the expected active-set size, with the standard
     error of the paired difference (the two terms share draws, so their
     difference is far less noisy than either term alone)."""
-    _require_reps(reps)
-    _check_center(center)
-    Y = draw_responses(signal, reps, seed)
-    fits = proc.fit_many(Y)
-    mu = signal.mu if center == "signal" else None
-    value, loo = _cov_df_terms(Y, fits.fitted, signal.sigma, mu)
-    active_counts = fits.active.sum(axis=1).astype(float)
-    ranks = _ranks_for_masks(proc.design.values, fits.active)
-    loo_diff = loo - _delete_one_means(active_counts)
-    return DfEstimate(
-        value=value - float(active_counts.mean()),
-        std_error=_jackknife_se(loo_diff),
-        reps=reps,
-        mean_active=float(active_counts.mean()),
-        mean_rank=float(ranks.mean()),
-    )
+    row = _estimate(proc, signal, reps, seed, center, include_sdf=False)
+    return DfEstimate(value=row.df - row.mean_active, std_error=row.excess_se, reps=reps,
+                      mean_active=row.mean_active, mean_rank=row.mean_rank)
 
 
-class OptimismEstimate(tuple):
+@dataclass(frozen=True)
+class OptimismEstimate:
     """The pair (optimism, expected) where optimism is the estimated
     out-of-sample minus in-sample squared error and expected = 2 sigma^2
-    times the df estimate from the same draws.  Unpacks as a 2-tuple;
-    jackknife standard errors ride along as attributes optimism_se (for the
-    first element) and gap_se (for the difference of the two elements).
+    times the df estimate from the same draws.  Iterates (and so unpacks)
+    as that pair; optimism_se is the jackknife standard error of the first
+    element and gap_se that of the difference of the two.
     """
 
+    optimism: float
+    expected: float
     optimism_se: float
     gap_se: float
     reps: int
 
-    def __new__(cls, optimism: float, expected: float, optimism_se: float,
-                gap_se: float, reps: int):
-        self = tuple.__new__(cls, (float(optimism), float(expected)))
-        self.optimism_se = float(optimism_se)
-        self.gap_se = float(gap_se)
-        self.reps = int(reps)
-        return self
-
-    @property
-    def optimism(self) -> float:
-        return self[0]
-
-    @property
-    def expected(self) -> float:
-        return self[1]
-
-    def __repr__(self):
-        return (
-            f"OptimismEstimate(optimism={self[0]!r}, expected={self[1]!r}, "
-            f"optimism_se={self.optimism_se!r}, gap_se={self.gap_se!r}, "
-            f"reps={self.reps!r})"
-        )
+    def __iter__(self):
+        return iter((self.optimism, self.expected))
 
 
 def estimate_optimism(proc: FitProcedure, signal: SignalSpec, reps: int, seed: int,
@@ -349,6 +288,36 @@ class CurveTable:
         return np.array([getattr(r, name) for r in self.rows])
 
 
+def _curve_row(lam: float, Y: np.ndarray, fits, X: np.ndarray, sigma: float,
+               mu, include_sdf: bool) -> CurveRow:
+    """Every estimate at one tuning value from the fits of the draws Y.
+
+    df is the covariance estimate on the fitted values; the excess df's
+    standard error pairs it with the active-set size.  The search df
+    refits each active set by least squares, takes the refit's df and
+    subtracts the mean rank of the active design (NaN unless include_sdf).
+    """
+    df_value, df_loo = _cov_df_terms(Y, fits.fitted, sigma, mu)
+    active_counts = fits.active.sum(axis=1).astype(float)
+    ranks = _active_ranks(X, fits.active)
+    sdf = sdf_se = float("nan")
+    if include_sdf:
+        _, refitted = refit_on_active_sets(X, Y, fits.active)
+        refit_value, refit_loo = _cov_df_terms(Y, refitted, sigma, mu)
+        sdf = refit_value - float(ranks.mean())
+        sdf_se = _jackknife_se(refit_loo - _delete_one_means(ranks))
+    return CurveRow(
+        lam=float(lam),
+        mean_active=float(active_counts.mean()),
+        mean_rank=float(ranks.mean()),
+        df=df_value,
+        df_se=_jackknife_se(df_loo),
+        sdf=sdf,
+        sdf_se=sdf_se,
+        excess_se=_jackknife_se(df_loo - _delete_one_means(active_counts)),
+    )
+
+
 def run_grid(grid: ExperimentGrid) -> CurveTable:
     """Estimate df (and sdf unless disabled) at every grid value.
 
@@ -358,48 +327,10 @@ def run_grid(grid: ExperimentGrid) -> CurveTable:
     give bit-identical tables.
     """
     Y = draw_responses(grid.signal, grid.reps, grid.seed)
-    X = grid.design.values
-    sigma = grid.signal.sigma
     mu = grid.signal.mu if grid.center == "signal" else None
-    R = grid.reps
-
-    if grid.kind == "best-subset":
-        fits_per_lam = fit_path(grid.kind, grid.design, Y, grid.lambda_grid)
-    else:
-        fits_per_lam = []
-        for li, lam in enumerate(grid.lambda_grid):
-            proc = FitProcedure(kind=grid.kind, lam=lam, design=grid.design)
-            try:
-                fits_per_lam.append(proc.fit_many(Y))
-            except NumericalError as err:
-                raise NumericalError(
-                    f"grid index {li} (lambda={lam:g}): {err}",
-                    diagnostic={"grid_index": li, "lam": lam},
-                ) from err
-
-    rank_cache: dict = {}
-    rows = []
-    for lam, fits in zip(grid.lambda_grid, fits_per_lam):
-        df_value, df_loo = _cov_df_terms(Y, fits.fitted, sigma, mu)
-        active_counts = fits.active.sum(axis=1).astype(float)
-        ranks = _ranks_for_masks(X, fits.active, rank_cache)
-        excess_se = _jackknife_se(df_loo - _delete_one_means(active_counts))
-        if grid.include_sdf:
-            _, refitted = refit_on_active_sets(X, Y, fits.active)
-            refit_value, refit_loo = _cov_df_terms(Y, refitted, sigma, mu)
-            sdf = refit_value - float(ranks.mean())
-            sdf_se = _jackknife_se(refit_loo - _delete_one_means(ranks))
-        else:
-            sdf = float("nan")
-            sdf_se = float("nan")
-        rows.append(CurveRow(
-            lam=float(lam),
-            mean_active=float(active_counts.mean()),
-            mean_rank=float(ranks.mean()),
-            df=df_value,
-            df_se=_jackknife_se(df_loo),
-            sdf=sdf,
-            sdf_se=sdf_se,
-            excess_se=excess_se,
-        ))
-    return CurveTable(kind=grid.kind, reps=grid.reps, seed=grid.seed, rows=tuple(rows))
+    fits = fit_path(grid.kind, grid.design, Y, grid.lambda_grid)
+    rows = tuple(
+        _curve_row(lam, Y, f, grid.design.values, grid.signal.sigma, mu, grid.include_sdf)
+        for lam, f in zip(grid.lambda_grid, fits)
+    )
+    return CurveTable(kind=grid.kind, reps=grid.reps, seed=grid.seed, rows=rows)

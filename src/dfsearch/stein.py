@@ -491,38 +491,22 @@ def scan_discontinuities(proc: FitProcedure, coord: int, y_fixed: np.ndarray,
 # Monte Carlo decomposition of df into divergence + boundary terms
 # ---------------------------------------------------------------------------
 
-class SteinDecomposition(tuple):
-    """The pair (divergence, boundary).  Their sum estimates df.  Jackknife
-    standard errors ride along: divergence_se, boundary_se, and total_se
-    (for the sum, accounting for the within-replication correlation)."""
+@dataclass(frozen=True)
+class SteinDecomposition:
+    """The pair (divergence, boundary).  Their sum estimates df.  Iterates
+    (and so unpacks) as that pair; jackknife standard errors ride along:
+    divergence_se, boundary_se, and total_se (for the sum, accounting for
+    the within-replication correlation)."""
 
+    divergence: float
+    boundary: float
     divergence_se: float
     boundary_se: float
     total_se: float
     reps: int
 
-    def __new__(cls, divergence, boundary, divergence_se, boundary_se, total_se, reps):
-        self = tuple.__new__(cls, (float(divergence), float(boundary)))
-        self.divergence_se = float(divergence_se)
-        self.boundary_se = float(boundary_se)
-        self.total_se = float(total_se)
-        self.reps = int(reps)
-        return self
-
-    @property
-    def divergence(self) -> float:
-        return self[0]
-
-    @property
-    def boundary(self) -> float:
-        return self[1]
-
-    def __repr__(self):
-        return (
-            f"SteinDecomposition(divergence={self[0]!r}, boundary={self[1]!r}, "
-            f"divergence_se={self.divergence_se!r}, boundary_se={self.boundary_se!r}, "
-            f"total_se={self.total_se!r}, reps={self.reps!r})"
-        )
+    def __iter__(self):
+        return iter((self.divergence, self.boundary))
 
 
 _STRADDLE_TOL = 1e-3
@@ -536,7 +520,8 @@ def _divergence_terms(proc: FitProcedure, Y0: np.ndarray, F0: np.ndarray,
     All (replication, coordinate) probes go through one batched fit.  A
     probe whose forward and backward slopes disagree is straddling a kink
     or jump; its step shrinks tenfold until the two sides agree.  The fits
-    are piecewise linear, so any clean step gives the exact local slope.
+    are piecewise linear, so any clean step gives the exact local slope.  A
+    NaN slope never agrees, so it ends in NumericalError.
     """
     R, n = Y0.shape
     rows = np.repeat(Y0, 2 * n, axis=0)
@@ -551,7 +536,7 @@ def _divergence_terms(proc: FitProcedure, Y0: np.ndarray, F0: np.ndarray,
     central = (vp - vm) / (2 * h0)
     dplus = (vp - F0) / h0
     dminus = (F0 - vm) / h0
-    bad_r, bad_i = np.nonzero(np.abs(dplus - dminus) > _STRADDLE_TOL)
+    bad_r, bad_i = np.nonzero(~(np.abs(dplus - dminus) <= _STRADDLE_TOL))
     h = h0
     for _ in range(_FD_SHRINKS):
         if bad_r.size == 0:
@@ -567,7 +552,7 @@ def _divergence_terms(proc: FitProcedure, Y0: np.ndarray, F0: np.ndarray,
         central[bad_r, bad_i] = (pvp - pvm) / (2 * h)
         dp = (pvp - F0[bad_r, bad_i]) / h
         dm = (F0[bad_r, bad_i] - pvm) / h
-        keep = np.abs(dp - dm) > _STRADDLE_TOL
+        keep = ~(np.abs(dp - dm) <= _STRADDLE_TOL)
         bad_r, bad_i = bad_r[keep], bad_i[keep]
     if bad_r.size:
         raise NumericalError(

@@ -77,6 +77,12 @@ class TestCurvesCommand:
         missing = str(tmp_path / "nope.txt")
         assert cli.main(["curves", "--config", missing, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("sparsity", [-1, 31])
+    def test_sparsity_out_of_range_exits_2(self, tmp_path, capsys, sparsity):
+        cfg = _write(tmp_path / "c.txt", f"regime=sparse\np=30\nsparsity={sparsity}\n")
+        assert cli.main(["curves", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "sparsity must lie in [0, 30]" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def _cfg(self, tmp_path, extra=""):
@@ -144,6 +150,14 @@ class TestSimulateCommand:
         text = (tmp_path / "sim.txt").read_text().replace("support=0,1", "support=0,9")
         cfg = _write(tmp_path / "sim2.txt", text)
         assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("support", ["-1,0", "0,4"])
+    def test_support_index_out_of_range_exits_2(self, tmp_path, capsys, support):
+        self._cfg(tmp_path)
+        text = (tmp_path / "sim.txt").read_text().replace("support=0,1", f"support={support}")
+        cfg = _write(tmp_path / "sim2.txt", text)
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "support indices must lie in [0, 3]" in capsys.readouterr().err
 
 
 class TestSteinCheckCommand:

@@ -1,7 +1,10 @@
 """Flat key=value config parsing and the resolved-sidecar round trip."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dfsearch import cli
 from dfsearch.config import (
     Option,
     format_resolved,
@@ -112,6 +115,52 @@ class TestSidecarRoundTrip:
         text = format_resolved({"grid": vals}, opts, "demo")
         again = resolve_options(parse_config_text(text), opts, "demo")
         assert again["grid"] == vals
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_BY_PARSER = {
+    parse_int: st.integers(-10**12, 10**12),
+    parse_float: _FLOATS,
+    parse_int_list: st.lists(st.integers(-1000, 1000), max_size=5).map(tuple),
+    parse_float_list: st.lists(_FLOATS, min_size=1, max_size=5).map(tuple),
+}
+_CHOICES = {
+    "regime": ("null", "sparse", "dense"),
+    "signal": ("null", "sparse", "dense"),
+    "mode": ("library", "decompose", "both"),
+}
+_COMMANDS = {
+    "curves": (cli._CURVES_OPTIONS, ()),
+    "simulate": (cli._SIM_OPTIONS, cli._SIM_PROCEDURES),
+    "stein-check": (cli._STEIN_OPTIONS, cli._STEIN_PROCEDURES),
+}
+
+
+def _option_values(opt, procedures):
+    if opt.parse in _BY_PARSER:
+        return _BY_PARSER[opt.parse]
+    if opt.name == "procedures":
+        return st.lists(st.sampled_from(procedures), min_size=1, unique=True).map(tuple)
+    if opt.name == "design":
+        return st.sampled_from(("block", "orthogonal"))
+    return st.sampled_from(_CHOICES[opt.name])
+
+
+@st.composite
+def _resolved(draw, command):
+    options, procedures = _COMMANDS[command]
+    return {opt.name: draw(_option_values(opt, procedures)) for opt in options}
+
+
+class TestCommandSidecarRoundTrip:
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_resolve_of_formatted_sidecar_is_identity(self, command, data):
+        options = _COMMANDS[command][0]
+        resolved = data.draw(_resolved(command))
+        text = format_resolved(resolved, options, command)
+        assert resolve_options(parse_config_text(text), options, command) == resolved
 
 
 class TestReadConfig:

@@ -518,3 +518,92 @@ class TestRefitOnActiveSets:
             ref = least_squares_on_support(d, Y[r], S)
             npt.assert_allclose(beta[r], ref.beta, atol=1e-12)
             npt.assert_allclose(fitted[r], ref.fitted, atol=1e-12)
+
+    def test_no_rows(self):
+        d = _random_design(10, 4, 44)
+        beta, fitted = refit_on_active_sets(d.values, np.zeros((0, 10)), np.zeros((0, 4), bool))
+        assert beta.shape == (0, 4) and fitted.shape == (0, 10)
+
+
+class TestKktResidualNonFinite:
+    @pytest.mark.parametrize("where", ["beta", "y"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_is_infinite(self, where, bad):
+        d = _random_design(10, 4, 8)
+        y = np.random.default_rng(9).standard_normal(10)
+        beta = lasso_solve(d, y, 0.7).beta.copy()
+        assert lasso_kkt_residual(d, y, 0.7, beta) <= 1e-8
+        if where == "beta":
+            beta[1] = bad
+        else:
+            y = y.copy()
+            y[3] = bad
+        assert lasso_kkt_residual(d, y, 0.7, beta) == np.inf
+
+
+class TestSupportTable:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=st.sampled_from([(8, 4), (10, 6), (6, 5), (3, 5), (2, 6), (4, 6)]),
+        structure=st.sampled_from(["plain", "duplicate", "collinear"]),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1.0, 1e-6, 1e6]),
+        near=st.sampled_from([0.0, 1e-14, 1e-12, 1e-9]),
+    )
+    def test_factors_equal_numpy_pinv_and_rank(self, shape, structure, seed, scale, near):
+        # every support of the design: duplicated and collinear columns,
+        # and n < p, put rank deficiency in many of them; a last column
+        # within `near` of the first puts a singular value between the
+        # pinv cutoff and the rank tolerance
+        n, p = shape
+        X = _structured_design(n, p, seed, structure)
+        if near:
+            X[:, p - 1] = X[:, 0] + near * np.random.default_rng(seed).standard_normal(n)
+        X = scale * X
+        cache = fitters._design_cache(X)
+        for k in range(1, p + 1):
+            for S in itertools.combinations(range(p), k):
+                S = np.array(S, dtype=np.intp)
+                P, rank = cache.factors(S)
+                npt.assert_array_equal(P, np.linalg.pinv(X[:, S]))
+                assert rank == np.linalg.matrix_rank(X[:, S])
+
+    def test_empty_support(self):
+        P, rank = fitters._design_cache(_random_design(5, 3, 0).values).factors(
+            np.array([], dtype=np.intp))
+        assert P.shape == (0, 5) and rank == 0
+
+    def test_clears_over_budget_without_changing_fits(self, monkeypatch):
+        d = gen_block_design(20, 10, [5, 5], 0.3, 0.8, RngSpec(seed=30, stream_id=0))
+        Y = np.random.default_rng(31).standard_normal((300, 20))
+        masks = np.random.default_rng(32).random((300, 10)) < 0.4
+        proc = FitProcedure(kind="relaxed-lasso", lam=0.8, design=d)
+        want = proc.fit_many(Y), refit_on_active_sets(d.values, Y, masks)
+        monkeypatch.setattr(fitters, "_PLAN_CACHE", None)
+        # one pinv of a two-column support is 320 bytes
+        monkeypatch.setattr(fitters, "_SUPPORT_TABLE_BYTES", 1000)
+        got = proc.fit_many(Y), refit_on_active_sets(d.values, Y, masks)
+        cache = fitters._PLAN_CACHE[1]
+        assert len(cache._table) <= 8
+        assert cache._nbytes <= 1000 + 8 * 20 * 10
+        npt.assert_array_equal(got[0].beta, want[0].beta)
+        npt.assert_array_equal(got[0].fitted, want[0].fitted)
+        npt.assert_array_equal(got[1][0], want[1][0])
+        npt.assert_array_equal(got[1][1], want[1][1])
+
+    def test_ranks_follow_the_active_sets(self):
+        X = _structured_design(8, 5, 3, "duplicate")  # column 4 copies column 0
+        masks = np.array([[1, 0, 0, 0, 1], [1, 1, 0, 0, 0], [0] * 5, [1, 0, 0, 0, 1]], dtype=bool)
+        npt.assert_array_equal(fitters._active_ranks(X, masks), [1.0, 2.0, 0.0, 1.0])
+
+
+class TestGridIndexErrors:
+    def test_fit_path_names_the_failing_value_and_keeps_the_diagnostic(self, monkeypatch):
+        d = _random_design(12, 6, 40)
+        Y = np.random.default_rng(41).standard_normal((3, 12))
+        monkeypatch.setattr(fitters, "_CD_MAX_SWEEPS", 1)
+        with pytest.raises(NumericalError, match="grid index 0") as info:
+            fit_path("lasso", d, Y, [0.05, 0.5])
+        diag = info.value.diagnostic
+        assert diag["grid_index"] == 0 and diag["lam"] == 0.05
+        assert {"replication", "kkt_residual"} <= set(diag)

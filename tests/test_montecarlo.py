@@ -3,11 +3,14 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfsearch.fitters import FitProcedure
 from dfsearch.model import RngSpec, SignalSpec, gen_block_design, gen_orthogonal_design
 from dfsearch.montecarlo import (
     CurveTable,
+    _cov_df_terms,
     ExperimentGrid,
     draw_responses,
     estimate_df,
@@ -227,3 +230,49 @@ class TestRunGrid:
             est = estimate_df(proc, signal, reps=50, seed=13)
             assert row.df == pytest.approx(est.value, abs=1e-12)
             assert row.df_se == pytest.approx(est.std_error, abs=1e-12)
+
+
+class TestJackknife:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        reps=st.integers(3, 12),
+        n=st.integers(1, 5),
+        center=st.sampled_from(["sample", "signal"]),
+        sigma=st.floats(0.3, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_delete_one_values_equal_explicit_recomputation(self, reps, n, center, sigma, seed):
+        rng = np.random.default_rng(seed)
+        mu = rng.standard_normal(n) if center == "signal" else None
+        Y = rng.standard_normal((reps, n))
+        F = np.tanh(Y) + rng.standard_normal((reps, n))
+        _, loo = _cov_df_terms(Y, F, sigma, mu)
+        for r in range(reps):
+            again, _ = _cov_df_terms(np.delete(Y, r, 0), np.delete(F, r, 0), sigma, mu)
+            assert loo[r] == pytest.approx(again, rel=1e-9, abs=1e-9)
+
+    def test_two_reps_leave_zero_sample_covariances(self):
+        rng = np.random.default_rng(3)
+        Y, F = rng.standard_normal((2, 4)), rng.standard_normal((2, 4))
+        _, loo = _cov_df_terms(Y, F, 1.0, None)
+        npt.assert_array_equal(loo, [0.0, 0.0])
+
+
+class TestOnePath:
+    @pytest.mark.parametrize("kind,lam", [("lasso", 0.6), ("best-subset", 0.5)])
+    @pytest.mark.parametrize("center", ["sample", "signal"])
+    def test_estimators_equal_one_value_grid(self, kind, lam, center):
+        design = gen_block_design(14, 6, [3, 3], 0.4, 0.8, RngSpec(seed=21, stream_id=0))
+        signal = SignalSpec.from_coefficients(design, np.array([1.0, 0, 0, 1.0, 0, 0]), 1.0)
+        grid = ExperimentGrid(kind=kind, lambda_grid=(lam,), design=design, signal=signal,
+                              reps=120, seed=22, center=center)
+        row = run_grid(grid).rows[0]
+        proc = FitProcedure(kind=kind, lam=lam, design=design)
+        df = estimate_df(proc, signal, reps=120, seed=22, center=center)
+        sdf = estimate_sdf(proc, signal, reps=120, seed=22, center=center)
+        excess = estimate_excess_df(proc, signal, reps=120, seed=22, center=center)
+        assert (df.value, df.std_error) == (row.df, row.df_se)
+        assert (sdf.value, sdf.std_error) == (row.sdf, row.sdf_se)
+        assert (excess.value, excess.std_error) == (row.df - row.mean_active, row.excess_se)
+        for est in (df, sdf, excess):
+            assert (est.mean_active, est.mean_rank) == (row.mean_active, row.mean_rank)

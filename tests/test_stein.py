@@ -264,7 +264,9 @@ class TestSteinDecomposition:
         assert dec.boundary == pytest.approx(0.0, abs=1e-12)
         assert dec.divergence == pytest.approx(trace, abs=1e-6)
 
-    @pytest.mark.parametrize("kind,lam", [("hard-threshold", 1.0), ("best-subset", 0.5)])
+    @pytest.mark.parametrize(
+        "kind,lam", [("hard-threshold", 1.0), ("best-subset", 0.5), ("relaxed-lasso", 0.5)]
+    )
     def test_threaded_run_matches_serial(self, monkeypatch, kind, lam):
         # best subset's threads share one cached enumeration plan
         d = gen_orthogonal_design(4, 4)
@@ -290,6 +292,21 @@ class TestSteinDecomposition:
         assert thread_count() == 1
         monkeypatch.setenv("DFSEARCH_THREADS", "1000000")
         assert thread_count() == (os.cpu_count() or 1)
+
+    def test_nan_fits_raise_instead_of_a_nan_divergence(self):
+        proc = SimpleNamespace(
+            design=SimpleNamespace(n=3),
+            fit_many=lambda Y: SimpleNamespace(fitted=np.full(np.shape(Y), np.nan)),
+        )
+        with pytest.raises(NumericalError, match="straddling"):
+            stein_decompose_df(proc, SignalSpec(np.zeros(3), 1.0), reps=2, seed=0)
+
+    def test_pair_unpacks_and_labels(self):
+        proc = FitProcedure(kind="hard-threshold", lam=1.0, design=gen_orthogonal_design(3, 3))
+        dec = stein_decompose_df(proc, SignalSpec(np.zeros(3), 1.0), reps=4, seed=1)
+        divergence, boundary = dec
+        assert (divergence, boundary) == (dec.divergence, dec.boundary)
+        assert repr(dec).startswith(f"SteinDecomposition(divergence={dec.divergence!r}, ")
 
     def test_reps_validated(self):
         d = gen_orthogonal_design(3, 3)
