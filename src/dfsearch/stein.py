@@ -60,6 +60,9 @@ _QUAD_ERR_BUDGET = 1e-9
 _LIMIT_OFFSET = 1e-7
 _BISECT_WIDTH = 1e-9
 _SUBCELLS = 8
+_FD_STEP = 1e-5  # divergence step, in units of sigma
+_JUMP_THRESHOLD = 1e-4  # smaller one-sided differences count as kinks
+_SPAN = 8.0  # decomposition scans cover mu_i +/- _SPAN * sigma
 
 
 # ---------------------------------------------------------------------------
@@ -332,141 +335,123 @@ def verify_stein_univariate(f: PiecewiseScalarFunction, mu: float, sigma: float)
 # discontinuity scanning for fitted coordinate maps
 # ---------------------------------------------------------------------------
 
-class _Bracket:
-    """A grid cell suspected to hold a jump of the coordinate map, plus the
-    local slope reference used to steer the subdivision search."""
-
-    __slots__ = ("coord", "a", "b", "va", "vb", "s_ref", "d_cell", "h_cell", "slack")
-
-    def __init__(self, coord, a, b, va, vb, s_ref, d_cell, h_cell, slack):
-        self.coord = coord
-        self.a = a
-        self.b = b
-        self.va = va
-        self.vb = vb
-        self.s_ref = s_ref
-        self.d_cell = d_cell
-        self.h_cell = h_cell
-        self.slack = slack
+def _grids(lo, hi, grid_points: int) -> np.ndarray:
+    """Uniform scan grids from lo to hi (scalars or vectors), one row per
+    entry, shape (m, grid_points)."""
+    if grid_points < 16:
+        raise ValueError("grid_points must be at least 16")
+    return np.linspace(np.atleast_1d(lo), np.atleast_1d(hi), grid_points, axis=1)
 
 
-def _flag_cells(coord: int, svals: np.ndarray, vals: np.ndarray, jump_threshold: float):
-    """Cells whose increment exceeds the smaller neighboring increment by a
+def _probe(proc: FitProcedure, y: np.ndarray, coords: np.ndarray,
+           svals: np.ndarray) -> np.ndarray:
+    """fitted[k, coords[k]] at the response y with coordinate coords[k] set
+    to svals[k], from one batched fit.  A non-finite value raises
+    NumericalError: NaN fails every comparison the scan makes, so it would
+    otherwise certify the map as jump-free."""
+    k = np.arange(svals.size)
+    rows = np.repeat(y[None, :], svals.size, axis=0)
+    rows[k, coords] = svals
+    vals = proc.fit_many(rows).fitted[k, coords]
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        i, s = int(coords[bad[0]]), float(svals[bad[0]])
+        raise NumericalError(
+            f"non-finite fitted value at s={s:.6g} (coordinate {i}) during a "
+            f"discontinuity scan",
+            diagnostic={"coord": i, "location": s},
+        )
+    return vals
+
+
+def _scan(proc: FitProcedure, y: np.ndarray, coords: np.ndarray, grids: np.ndarray):
+    """Jumps of the coordinate maps s -> fitted[coords[r]] along the rows of
+    grids, shape (m, G), as arrays (coord, location, left, right) ordered by
+    coordinate and then by location.
+
+    Cells whose increment exceeds the smaller neighboring increment by a
     margin are candidate jumps.  Within one linear piece increments agree
     exactly, so the margin only has to beat the kink scale, not the slope
     scale; a plain slope cutoff would have to sit above the largest jump
-    divided by the step and would go blind exactly where it matters."""
-    d = np.diff(vals)
-    absd = np.abs(d)
-    G1 = absd.shape[0]
-    if G1 == 1:
-        ref = np.zeros(1)
-    else:
-        shifted_left = np.concatenate(([np.inf], absd[:-1]))
-        shifted_right = np.concatenate((absd[1:], [np.inf]))
-        ref = np.minimum(shifted_left, shifted_right)
-    h = float(svals[1] - svals[0])
-    flagged = np.flatnonzero(absd - ref > 0.5 * jump_threshold)
-    out = []
-    for g in flagged:
-        # signed slope of the calmer neighbor cell steers the subdivision
-        if g > 0 and (g + 1 >= G1 or absd[g - 1] <= absd[g + 1]):
-            s_ref = d[g - 1] / h
-            slack = absd[g + 1] if g + 1 < G1 else absd[g - 1]
-        elif g + 1 < G1:
-            s_ref = d[g + 1] / h
-            slack = absd[g - 1] if g > 0 else absd[g + 1]
-        else:
-            s_ref = 0.0
-            slack = 0.0
-        out.append(_Bracket(
-            coord=coord, a=float(svals[g]), b=float(svals[g + 1]),
-            va=float(vals[g]), vb=float(vals[g + 1]),
-            s_ref=float(s_ref), d_cell=float(d[g]), h_cell=h,
-            slack=float(slack),
-        ))
-    return out
+    divided by the step and would go blind exactly where it matters.
 
-
-def _coord_rows(y: np.ndarray, coords, svals) -> np.ndarray:
-    rows = np.repeat(y[None, :], len(svals), axis=0)
-    rows[np.arange(len(svals)), np.asarray(coords, dtype=int)] = svals
-    return rows
-
-
-def _resolve_brackets(proc: FitProcedure, y: np.ndarray, brackets: list,
-                      jump_threshold: float, grid_points: int):
-    """Narrow each bracket to the jump location and measure one-sided limits.
-
-    Each round subdivides every open bracket into equal subcells, evaluates
-    all interior points in one batched fit, and keeps the subcell whose
-    increment deviates most from the slope-reference prediction.  For
+    Each narrowing round subdivides every open bracket into equal subcells,
+    evaluates all interior points in one batched fit, and keeps the subcell
+    whose increment deviates most from the slope-reference prediction.  For
     piecewise-linear coordinate maps that deviation is zero off the jump,
-    so the walk homes in on the discontinuity.
+    so the walk homes in on the discontinuity.  Brackets never leave their
+    grid cells, so they stay in (coordinate, location) order.
     """
-    records_per_coord: dict = {}
-    active = list(brackets)
+    m, G = grids.shape
+    vals = _probe(proc, y, np.repeat(coords, G), grids.ravel()).reshape(m, G)
+    d = np.diff(vals, axis=1)
+    edge = np.full((m, 1), np.inf)
+    pad = np.hstack((edge, np.abs(d), edge))  # |increments|, inf past the ends
+    ref = np.minimum(pad[:, :-2], pad[:, 2:])
+    row, g = np.nonzero(pad[:, 1:-1] - ref > 0.5 * _JUMP_THRESHOLD)
+
+    # the signed slope of the calmer neighbor cell steers the subdivision;
+    # the other neighbor (the calmer one at a grid end) sets the slack
+    left_nb, right_nb = pad[row, g], pad[row, g + 2]
+    nb = np.where(left_nb <= right_nb, g - 1, g + 1)
+    rough = np.maximum(left_nb, right_nb)
+    slack = np.where(rough < np.inf, rough, ref[row, g])
+    h = grids[row, 1] - grids[row, 0]
+    s_ref = d[row, nb] / h
+    implied = d[row, g] - s_ref * h
+    coord = coords[row]
+    a, b = grids[row, g], grids[row, g + 1]
+    va, vb = vals[row, g], vals[row, g + 1]
+
     fracs = np.arange(1, _SUBCELLS) / _SUBCELLS
     for _ in range(80):
-        open_brs = [b for b in active if b.b - b.a > _BISECT_WIDTH]
-        if not open_brs:
+        k = np.flatnonzero(b - a > _BISECT_WIDTH)
+        if not k.size:
             break
-        svals = np.concatenate([b.a + (b.b - b.a) * fracs for b in open_brs])
-        coords = np.concatenate([[b.coord] * (_SUBCELLS - 1) for b in open_brs])
-        fitted = proc.fit_many(_coord_rows(y, coords, svals)).fitted
-        mids = fitted[np.arange(svals.size), coords]
-        for k, b in enumerate(open_brs):
-            inner = mids[k * (_SUBCELLS - 1):(k + 1) * (_SUBCELLS - 1)]
-            pts = np.concatenate(([b.a], b.a + (b.b - b.a) * fracs, [b.b]))
-            vv = np.concatenate(([b.va], inner, [b.vb]))
-            dv = np.diff(vv)
-            w = (b.b - b.a) / _SUBCELLS
-            dev = np.abs(dv - b.s_ref * w)
-            g = int(np.argmax(dev))
-            b.a, b.b = float(pts[g]), float(pts[g + 1])
-            b.va, b.vb = float(vv[g]), float(vv[g + 1])
-    if not active:
-        return records_per_coord
+        width = b[k] - a[k]
+        inner = a[k, None] + width[:, None] * fracs
+        mids = _probe(proc, y, np.repeat(coord[k], _SUBCELLS - 1), inner.ravel())
+        pts = np.column_stack((a[k], inner, b[k]))
+        vv = np.column_stack((va[k], mids.reshape(k.size, _SUBCELLS - 1), vb[k]))
+        dev = np.abs(np.diff(vv, axis=1) - (s_ref[k] * (width / _SUBCELLS))[:, None])
+        j = np.argmax(dev, axis=1)
+        r = np.arange(k.size)
+        a[k], b[k] = pts[r, j], pts[r, j + 1]
+        va[k], vb[k] = vv[r, j], vv[r, j + 1]
+    if not coord.size:  # no candidate cells, so no limits fit
+        return coord, a, va, vb
+
     # one-sided limits just outside the final bracket
-    locs = np.array([(b.a + b.b) / 2 for b in active])
-    coords = np.array([b.coord for b in active])
-    side_s = np.concatenate([locs - _LIMIT_OFFSET, locs + _LIMIT_OFFSET])
-    side_c = np.concatenate([coords, coords])
-    fitted = proc.fit_many(_coord_rows(y, side_c, side_s)).fitted
-    side_v = fitted[np.arange(side_s.size), side_c]
-    lefts, rights = side_v[:len(active)], side_v[len(active):]
-    for k, b in enumerate(active):
-        jump = float(rights[k] - lefts[k])
-        if abs(jump) <= jump_threshold:
-            continue  # a kink, not a discontinuity
-        implied = b.d_cell - b.s_ref * b.h_cell
-        slack = max(10 * jump_threshold, 0.3 * abs(jump), 5 * b.slack)
-        if abs(implied - jump) > slack:
-            raise NumericalError(
-                f"scan cell near s={locs[k]:.6g} (coordinate {b.coord}) appears "
-                f"to hold more than one discontinuity; rerun with more than "
-                f"{grid_points} grid points",
-                diagnostic={"coord": int(b.coord), "location": float(locs[k])},
-            )
-        rec = JumpRecord(location=float(locs[k]), left=float(lefts[k]),
-                         right=float(rights[k]), jump=jump)
-        records_per_coord.setdefault(b.coord, []).append(rec)
-    for recs in records_per_coord.values():
-        recs.sort(key=lambda r: r.location)
-    return records_per_coord
+    loc = (a + b) / 2
+    side = _probe(proc, y, np.concatenate((coord, coord)),
+                  np.concatenate((loc - _LIMIT_OFFSET, loc + _LIMIT_OFFSET)))
+    left, right = side[:coord.size], side[coord.size:]
+    jump = right - left
+    keep = np.abs(jump) > _JUMP_THRESHOLD  # the rest are kinks
+    tol = np.maximum(np.maximum(10 * _JUMP_THRESHOLD, 0.3 * np.abs(jump)), 5 * slack)
+    bad = np.flatnonzero(keep & (np.abs(implied - jump) > tol))
+    if bad.size:
+        k = bad[0]
+        raise NumericalError(
+            f"scan cell near s={loc[k]:.6g} (coordinate {coord[k]}) appears "
+            f"to hold more than one discontinuity; rerun with more than "
+            f"{G} grid points",
+            diagnostic={"coord": int(coord[k]), "location": float(loc[k])},
+        )
+    return coord[keep], loc[keep], left[keep], right[keep]
 
 
 def scan_discontinuities(proc: FitProcedure, coord: int, y_fixed: np.ndarray,
-                         lo: float, hi: float, *, grid_points: int = 4096,
-                         jump_threshold: float = 1e-4) -> list:
+                         lo: float, hi: float, *, grid_points: int = 4096) -> list:
     """Locate the jumps of s -> fitted[coord] at response (s, y_fixed[-coord]).
 
-    The coordinate map is sampled on a uniform grid, cells flagged by the
-    neighbor-increment rule are narrowed by guided subdivision, and each
-    located point is measured by one-sided evaluation.  Only genuine jumps
-    (|jump| > jump_threshold) are returned, sorted by location.  A cell that
-    turns out to hold two discontinuities raises NumericalError and asks
-    for a finer grid.
+    The coordinate map is sampled on a uniform grid of grid_points (at least
+    16) points, cells flagged by the neighbor-increment rule are narrowed by
+    guided subdivision, and each located point is measured by one-sided
+    evaluation.  Only genuine jumps (|jump| above 1e-4) are returned as
+    JumpRecords, sorted by location.  A cell that turns out to hold two
+    discontinuities raises NumericalError and asks for a finer grid; a
+    non-finite fitted value raises NumericalError too.
     """
     y = np.asarray(y_fixed, dtype=float).copy()
     if y.ndim != 1 or y.size != proc.design.n:
@@ -477,14 +462,10 @@ def scan_discontinuities(proc: FitProcedure, coord: int, y_fixed: np.ndarray,
         raise ValueError("coord out of range")
     if not lo < hi:
         raise ValueError("need lo < hi")
-    if grid_points < 16:
-        raise ValueError("grid_points must be at least 16")
-    svals = np.linspace(lo, hi, grid_points)
-    fitted = proc.fit_many(_coord_rows(y, np.full(grid_points, coord), svals)).fitted
-    vals = fitted[:, coord]
-    brackets = _flag_cells(coord, svals, vals, jump_threshold)
-    per_coord = _resolve_brackets(proc, y, brackets, jump_threshold, grid_points)
-    return per_coord.get(coord, [])
+    grids = _grids(lo, hi, grid_points)
+    _, loc, left, right = _scan(proc, y, np.array([coord]), grids)
+    return [JumpRecord(location=s, left=l, right=r, jump=r - l)
+            for s, l, r in zip(loc.tolist(), left.tolist(), right.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -563,25 +544,14 @@ def _divergence_terms(proc: FitProcedure, Y0: np.ndarray, F0: np.ndarray,
     return central.sum(axis=1)
 
 
-def _boundary_term_one(proc: FitProcedure, y: np.ndarray, signal: SignalSpec,
-                       grids: list, grid_points: int, jump_threshold: float) -> float:
+def _boundary_term(proc: FitProcedure, y: np.ndarray, signal: SignalSpec,
+                   grids: np.ndarray) -> float:
     """phi-weighted jump sum over all coordinates for one response draw."""
-    n = y.size
-    G = grid_points
-    coords = np.repeat(np.arange(n), G)
-    svals = np.concatenate(grids)
-    fitted = proc.fit_many(_coord_rows(y, coords, svals)).fitted
-    brackets = []
-    for i in range(n):
-        vals = fitted[i * G:(i + 1) * G, i]
-        brackets.extend(_flag_cells(i, grids[i], vals, jump_threshold))
-    per_coord = _resolve_brackets(proc, y, brackets, jump_threshold, grid_points)
+    coord, loc, left, right = _scan(proc, y, np.arange(y.size), grids)
     total = 0.0
     sigma = signal.sigma
-    for i, recs in sorted(per_coord.items()):
-        for rec in recs:
-            w = normal_pdf((rec.location - signal.mu[i]) / sigma) / sigma
-            total += w * rec.jump
+    for i, s, jump in zip(coord.tolist(), loc.tolist(), (right - left).tolist()):
+        total += normal_pdf((s - signal.mu[i]) / sigma) / sigma * jump
     return total
 
 
@@ -603,46 +573,40 @@ def thread_count() -> int:
 
 
 def stein_decompose_df(proc: FitProcedure, signal: SignalSpec, reps: int, seed: int,
-                       *, fd_step: float = 1e-5, grid_points: int = 4096,
-                       jump_threshold: float = 1e-4, span: float = 8.0) -> SteinDecomposition:
+                       *, grid_points: int = 4096) -> SteinDecomposition:
     """Split df into expected divergence plus expected boundary jump sum.
 
     Per replication, the divergence is the sum of the coordinate partial
-    derivatives by central differences (step fd_step * sigma), and the
-    boundary term scans every coordinate map over mu_i +/- span * sigma for
-    jumps, weighting each by the normal density at its location.  Returns
-    the two Monte Carlo means; their sum estimates df.  The environment
-    variable DFSEARCH_THREADS (default 1, see thread_count) parallelizes the
-    per-replication scans; the reduction order is fixed, so results do not
-    depend on it.
+    derivatives by central differences (step 1e-5 * sigma), and the
+    boundary term scans every coordinate map over mu_i +/- 8 sigma on
+    grid_points (at least 16) points for jumps, weighting each by the
+    normal density at its location.  Returns the two Monte Carlo means;
+    their sum estimates df.  The environment variable DFSEARCH_THREADS
+    (default 1, see thread_count) parallelizes the per-replication scans;
+    the reduction order is fixed, so results do not depend on it.
     """
     if reps < 2:
         raise ValueError("reps must be at least 2")
     workers = thread_count()
+    grids = _grids(signal.mu - _SPAN * signal.sigma, signal.mu + _SPAN * signal.sigma,
+                   grid_points)
     Y0 = draw_responses(signal, reps, seed)
     F0 = proc.fit_many(Y0).fitted
-    h0 = fd_step * signal.sigma
-    div = _divergence_terms(proc, Y0, F0, h0)
+    div = _divergence_terms(proc, Y0, F0, _FD_STEP * signal.sigma)
 
-    grids = [
-        np.linspace(signal.mu[i] - span * signal.sigma,
-                    signal.mu[i] + span * signal.sigma, grid_points)
-        for i in range(signal.n)
-    ]
     bnd = np.empty(reps)
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         def task(r):
-            return _boundary_term_one(proc, Y0[r], signal, grids, grid_points, jump_threshold)
+            return _boundary_term(proc, Y0[r], signal, grids)
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for r, val in enumerate(pool.map(task, range(reps))):
                 bnd[r] = val
     else:
         for r in range(reps):
-            bnd[r] = _boundary_term_one(proc, Y0[r], signal, grids, grid_points,
-                                        jump_threshold)
+            bnd[r] = _boundary_term(proc, Y0[r], signal, grids)
 
     if reps >= 8:
         centered = bnd - bnd.mean()
@@ -675,11 +639,11 @@ class JumpViolation:
 
 
 def check_jump_positivity(proc: FitProcedure, signal: SignalSpec, trials: int,
-                          seed: int, *, grid_points: int = 4096,
-                          jump_threshold: float = 1e-4, span: float = 8.0) -> list:
+                          seed: int, *, grid_points: int = 4096) -> list:
     """Probe random response configurations for negative jumps.
 
-    Each trial draws a response, scans one coordinate map (cycling through
+    Each trial draws a response, scans one coordinate map over
+    mu_i +/- 8 sigma with scan_discontinuities (cycling through
     coordinates), and records any jump with negative sign.  An empty list
     is evidence (not proof) that the procedure's jumps are all upward,
     which would make the boundary term, and hence the search cost,
@@ -691,12 +655,9 @@ def check_jump_positivity(proc: FitProcedure, signal: SignalSpec, trials: int,
     violations = []
     for k in range(trials):
         i = k % signal.n
-        lo = float(signal.mu[i] - span * signal.sigma)
-        hi = float(signal.mu[i] + span * signal.sigma)
-        records = scan_discontinuities(
-            proc, i, Y[k], lo, hi,
-            grid_points=grid_points, jump_threshold=jump_threshold,
-        )
+        lo = float(signal.mu[i] - _SPAN * signal.sigma)
+        hi = float(signal.mu[i] + _SPAN * signal.sigma)
+        records = scan_discontinuities(proc, i, Y[k], lo, hi, grid_points=grid_points)
         for rec in records:
             if rec.jump < 0:
                 violations.append(JumpViolation(trial=k, coord=i, record=rec))

@@ -212,6 +212,18 @@ class TestSteinCheckCommand:
         assert "DFSEARCH_THREADS" in capsys.readouterr().err
         assert not (out / "stein-univariate.csv").exists()
 
+    @pytest.mark.parametrize("grid_points", [0, 1, 15])
+    def test_grid_points_below_16_exits_2(self, tmp_path, capsys, grid_points):
+        cfg = _write(
+            tmp_path / "st.txt",
+            f"mode=decompose\nn=3\nprocedures=hard-threshold\nreps=3\n"
+            f"grid_points={grid_points}\n",
+        )
+        out = tmp_path / "o"
+        assert cli.main(["stein-check", "--config", cfg, "--out", str(out)]) == 2
+        assert "grid_points must be at least 16" in capsys.readouterr().err
+        assert not (out / "stein-decompose.csv").exists()
+
     def test_block_design_requires_sizes(self, tmp_path):
         cfg = _write(tmp_path / "st.txt", "mode=decompose\ndesign=block\nreps=4\n")
         assert cli.main(["stein-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

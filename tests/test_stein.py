@@ -6,6 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfsearch.closedform import df_hard_threshold
 from dfsearch.errors import NumericalError
@@ -208,6 +210,41 @@ class TestScanDiscontinuities:
         proc = _stub_proc(fn)
         assert scan_discontinuities(proc, 0, np.zeros(4), -8.0, 8.0) == []
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["hard-threshold", "best-subset"]),
+        t=st.floats(0.1, 3.0),
+        data=st.data(),
+    )
+    def test_orthogonal_scan_matches_closed_form(self, kind, t, data):
+        # on an orthogonal design both kinds threshold y at t: jumps of
+        # size t at -t (from -t to 0) and at +t (from 0 to t), and none on
+        # the coordinates outside the column span
+        n = data.draw(st.integers(2, 6), label="n")
+        p = data.draw(st.integers(2, n), label="p")
+        coord = data.draw(st.integers(0, n - 1), label="coord")
+        y = np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n),
+                               label="y"))
+        lam = t if kind == "hard-threshold" else t * t / 2
+        proc = FitProcedure(kind=kind, lam=lam, design=gen_orthogonal_design(n, p))
+        records = scan_discontinuities(proc, coord, y, -8.0, 8.0)
+        if coord >= p:
+            assert records == []
+            return
+        assert len(records) == 2
+        got = [(r.location, r.left, r.right, r.jump) for r in records]
+        npt.assert_allclose(got, [(-t, -t, 0.0, t), (t, 0.0, t, t)], rtol=0, atol=1e-6)
+
+    def test_non_finite_scanned_value_raises(self):
+        def fn(v):
+            return np.where(v < 0.5, np.nan, v)
+
+        proc = _stub_proc(fn)
+        with pytest.raises(NumericalError, match="non-finite") as info:
+            scan_discontinuities(proc, 0, np.zeros(4), -8.0, 8.0)
+        assert "coordinate 0" in str(info.value) and "s=-8" in str(info.value)
+        assert info.value.diagnostic == {"coord": 0, "location": -8.0}
+
     def test_argument_validation(self):
         d = gen_orthogonal_design(4, 4)
         proc = FitProcedure(kind="hard-threshold", lam=1.0, design=d)
@@ -308,6 +345,20 @@ class TestSteinDecomposition:
         assert (divergence, boundary) == (dec.divergence, dec.boundary)
         assert repr(dec).startswith(f"SteinDecomposition(divergence={dec.divergence!r}, ")
 
+    @pytest.mark.parametrize("grid_points", [0, 1, 15])
+    def test_grid_points_below_16_rejected_before_any_fit(self, grid_points):
+        def fit_many(Y):
+            raise AssertionError("fit before the grid_points check")
+
+        proc = SimpleNamespace(design=SimpleNamespace(n=3), fit_many=fit_many)
+        signal = SignalSpec(np.zeros(3), 1.0)
+        with pytest.raises(ValueError, match="grid_points must be at least 16"):
+            stein_decompose_df(proc, signal, reps=3, seed=0, grid_points=grid_points)
+        with pytest.raises(ValueError, match="grid_points must be at least 16"):
+            scan_discontinuities(proc, 0, np.zeros(3), -1.0, 1.0, grid_points=grid_points)
+        with pytest.raises(ValueError, match="grid_points must be at least 16"):
+            check_jump_positivity(proc, signal, trials=2, seed=0, grid_points=grid_points)
+
     def test_reps_validated(self):
         d = gen_orthogonal_design(3, 3)
         proc = FitProcedure(kind="hard-threshold", lam=1.0, design=d)
@@ -338,3 +389,13 @@ class TestJumpPositivity:
         bad = [v for v in violations if v.coord == 0]
         assert bad and all(v.record.jump < 0 for v in bad)
         assert bad[0].record.location == pytest.approx(0.5, abs=1e-6)
+
+    def test_non_finite_map_raises_instead_of_passing(self):
+        def fn(v):
+            return np.where(v < 0.5, np.nan, v)
+
+        proc = _stub_proc(fn)
+        signal = SignalSpec(np.zeros(4), 1.0)
+        with pytest.raises(NumericalError, match="non-finite") as info:
+            check_jump_positivity(proc, signal, trials=4, seed=5)
+        assert info.value.diagnostic == {"coord": 0, "location": -8.0}
