@@ -158,6 +158,27 @@ def cmd_curves(config: dict, out_dir: str, svg: bool = False) -> list:
         cp = cf.df_subset_orthogonal(xtmu, sigma, 0.5 * t * t)
         by_active_rows.append((cp.expected_active, t, 0.5 * t * t, t, cp.df, cp.sdf))
 
+    # plots are drawn before anything is written, so a failing run leaves
+    # no partial output
+    plots = {}
+    if svg:
+        sub = np.array(subset_rows)
+        plots["curves-subset.svg"] = svg_plot(
+            [
+                {"label": "df", "x": sub[:, 0], "y": sub[:, 3]},
+                {"label": "sdf", "x": sub[:, 0], "y": sub[:, 4]},
+                {"label": "expected active", "x": sub[:, 0], "y": sub[:, 2]},
+            ],
+            title=f"best subset, {resolved['regime']} signal, p={p}",
+            xlabel="lambda", ylabel="degrees of freedom",
+        )
+        ba = np.array(by_active_rows)
+        plots["curves-by-active.svg"] = svg_plot(
+            [{"label": "sdf", "x": ba[:, 0], "y": ba[:, 5]}],
+            title=f"search cost vs selected size, {resolved['regime']} signal",
+            xlabel="expected active-set size", ylabel="sdf",
+        )
+
     os.makedirs(out_dir, exist_ok=True)
     paths = []
 
@@ -176,28 +197,9 @@ def cmd_curves(config: dict, out_dir: str, svg: bool = False) -> list:
     sidecar = os.path.join(out_dir, "resolved-config.txt")
     _write_text(sidecar, format_resolved(resolved, _CURVES_OPTIONS, "curves"))
     paths.append(sidecar)
-
-    if svg:
-        sub = np.array(subset_rows)
-        svg_path = os.path.join(out_dir, "curves-subset.svg")
-        _write_text(svg_path, svg_plot(
-            [
-                {"label": "df", "x": sub[:, 0], "y": sub[:, 3]},
-                {"label": "sdf", "x": sub[:, 0], "y": sub[:, 4]},
-                {"label": "expected active", "x": sub[:, 0], "y": sub[:, 2]},
-            ],
-            title=f"best subset, {resolved['regime']} signal, p={p}",
-            xlabel="lambda", ylabel="degrees of freedom",
-        ))
-        paths.append(svg_path)
-        ba = np.array(by_active_rows)
-        svg_path = os.path.join(out_dir, "curves-by-active.svg")
-        _write_text(svg_path, svg_plot(
-            [{"label": "sdf", "x": ba[:, 0], "y": ba[:, 5]}],
-            title=f"search cost vs selected size, {resolved['regime']} signal",
-            xlabel="expected active-set size", ylabel="sdf",
-        ))
-        paths.append(svg_path)
+    for name, text in plots.items():
+        paths.append(os.path.join(out_dir, name))
+        _write_text(paths[-1], text)
     return paths
 
 
@@ -282,13 +284,7 @@ def cmd_simulate(config: dict, out_dir: str, svg: bool = False) -> list:
         for r in table.rows:
             rows.append((kind, r.lam, r.mean_active, r.df, r.df_se, r.sdf, r.sdf_se))
 
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "simulate.csv")
-    _write_csv(csv_path, "simulate-v1", header, rows)
-    sidecar = os.path.join(out_dir, "resolved-config.txt")
-    _write_text(sidecar, format_resolved(resolved, _SIM_OPTIONS, "simulate"))
-    paths = [csv_path, sidecar]
-
+    plots = {}  # drawn before anything is written, like the table
     if svg:
         series = [
             {
@@ -299,15 +295,23 @@ def cmd_simulate(config: dict, out_dir: str, svg: bool = False) -> list:
             }
             for kind in resolved["procedures"]
         ]
-        svg_path = os.path.join(out_dir, "simulate.svg")
-        _write_text(svg_path, svg_plot(
+        plots["simulate.svg"] = svg_plot(
             series,
             title=f"df vs selected size (n={design.n}, p={design.p}, "
                   f"reps={resolved['reps']})",
             xlabel="mean active-set size", ylabel="estimated df",
             diagonal=True,
-        ))
-        paths.append(svg_path)
+        )
+
+    os.makedirs(out_dir, exist_ok=True)
+    csv_path = os.path.join(out_dir, "simulate.csv")
+    _write_csv(csv_path, "simulate-v1", header, rows)
+    sidecar = os.path.join(out_dir, "resolved-config.txt")
+    _write_text(sidecar, format_resolved(resolved, _SIM_OPTIONS, "simulate"))
+    paths = [csv_path, sidecar]
+    for name, text in plots.items():
+        paths.append(os.path.join(out_dir, name))
+        _write_text(paths[-1], text)
     return paths
 
 
@@ -376,9 +380,9 @@ def cmd_stein_check(config: dict, out_dir: str, svg: bool = False) -> list:
         raise ConfigError("sigmas must be positive")
     thread_count()  # a bad DFSEARCH_THREADS fails before any work
 
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
-
+    # every table is computed before anything is written, so a failing run
+    # leaves no partial output
+    tables = []
     if resolved["mode"] in ("library", "both"):
         rows = []
         for name, f in function_library():
@@ -387,21 +391,13 @@ def cmd_stein_check(config: dict, out_dir: str, svg: bool = False) -> list:
                     lhs = stein_lhs_univariate(f, mu, s)
                     rhs = stein_rhs_univariate(f, mu, s)
                     rows.append((f"{name} mu={mu:g} sigma={s:g}", lhs, rhs, abs(lhs - rhs)))
-        path = os.path.join(out_dir, "stein-univariate.csv")
-        _write_csv(path, "stein-univariate-v1", ("case", "lhs", "rhs", "residual"), rows)
-        paths.append(path)
+        tables.append(("stein-univariate.csv", "stein-univariate-v1",
+                       ("case", "lhs", "rhs", "residual"), rows))
 
     if resolved["mode"] in ("decompose", "both"):
-        if resolved["design"] == "orthogonal":
-            design = gen_orthogonal_design(resolved["n"], resolved["p"])
-        else:
-            if not resolved["block_sizes"]:
-                raise ConfigError("block design requires block_sizes")
-            design = gen_block_design(
-                resolved["n"], resolved["p"], resolved["block_sizes"],
-                resolved["corr_low"], resolved["corr_high"],
-                RngSpec(seed=resolved["design_seed"], stream_id=0),
-            )
+        if resolved["design"] == "block" and not resolved["block_sizes"]:
+            raise ConfigError("block design requires block_sizes")
+        design = _build_design(resolved)
         signal = SignalSpec.from_coefficients(
             design, _coefficients(resolved["signal"], design.p, resolved["rho"],
                                   resolved["support"]),
@@ -422,13 +418,18 @@ def cmd_stein_check(config: dict, out_dir: str, svg: bool = False) -> list:
                 "" if closed is None else _csv_cell(closed),
                 dec.total_se, df.std_error,
             ))
-        path = os.path.join(out_dir, "stein-decompose.csv")
-        _write_csv(
-            path, "stein-decompose-v1",
+        tables.append((
+            "stein-decompose.csv", "stein-decompose-v1",
             ("procedure", "divergence_term", "boundary_term", "df_hat",
              "closed_form_if_available", "decomposition_se", "df_se"),
             rows,
-        )
+        ))
+
+    os.makedirs(out_dir, exist_ok=True)
+    paths = []
+    for name, schema, header, rows in tables:
+        path = os.path.join(out_dir, name)
+        _write_csv(path, schema, header, rows)
         paths.append(path)
 
     sidecar = os.path.join(out_dir, "resolved-config.txt")

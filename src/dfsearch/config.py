@@ -22,7 +22,6 @@ __all__ = [
     "format_resolved",
     "parse_int",
     "parse_float",
-    "parse_str",
     "parse_choice",
     "parse_int_list",
     "parse_float_list",
@@ -46,10 +45,6 @@ def parse_float(s: str) -> float:
     if v != v or v in (float("inf"), float("-inf")):
         raise ConfigError(f"expected a finite number, got {s!r}")
     return v
-
-
-def parse_str(s: str) -> str:
-    return s
 
 
 def parse_choice(*choices: str):

@@ -4,9 +4,11 @@ Each procedure is a deterministic map y -> (coefficients, active set, fitted
 values).  Two call surfaces are provided: single-response functions matching
 the mathematical definitions (`lasso_solve`, `best_subset_solve`, ...), and a
 batched path (`FitProcedure.fit_many`, `fit_path`) that fits many responses
-against the same design at once.  The Monte Carlo estimators lean on the
-batched path; a plain Python loop over 10^4 replications would dominate the
-runtime budget otherwise.
+against the same design at once.  Each single-response function is one
+`FitProcedure(...).fit(y)` call, so `FitProcedure` is the one place a fit
+request (kind, lambda, support, responses) is validated.  The Monte Carlo
+estimators lean on the batched path; a plain Python loop over 10^4
+replications would dominate the runtime budget otherwise.
 """
 
 from __future__ import annotations
@@ -127,28 +129,32 @@ def _support_indices(S, p: int) -> np.ndarray:
     return S
 
 
-def _ls_fit_groups(cache: _DesignCache, Y: np.ndarray, S: np.ndarray):
-    """Exact least squares of each row of Y on X[:, S] via the pseudoinverse
-    from the design's support table.  Returns (coef (R,|S|), fitted (R,n))."""
-    coef = Y @ cache.factors(S)[0].T
-    fitted = coef @ cache.X[:, S].T if S.size else np.zeros_like(Y)
-    return coef, fitted
-
-
-def _group_rows(codes: np.ndarray) -> list:
-    """Row indices grouped by equal code, each group in increasing row order
-    (so a group's rows reach BLAS in the same shape however they are found)."""
-    if codes.size == 0:
+def _mask_groups(masks: np.ndarray) -> list:
+    """Row indices grouped by equal row of a boolean mask matrix (compared
+    through the packed bits), each group in increasing row order, so a
+    group's rows reach BLAS in the same shape however they are found."""
+    if masks.shape[0] == 0:
         return []
-    _, inv = np.unique(codes, return_inverse=True)
+    packed = np.ascontiguousarray(np.packbits(masks, axis=1))
+    _, inv = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_inverse=True)
     order = np.argsort(inv, kind="stable")
     return np.split(order, np.cumsum(np.bincount(inv))[:-1])
 
 
-def _mask_codes(masks: np.ndarray) -> np.ndarray:
-    """One opaque item per row of a boolean mask matrix: its packed bits."""
-    packed = np.ascontiguousarray(np.packbits(masks, axis=1))
-    return packed.view(f"V{packed.shape[1]}").ravel()
+def _refit(cache: _DesignCache, Y: np.ndarray, masks: np.ndarray):
+    """Exact least squares of each row of Y on its own active columns.  Rows
+    sharing a support are solved together through the support's
+    pseudoinverse from the design's support table.  Returns (beta (R, p),
+    fitted (R, n))."""
+    beta = np.zeros((Y.shape[0], cache.X.shape[1]))
+    fitted = np.zeros_like(Y)
+    for rows in _mask_groups(masks):
+        S = np.flatnonzero(masks[rows[0]])
+        if S.size:
+            coef = Y[rows] @ cache.factors(S)[0].T
+            beta[np.ix_(rows, S)] = coef
+            fitted[rows] = coef @ cache.X[:, S].T
+    return beta, fitted
 
 
 def refit_on_active_sets(X: np.ndarray, Y: np.ndarray, masks: np.ndarray):
@@ -157,32 +163,24 @@ def refit_on_active_sets(X: np.ndarray, Y: np.ndarray, masks: np.ndarray):
     Rows sharing a support are solved together through the support's
     pseudoinverse.  Returns (beta (R, p), fitted (R, n)).
     """
-    cache = _design_cache(X)
-    beta = np.zeros((Y.shape[0], X.shape[1]))
-    fitted = np.zeros_like(Y)
-    for rows in _group_rows(_mask_codes(masks)):
-        S = np.flatnonzero(masks[rows[0]])
-        if S.size:
-            coef, fit_g = _ls_fit_groups(cache, Y[rows], S)
-            beta[np.ix_(rows, S)] = coef
-            fitted[rows] = fit_g
-    return beta, fitted
+    return _refit(_design_cache(X), Y, masks)
 
 
 def _active_ranks(X: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """rank(X restricted to each row's active columns), one float per row."""
     cache = _design_cache(X)
     ranks = np.empty(masks.shape[0])
-    for rows in _group_rows(_mask_codes(masks)):
+    for rows in _mask_groups(masks):
         ranks[rows] = cache.factors(np.flatnonzero(masks[rows[0]]))[1]
     return ranks
 
 
-def _batch_ls_support(X: np.ndarray, Y: np.ndarray, S: np.ndarray) -> BatchFit:
-    coef, fitted = _ls_fit_groups(_design_cache(X), Y, S)
-    beta = np.zeros((Y.shape[0], X.shape[1]))
-    if S.size:
-        beta[:, S] = coef
+def _batch_refit(X: np.ndarray, Y: np.ndarray, masks: np.ndarray) -> BatchFit:
+    """Least squares of each row of Y on its active set, with half the
+    residual sum of squares as the objective.  Goes through the public
+    refit_on_active_sets, so a wrapper on that name sees every relaxed-lasso
+    and fixed-support refit."""
+    beta, fitted = refit_on_active_sets(X, Y, masks)
     objective = 0.5 * np.sum((Y - fitted) ** 2, axis=1)
     return BatchFit(beta=beta, fitted=fitted, active=beta != 0, objective=objective)
 
@@ -193,8 +191,7 @@ def least_squares_on_support(X: DesignMatrix, y: np.ndarray, S) -> FitOutput:
     The coefficient vector restricted to S is the minimum-norm least squares
     solution, so rank-deficient (even duplicated) columns are handled.
     """
-    S = _support_indices(S, X.p)
-    return _batch_ls_support(X.values, np.asarray(y, dtype=float)[None, :], S).row(0)
+    return FitProcedure("least-squares-on-support", 0.0, X, support=S).fit(y)
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +306,7 @@ def lasso_solve(X: DesignMatrix, y: np.ndarray, lam: float) -> FitOutput:
     than 1e-10 in a sweep, then verified against the stationarity conditions.
     Raises NumericalError (with the final KKT residual) if either fails.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    return _batch_lasso(X.values, np.asarray(y, dtype=float)[None, :], lam).row(0)
+    return FitProcedure("lasso", lam, X).fit(y)
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +346,17 @@ class _SubsetPlan:
     last: np.ndarray
     starts: np.ndarray
 
-    def support(self, i: int) -> np.ndarray:
-        cols = []
-        while i:
-            cols.append(self.last[i])
-            i = self.parent[i]
-        return np.array(cols[::-1], dtype=np.intp)
+    def masks(self, rows: np.ndarray) -> np.ndarray:
+        """Boolean support masks (len(rows), p) of the given plan rows,
+        walking every row's parent chain at once."""
+        i = np.array(rows, dtype=np.intp)
+        out = np.zeros((i.size, self.starts.size - 2), dtype=bool)
+        live = np.flatnonzero(i)
+        while live.size:
+            out[live, self.last[i[live]]] = True
+            i[live] = self.parent[i[live]]
+            live = live[i[live] != 0]
+        return out
 
     def half_rss(self, Y: np.ndarray) -> np.ndarray:
         """Half residual sum of squares of every support (rows) against
@@ -508,12 +508,9 @@ def _batch_best_subset_grid(X: np.ndarray, Y: np.ndarray, lams) -> list[BatchFit
     """Fit best subset selection for every lambda in lams.  One plan serves
     the design, and one residual table per block of responses serves every
     lambda (the scores depend on lambda only through the cardinality
-    penalty)."""
+    penalty).  The capacity guard and the lambdas are checked by
+    FitProcedure."""
     n, p = X.shape
-    check_subset_capacity(n, p)
-    for lam in lams:
-        if lam < 0:
-            raise ValueError("lam must be nonnegative")
     cache = _design_cache(X)
     plan = cache.plan()
     R = Y.shape[0]
@@ -530,12 +527,8 @@ def _batch_best_subset_grid(X: np.ndarray, Y: np.ndarray, lams) -> list[BatchFit
             for li, lam in enumerate(lams):
                 win[li, s:s + step] = plan.winners(half, block_min, lam)
         for li in range(len(lams)):
-            for grp in _group_rows(win[li]):
-                S = plan.support(win[li, grp[0]])
-                if S.size:
-                    coef, fit_g = _ls_fit_groups(cache, Yc[grp], S)
-                    beta[li][start + grp[:, None], S[None, :]] = coef
-                    fitted[li][start + grp] = fit_g
+            rows = slice(start, start + Yc.shape[0])
+            beta[li][rows], fitted[li][rows] = _refit(cache, Yc, plan.masks(win[li]))
     out = []
     for li, lam in enumerate(lams):
         active = beta[li] != 0
@@ -554,25 +547,16 @@ def best_subset_solve(X: DesignMatrix, y: np.ndarray, lam: float) -> FitOutput:
     to 1e-12, the smallest cardinality wins, then the lexicographically
     smallest index set.
     """
-    return _batch_best_subset_grid(X.values, np.asarray(y, dtype=float)[None, :], [lam])[0].row(0)
+    return FitProcedure("best-subset", lam, X).fit(y)
 
 
 # ---------------------------------------------------------------------------
 # relaxed lasso and ridge
 # ---------------------------------------------------------------------------
 
-def _batch_relaxed(X: np.ndarray, Y: np.ndarray, lam: float) -> BatchFit:
-    base = _batch_lasso(X, Y, lam)
-    beta, fitted = refit_on_active_sets(X, Y, base.active)
-    objective = 0.5 * np.sum((Y - fitted) ** 2, axis=1)
-    return BatchFit(beta=beta, fitted=fitted, active=beta != 0, objective=objective)
-
-
 def relaxed_lasso_fit(X: DesignMatrix, y: np.ndarray, lam: float) -> FitOutput:
     """Least squares refit on the lasso active set at the same lambda."""
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    return _batch_relaxed(X.values, np.asarray(y, dtype=float)[None, :], lam).row(0)
+    return FitProcedure("relaxed-lasso", lam, X).fit(y)
 
 
 def _batch_ridge(X: np.ndarray, Y: np.ndarray, lam: float) -> BatchFit:
@@ -589,9 +573,7 @@ def ridge_fit(X: DesignMatrix, y: np.ndarray, lam: float) -> FitOutput:
     """beta = (X'X + lam I)^{-1} X'y.  The active set is all p indices by
     convention: ridge never excludes a variable, and exact zeros occur with
     probability zero."""
-    if not lam > 0:
-        raise ValueError("ridge requires lam > 0")
-    return _batch_ridge(X.values, np.asarray(y, dtype=float)[None, :], lam).row(0)
+    return FitProcedure("ridge", lam, X).fit(y)
 
 
 def _batch_threshold(X: np.ndarray, Y: np.ndarray, t: float, hard: bool) -> BatchFit:
@@ -656,13 +638,15 @@ class FitProcedure:
         Y = _responses(Y, self.design.n)
         X = self.design.values
         if self.kind == "least-squares-on-support":
-            return _batch_ls_support(X, Y, np.asarray(self.support, dtype=int))
+            masks = np.zeros((Y.shape[0], self.design.p), dtype=bool)
+            masks[:, list(self.support)] = True
+            return _batch_refit(X, Y, masks)
         if self.kind == "lasso":
             return _batch_lasso(X, Y, self.lam)
         if self.kind == "best-subset":
             return _batch_best_subset_grid(X, Y, [self.lam])[0]
         if self.kind == "relaxed-lasso":
-            return _batch_relaxed(X, Y, self.lam)
+            return _batch_refit(X, Y, _batch_lasso(X, Y, self.lam).active)
         if self.kind == "ridge":
             return _batch_ridge(X, Y, self.lam)
         return _batch_threshold(X, Y, self.lam, hard=self.kind == "hard-threshold")
@@ -680,12 +664,12 @@ def fit_path(kind: str, design: DesignMatrix, Y: np.ndarray, lam_grid, support=N
     Returns one BatchFit per grid value, in order.
     """
     Y = _responses(Y, design.n)
-    if kind == "best-subset":
-        FitProcedure(kind=kind, lam=float(lam_grid[0]), design=design)  # validate guard
-        return _batch_best_subset_grid(design.values, Y, [float(l) for l in lam_grid])
+    procs = [FitProcedure(kind=kind, lam=float(lam), design=design, support=support)
+             for lam in lam_grid]
+    if procs and kind == "best-subset":
+        return _batch_best_subset_grid(design.values, Y, [proc.lam for proc in procs])
     fits = []
-    for li, lam in enumerate(lam_grid):
-        proc = FitProcedure(kind=kind, lam=float(lam), design=design, support=support)
+    for li, (lam, proc) in enumerate(zip(lam_grid, procs)):
         try:
             fits.append(proc.fit_many(Y))
         except NumericalError as err:

@@ -498,43 +498,32 @@ def _divergence_terms(proc: FitProcedure, Y0: np.ndarray, F0: np.ndarray,
                       h0: float) -> np.ndarray:
     """Central-difference divergence per replication, shape (R,).
 
-    All (replication, coordinate) probes go through one batched fit.  A
-    probe whose forward and backward slopes disagree is straddling a kink
-    or jump; its step shrinks tenfold until the two sides agree.  The fits
+    Round 0 probes every (replication, coordinate) pair, in row-major
+    order, with one batched fit.  A probe whose forward and backward slopes
+    disagree is straddling a kink or jump; the next round probes only those
+    pairs, with a tenfold smaller step, until the two sides agree.  The fits
     are piecewise linear, so any clean step gives the exact local slope.  A
     NaN slope never agrees, so it ends in NumericalError.
     """
     R, n = Y0.shape
-    rows = np.repeat(Y0, 2 * n, axis=0)
-    ridx = np.arange(R)[:, None]
-    cidx = np.arange(n)[None, :]
-    rows[(ridx * 2 * n + 2 * cidx).ravel(), np.tile(np.arange(n), R)] += h0
-    rows[(ridx * 2 * n + 2 * cidx + 1).ravel(), np.tile(np.arange(n), R)] -= h0
-    fitted = proc.fit_many(rows).fitted
-    vp = fitted[ridx * 2 * n + 2 * cidx, cidx]
-    vm = fitted[ridx * 2 * n + 2 * cidx + 1, cidx]
-
-    central = (vp - vm) / (2 * h0)
-    dplus = (vp - F0) / h0
-    dminus = (F0 - vm) / h0
-    bad_r, bad_i = np.nonzero(~(np.abs(dplus - dminus) <= _STRADDLE_TOL))
+    central = np.empty((R, n))
+    bad_r, bad_i = np.repeat(np.arange(R), n), np.tile(np.arange(n), R)
     h = h0
-    for _ in range(_FD_SHRINKS):
+    for _ in range(1 + _FD_SHRINKS):
         if bad_r.size == 0:
             break
-        h /= 10.0
-        m = bad_r.size
+        plus = 2 * np.arange(bad_r.size)
         probe = np.repeat(Y0[bad_r], 2, axis=0)
-        probe[np.arange(m) * 2, bad_i] += h
-        probe[np.arange(m) * 2 + 1, bad_i] -= h
+        probe[plus, bad_i] += h
+        probe[plus + 1, bad_i] -= h
         pf = proc.fit_many(probe).fitted
-        pvp = pf[np.arange(m) * 2, bad_i]
-        pvm = pf[np.arange(m) * 2 + 1, bad_i]
-        central[bad_r, bad_i] = (pvp - pvm) / (2 * h)
-        dp = (pvp - F0[bad_r, bad_i]) / h
-        dm = (F0[bad_r, bad_i] - pvm) / h
+        vp, vm = pf[plus, bad_i], pf[plus + 1, bad_i]
+        central[bad_r, bad_i] = (vp - vm) / (2 * h)
+        dp = (vp - F0[bad_r, bad_i]) / h
+        dm = (F0[bad_r, bad_i] - vm) / h
         keep = ~(np.abs(dp - dm) <= _STRADDLE_TOL)
         bad_r, bad_i = bad_r[keep], bad_i[keep]
+        h /= 10.0
     if bad_r.size:
         raise NumericalError(
             f"finite-difference probe keeps straddling a discontinuity at "

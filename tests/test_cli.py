@@ -228,6 +228,36 @@ class TestSteinCheckCommand:
         cfg = _write(tmp_path / "st.txt", "mode=decompose\ndesign=block\nreps=4\n")
         assert cli.main(["stein-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("extra", ["grid_points=15\n", "design=block\n"])
+    def test_failing_decomposition_in_both_mode_writes_nothing(self, tmp_path, capsys, extra):
+        # the library table is computed first, but nothing may be written
+        # when the decomposition stage fails afterwards
+        cfg = _write(
+            tmp_path / "st.txt",
+            "mode=both\nn=3\nprocedures=hard-threshold\nreps=3\nmus=0\nsigmas=1\n" + extra,
+        )
+        out = tmp_path / "o"
+        assert cli.main(["stein-check", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "grid_points" in err or "block design requires block_sizes" in err
+        assert not out.exists() or not any(out.iterdir())
+
+
+class TestFailingRunWritesNothing:
+    @pytest.mark.parametrize("command,text", [
+        ("curves", "regime=null\nlambda_count=3\nactive_count=2\n"),
+        ("simulate", "procedures=ridge\nn=6\np=3\nblock_sizes=3\nreps=4\nlambda_count=2\n"),
+    ])
+    def test_plot_failure_leaves_no_table(self, tmp_path, monkeypatch, command, text):
+        def boom(*args, **kwargs):
+            raise ValueError("series values must be finite")
+
+        monkeypatch.setattr(cli, "svg_plot", boom)
+        cfg = _write(tmp_path / "c.txt", text)
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", cfg, "--out", str(out), "--svg"]) == 2
+        assert not out.exists()
+
 
 class TestExitCodeMapping:
     def test_numerical_error_exits_4(self, tmp_path, monkeypatch, capsys):

@@ -502,6 +502,69 @@ class TestNonFiniteResponses:
             fit_path(kind, d, Y, [0.5, 1.0], support=support)
 
 
+# each single-response solver as solve(design, y, lam); the fixed-support
+# least squares has no penalty and ignores lam
+_PENALIZED_SOLVERS = {
+    "lasso": lasso_solve,
+    "best-subset": best_subset_solve,
+    "relaxed-lasso": relaxed_lasso_fit,
+    "ridge": ridge_fit,
+}
+_SOLVERS = {
+    **_PENALIZED_SOLVERS,
+    "least-squares-on-support": lambda d, y, lam: least_squares_on_support(d, y, (0, 2)),
+}
+
+
+class TestSingleResponseSolversValidate:
+    # every single-response solver goes through FitProcedure, so it rejects
+    # what FitProcedure rejects, before any work (a NaN response once cost
+    # the lasso 100 000 coordinate descent sweeps before failing)
+    @pytest.mark.parametrize("name", list(_SOLVERS))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_response_rejected(self, name, bad):
+        d = _random_design(8, 4, 60)
+        y = np.random.default_rng(61).standard_normal(8)
+        y[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            _SOLVERS[name](d, y, 0.5)
+
+    @pytest.mark.parametrize("name", list(_PENALIZED_SOLVERS))
+    def test_nan_penalty_rejected(self, name):
+        d = _random_design(8, 4, 62)
+        with pytest.raises(ValueError, match="finite"):
+            _PENALIZED_SOLVERS[name](d, np.ones(8), np.nan)
+
+    @pytest.mark.parametrize("name", list(_SOLVERS))
+    @pytest.mark.parametrize("length", [7, 9])
+    def test_wrong_length_response_rejected(self, name, length):
+        d = _random_design(8, 4, 63)
+        with pytest.raises(ValueError, match="shape"):
+            _SOLVERS[name](d, np.ones(length), 0.5)
+
+    def test_best_subset_path_checks_every_lambda(self):
+        d = _random_design(8, 4, 64)
+        Y = np.random.default_rng(65).standard_normal((2, 8))
+        for grid in ([0.5, np.nan], [0.5, -1.0], [np.inf]):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                fit_path("best-subset", d, Y, grid)
+
+
+class TestSubsetPlanMasks:
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_rows_list_supports_by_cardinality_then_lexicographically(self, p):
+        plan = fitters._build_subset_plan(_random_design(5, p, p).values)
+        masks = plan.masks(np.arange(1 << p))
+        want = [S for k in range(p + 1) for S in itertools.combinations(range(p), k)]
+        assert [tuple(np.flatnonzero(m)) for m in masks] == want
+
+    def test_any_order_of_rows(self):
+        plan = fitters._build_subset_plan(_random_design(6, 4, 0).values)
+        rows = np.array([15, 0, 3, 3, 7])
+        npt.assert_array_equal(plan.masks(rows), plan.masks(np.arange(16))[rows])
+        assert plan.masks(np.array([], dtype=np.intp)).shape == (0, 4)
+
+
 class TestRefitOnActiveSets:
     def test_grouped_refits_match_direct(self):
         d = _random_design(10, 4, 44)
