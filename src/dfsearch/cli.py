@@ -253,7 +253,8 @@ def _auto_lambda_grid(design: DesignMatrix, signal: SignalSpec, count: int) -> t
 
 
 def cmd_simulate(config: dict, out_dir: str, svg: bool = False) -> list:
-    """Run the Monte Carlo df/sdf grid for each requested procedure."""
+    """Run the Monte Carlo df/sdf grid of every requested procedure on
+    shared draws."""
     resolved = resolve_options(config, _SIM_OPTIONS, "simulate")
     if "best-subset" in resolved["procedures"]:
         check_subset_capacity(resolved["n"], resolved["p"])
@@ -268,10 +269,8 @@ def cmd_simulate(config: dict, out_dir: str, svg: bool = False) -> list:
         resolved["lambda_grid"] = _auto_lambda_grid(design, signal, resolved["lambda_count"])
 
     header = ("procedure", "lambda", "mean_active", "df_hat", "se", "sdf_hat", "sdf_se")
-    rows = []
-    tables = {}
-    for kind in resolved["procedures"]:
-        grid = ExperimentGrid(
+    grids = [
+        ExperimentGrid(
             kind=kind,
             lambda_grid=resolved["lambda_grid"],
             design=design,
@@ -279,10 +278,12 @@ def cmd_simulate(config: dict, out_dir: str, svg: bool = False) -> list:
             reps=resolved["reps"],
             seed=resolved["seed"],
         )
-        table = run_grid(grid)
-        tables[kind] = table
-        for r in table.rows:
-            rows.append((kind, r.lam, r.mean_active, r.df, r.df_se, r.sdf, r.sdf_se))
+        for kind in resolved["procedures"]
+    ]
+    # one call: the responses are drawn once and the lasso path fit once
+    tables = dict(zip(resolved["procedures"], run_grid(grids)))
+    rows = [(kind, r.lam, r.mean_active, r.df, r.df_se, r.sdf, r.sdf_se)
+            for kind, table in tables.items() for r in table.rows]
 
     plots = {}  # drawn before anything is written, like the table
     if svg:

@@ -129,16 +129,26 @@ def _support_indices(S, p: int) -> np.ndarray:
     return S
 
 
-def _mask_groups(masks: np.ndarray) -> list:
-    """Row indices grouped by equal row of a boolean mask matrix (compared
-    through the packed bits), each group in increasing row order, so a
-    group's rows reach BLAS in the same shape however they are found."""
+def _mask_groups(masks: np.ndarray):
+    """Yield (rows, S) for each distinct row of a boolean mask matrix
+    (compared through the packed bits): the row indices sharing it, in
+    increasing order, and its column indices.  A group's rows reach BLAS
+    in the same shape however they are found."""
     if masks.shape[0] == 0:
-        return []
+        return
     packed = np.ascontiguousarray(np.packbits(masks, axis=1))
-    _, inv = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_inverse=True)
+    _, first, inv, counts = np.unique(packed.view(f"V{packed.shape[1]}").ravel(),
+                                      return_index=True, return_inverse=True,
+                                      return_counts=True)
     order = np.argsort(inv, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(inv))[:-1])
+    row_ends = np.cumsum(counts).tolist()
+    unique = masks[first]
+    cols = np.nonzero(unique)[1]
+    col_ends = np.cumsum(unique.sum(axis=1)).tolist()
+    r0 = c0 = 0
+    for r1, c1 in zip(row_ends, col_ends):
+        yield order[r0:r1], cols[c0:c1]
+        r0, c0 = r1, c1
 
 
 def _refit(cache: _DesignCache, Y: np.ndarray, masks: np.ndarray):
@@ -148,11 +158,10 @@ def _refit(cache: _DesignCache, Y: np.ndarray, masks: np.ndarray):
     fitted (R, n))."""
     beta = np.zeros((Y.shape[0], cache.X.shape[1]))
     fitted = np.zeros_like(Y)
-    for rows in _mask_groups(masks):
-        S = np.flatnonzero(masks[rows[0]])
+    for rows, S in _mask_groups(masks):
         if S.size:
             coef = Y[rows] @ cache.factors(S)[0].T
-            beta[np.ix_(rows, S)] = coef
+            beta[rows[:, None], S] = coef
             fitted[rows] = coef @ cache.X[:, S].T
     return beta, fitted
 
@@ -170,8 +179,8 @@ def _active_ranks(X: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """rank(X restricted to each row's active columns), one float per row."""
     cache = _design_cache(X)
     ranks = np.empty(masks.shape[0])
-    for rows in _mask_groups(masks):
-        ranks[rows] = cache.factors(np.flatnonzero(masks[rows[0]]))[1]
+    for rows, S in _mask_groups(masks):
+        ranks[rows] = cache.factors(S)[1]
     return ranks
 
 
@@ -236,8 +245,11 @@ def _kkt_row_residuals(X: np.ndarray, Y: np.ndarray, lam: float, B: np.ndarray) 
 
 def _cd_sweeps(X, Y, lam, B, rows, G, XtY, diag, tol, max_sweeps):
     """Run cyclic coordinate descent on the given rows until each row's max
-    coefficient change in a sweep drops below tol.  Rows converge and freeze
-    independently, so a row's trajectory does not depend on the batch."""
+    coefficient change in a sweep drops below tol.  Each row converges and
+    freezes independently of the others: a row's sweep count and stopping
+    test involve only its own coefficients.  Its values are not independent
+    of the batch, though: the matrix products over the rows still active
+    are BLAS calls, which can move a row's last bits with the batch size."""
     upd = np.flatnonzero(diag > 0)
     for _ in range(max_sweeps):
         Bact = B[rows]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitters import FitProcedure, _active_ranks, fit_path, refit_on_active_sets
+from .fitters import FitProcedure, _active_ranks, _batch_refit, fit_path, refit_on_active_sets
 from .model import DesignMatrix, RngSpec, SignalSpec
 
 __all__ = [
@@ -126,7 +126,7 @@ def _estimate(proc: FitProcedure, signal: SignalSpec, reps: int, seed: int,
     _check_center(center)
     Y = draw_responses(signal, reps, seed)
     mu = signal.mu if center == "signal" else None
-    return _curve_row(proc.lam, Y, proc.fit_many(Y), proc.design.values,
+    return _curve_row(proc.lam, Y, proc.fit_many(Y), _ActiveSets(proc.design.values, Y),
                       signal.sigma, mu, include_sdf)
 
 
@@ -288,7 +288,38 @@ class CurveTable:
         return np.array([getattr(r, name) for r in self.rows])
 
 
-def _curve_row(lam: float, Y: np.ndarray, fits, X: np.ndarray, sigma: float,
+class _ActiveSets:
+    """Ranks and least-squares refits of the active-set masks met at one
+    tuning value, each computed once per distinct mask array.  Procedures
+    fit to the same draws often select the same masks: the relaxed lasso's
+    masks are the lasso's unless a refit coefficient is exactly zero."""
+
+    def __init__(self, X: np.ndarray, Y: np.ndarray):
+        self.X, self.Y = X, Y
+        self._seen: list = []  # [masks, ranks, refitted values or None]
+
+    def _entry(self, masks: np.ndarray) -> list:
+        for entry in self._seen:
+            if np.array_equal(entry[0], masks):
+                return entry
+        self._seen.append([masks, _active_ranks(self.X, masks), None])
+        return self._seen[-1]
+
+    def ranks(self, masks: np.ndarray) -> np.ndarray:
+        return self._entry(masks)[1]
+
+    def refitted(self, masks: np.ndarray) -> np.ndarray:
+        entry = self._entry(masks)
+        if entry[2] is None:
+            entry[2] = refit_on_active_sets(self.X, self.Y, masks)[1]
+        return entry[2]
+
+    def add_refit(self, masks: np.ndarray, fitted: np.ndarray):
+        """Record fitted as the refit on masks, computed elsewhere."""
+        self._entry(masks)[2] = fitted
+
+
+def _curve_row(lam: float, Y: np.ndarray, fits, sets: _ActiveSets, sigma: float,
                mu, include_sdf: bool) -> CurveRow:
     """Every estimate at one tuning value from the fits of the draws Y.
 
@@ -296,14 +327,14 @@ def _curve_row(lam: float, Y: np.ndarray, fits, X: np.ndarray, sigma: float,
     standard error pairs it with the active-set size.  The search df
     refits each active set by least squares, takes the refit's df and
     subtracts the mean rank of the active design (NaN unless include_sdf).
+    Ranks and refits come from sets, shared by every procedure at lam.
     """
     df_value, df_loo = _cov_df_terms(Y, fits.fitted, sigma, mu)
     active_counts = fits.active.sum(axis=1).astype(float)
-    ranks = _active_ranks(X, fits.active)
+    ranks = sets.ranks(fits.active)
     sdf = sdf_se = float("nan")
     if include_sdf:
-        _, refitted = refit_on_active_sets(X, Y, fits.active)
-        refit_value, refit_loo = _cov_df_terms(Y, refitted, sigma, mu)
+        refit_value, refit_loo = _cov_df_terms(Y, sets.refitted(fits.active), sigma, mu)
         sdf = refit_value - float(ranks.mean())
         sdf_se = _jackknife_se(refit_loo - _delete_one_means(ranks))
     return CurveRow(
@@ -318,19 +349,68 @@ def _curve_row(lam: float, Y: np.ndarray, fits, X: np.ndarray, sigma: float,
     )
 
 
-def run_grid(grid: ExperimentGrid) -> CurveTable:
+def _shared_setup(grids: tuple) -> ExperimentGrid:
+    """The first grid, once every grid is known to share its draws and
+    lambda path: the same design, signal, lambda grid, reps, seed and
+    center, and a kind of its own."""
+    if not grids:
+        raise ValueError("run_grid needs at least one grid")
+    if len({(g.lambda_grid, g.reps, g.seed, g.center, g.signal.sigma, g.design.values.shape,
+             g.design.values.tobytes(), g.signal.mu.tobytes()) for g in grids}) > 1:
+        raise ValueError("grids run together must share design, signal, "
+                         "lambda grid, reps, seed and center")
+    if len({g.kind for g in grids}) < len(grids):
+        raise ValueError("grids run together must have distinct kinds")
+    return grids[0]
+
+
+def _path_rows(base: str, grids: tuple, Y: np.ndarray, mu) -> dict:
+    """Each grid's rows from one fit path of kind base: base's own rows,
+    and for the relaxed lasso (base "lasso") the least-squares refit of the
+    lasso's active sets, which is also the lasso's sdf refit.  One lambda's
+    derived fits are alive at a time."""
+    first = grids[0]
+    X = first.design.values
+    rows = {g.kind: [] for g in grids}
+    path = fit_path(base, first.design, Y, first.lambda_grid)
+    for lam, fit in zip(first.lambda_grid, path):
+        fits = {base: fit}
+        sets = _ActiveSets(X, Y)
+        if "relaxed-lasso" in rows:
+            fits["relaxed-lasso"] = _batch_refit(X, Y, fit.active)
+            sets.add_refit(fit.active, fits["relaxed-lasso"].fitted)
+        for g in grids:
+            rows[g.kind].append(_curve_row(lam, Y, fits[g.kind], sets, first.signal.sigma,
+                                           mu, g.include_sdf))
+    return rows
+
+
+# kinds whose fits derive from another kind's path
+_PATH_BASE = {"relaxed-lasso": "lasso"}
+
+
+def run_grid(grids):
     """Estimate df (and sdf unless disabled) at every grid value.
 
-    All grid values share the same response draws (common random numbers),
-    so curves are smooth in lambda and differences across lambda are paired.
-    Everything downstream of the draws is deterministic, so identical grids
-    give bit-identical tables.
+    grids is one ExperimentGrid, giving one CurveTable, or a sequence of
+    them, giving a tuple of tables in the same order.  Grids run together
+    must differ only in kind and include_sdf.  The responses are drawn once
+    and every grid value shares them (common random numbers), so curves are
+    smooth in lambda and differences across lambda and across procedures
+    are paired.  The lasso path is fit once for the lasso and the relaxed
+    lasso, and at each grid value every distinct active-set mask array is
+    ranked and refit once.  Everything downstream of the draws is
+    deterministic, so a grid's table is bit-identical however it is run.
     """
-    Y = draw_responses(grid.signal, grid.reps, grid.seed)
-    mu = grid.signal.mu if grid.center == "signal" else None
-    fits = fit_path(grid.kind, grid.design, Y, grid.lambda_grid)
-    rows = tuple(
-        _curve_row(lam, Y, f, grid.design.values, grid.signal.sigma, mu, grid.include_sdf)
-        for lam, f in zip(grid.lambda_grid, fits)
-    )
-    return CurveTable(kind=grid.kind, reps=grid.reps, seed=grid.seed, rows=rows)
+    single = isinstance(grids, ExperimentGrid)
+    grids = (grids,) if single else tuple(grids)
+    first = _shared_setup(grids)
+    Y = draw_responses(first.signal, first.reps, first.seed)
+    mu = first.signal.mu if first.center == "signal" else None
+    rows = {}
+    for base in dict.fromkeys(_PATH_BASE.get(g.kind, g.kind) for g in grids):
+        served = tuple(g for g in grids if _PATH_BASE.get(g.kind, g.kind) == base)
+        rows.update(_path_rows(base, served, Y, mu))
+    tables = tuple(CurveTable(kind=g.kind, reps=g.reps, seed=g.seed, rows=tuple(rows[g.kind]))
+                   for g in grids)
+    return tables[0] if single else tables

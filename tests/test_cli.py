@@ -272,3 +272,66 @@ class TestExitCodeMapping:
     def test_success_returns_zero(self, tmp_path):
         cfg = _write(tmp_path / "c.txt", "regime=null\nlambda_count=2\nactive_count=2\n")
         assert cli.main(["curves", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+class TestSimulateSharing:
+    """simulate makes one grid call: one draw, one lasso path."""
+
+    _TEXT = ("n=12\np=5\nblock_sizes=3,2\nsupport=0,3\n"
+             "lambda_grid=0.05,0.3,1.0\nreps=30\nseed=2\n")
+
+    def _count(self, monkeypatch, owner, name):
+        calls = []
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_one_draw_and_one_lasso_fit_per_lambda(self, tmp_path, monkeypatch):
+        from dfsearch import fitters, montecarlo
+
+        draws = self._count(monkeypatch, montecarlo, "draw_responses")
+        lassos = self._count(monkeypatch, fitters, "_batch_lasso")
+        refits = self._count(monkeypatch, fitters, "refit_on_active_sets")
+        refits += self._count(monkeypatch, montecarlo, "refit_on_active_sets")
+        grid_calls = self._count(monkeypatch, cli, "run_grid")
+        cfg = _write(tmp_path / "c.txt", "procedures=lasso,relaxed-lasso,ridge\n" + self._TEXT)
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len(grid_calls) == len(draws) == 1
+        assert [args[2] for args in lassos] == [0.05, 0.3, 1.0]
+        # the relaxed fit (the lasso's sdf refit too) and the ridge sdf refit;
+        # a relaxed sdf refit only where a refit coefficient is exactly zero
+        assert len(refits) <= 2 * 3
+
+    @pytest.mark.parametrize("procedures", ["lasso,relaxed-lasso,ridge", "relaxed-lasso"])
+    def test_lasso_failure_names_its_grid_index(self, tmp_path, monkeypatch, capsys, procedures):
+        from dfsearch import fitters, montecarlo
+
+        real = fitters._batch_lasso
+
+        def one_sweep_at_0_3(X, Y, lam):
+            sweeps = fitters._CD_MAX_SWEEPS
+            fitters._CD_MAX_SWEEPS = 1 if lam == 0.3 else sweeps
+            try:
+                return real(X, Y, lam)
+            finally:
+                fitters._CD_MAX_SWEEPS = sweeps
+
+        monkeypatch.setattr(fitters, "_batch_lasso", one_sweep_at_0_3)
+        grid_calls = self._count(monkeypatch, cli, "run_grid")
+        cfg = _write(tmp_path / "c.txt", f"procedures={procedures}\n" + self._TEXT)
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "grid index 1 (lambda=0.3): lasso coordinate descent did not converge" in err
+        assert not out.exists()
+        assert len(grid_calls) == 1
+        with pytest.raises(NumericalError, match=r"grid index 1 \(lambda=0\.3\)") as info:
+            montecarlo.run_grid(*grid_calls[0])
+        diag = info.value.diagnostic
+        assert set(diag) == {"replication", "kkt_residual", "grid_index", "lam"}
+        assert (diag["grid_index"], diag["lam"]) == (1, 0.3)

@@ -1,5 +1,7 @@
 """Monte Carlo df/sdf estimators: unbiasedness, determinism, variance."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -276,3 +278,91 @@ class TestOnePath:
         assert (excess.value, excess.std_error) == (row.df - row.mean_active, row.excess_se)
         for est in (df, sdf, excess):
             assert (est.mean_active, est.mean_rank) == (row.mean_active, row.mean_rank)
+
+
+def _table_bits(table: CurveTable) -> bytes:
+    """Every field of every row, as raw float bytes (NaN compares equal)."""
+    return np.array([dataclasses.astuple(r) for r in table.rows], dtype=float).tobytes()
+
+
+_SHARED_DESIGNS = {
+    # n > p, and n < p with lambdas at which coordinate descent converges fast
+    "n>p": (gen_block_design(14, 6, [3, 3], 0.4, 0.9, RngSpec(seed=31, stream_id=0)),
+            (0, 3), (0.2, 0.7, 1.8)),
+    "n<p": (gen_block_design(8, 9, [5, 4], 0.3, 0.6, RngSpec(seed=32, stream_id=0)),
+            (0, 5), (0.5, 1.0, 2.0)),
+}
+
+
+class TestSharedRun:
+    """run_grid over several grids: one draw and one lasso path, the same
+    bits as one run per grid."""
+
+    def _grids(self, design_key, kinds, center, **kw):
+        design, support, lams = _SHARED_DESIGNS[design_key]
+        beta = np.zeros(design.p)
+        beta[list(support)] = 1.0
+        signal = SignalSpec.from_coefficients(design, beta, 1.0)
+        return [ExperimentGrid(kind=k, lambda_grid=lams, design=design, signal=signal,
+                               reps=60, seed=33, center=center, **kw) for k in kinds]
+
+    @pytest.mark.parametrize("kinds", [
+        ("lasso", "relaxed-lasso", "ridge"),
+        ("best-subset", "relaxed-lasso"),
+        ("relaxed-lasso",),
+    ])
+    @pytest.mark.parametrize("design_key", ["n>p", "n<p"])
+    @pytest.mark.parametrize("center", ["sample", "signal"])
+    def test_rows_equal_one_kind_runs_bit_for_bit(self, kinds, design_key, center):
+        grids = self._grids(design_key, kinds, center)
+        tables = run_grid(grids)
+        assert isinstance(tables, tuple) and len(tables) == len(grids)
+        for grid, table in zip(grids, tables):
+            alone = run_grid(grid)
+            assert isinstance(alone, CurveTable)
+            assert (table.kind, table.reps, table.seed) == (alone.kind, alone.reps, alone.seed)
+            assert _table_bits(table) == _table_bits(alone)
+
+    @pytest.mark.parametrize("center", ["sample", "signal"])
+    def test_derived_relaxed_lasso_equals_its_own_fit(self, center):
+        # the relaxed lasso taken from the lasso path has the bits of
+        # FitProcedure("relaxed-lasso").fit_many, which the estimators use
+        grid, = self._grids("n<p", ("relaxed-lasso",), center)
+        _, relaxed = run_grid(self._grids("n<p", ("lasso", "relaxed-lasso"), center))
+        for row, lam in zip(relaxed.rows, grid.lambda_grid):
+            proc = FitProcedure(kind="relaxed-lasso", lam=lam, design=grid.design)
+            df = estimate_df(proc, grid.signal, grid.reps, grid.seed, center=center)
+            sdf = estimate_sdf(proc, grid.signal, grid.reps, grid.seed, center=center)
+            assert (df.value, df.std_error, df.mean_active, df.mean_rank) == (
+                row.df, row.df_se, row.mean_active, row.mean_rank)
+            assert (sdf.value, sdf.std_error) == (row.sdf, row.sdf_se)
+
+    def test_include_sdf_is_per_grid(self):
+        with_sdf = self._grids("n>p", ("lasso", "relaxed-lasso"), "sample")
+        lasso, relaxed = run_grid([dataclasses.replace(with_sdf[0], include_sdf=False),
+                                   with_sdf[1]])
+        assert np.isnan(lasso.column("sdf")).all()
+        assert _table_bits(relaxed) == _table_bits(run_grid(with_sdf[1]))
+        assert _table_bits(lasso) == _table_bits(
+            run_grid(dataclasses.replace(with_sdf[0], include_sdf=False)))
+
+    @pytest.mark.parametrize("change", [
+        dict(seed=34), dict(reps=91), dict(center="signal"), dict(lambda_grid=(0.2, 0.7)),
+        dict(kind="lasso"),
+    ])
+    def test_grids_that_cannot_share_are_rejected(self, change):
+        a, b = self._grids("n>p", ("lasso", "ridge"), "sample")
+        with pytest.raises(ValueError):
+            run_grid([a, dataclasses.replace(b, **change)])
+
+    def test_different_design_or_signal_rejected(self):
+        a, = self._grids("n>p", ("lasso",), "sample")
+        design = gen_block_design(14, 6, [3, 3], 0.4, 0.9, RngSpec(seed=35, stream_id=0))
+        for b in (dataclasses.replace(a, kind="ridge", design=design),
+                  dataclasses.replace(a, kind="ridge", signal=SignalSpec(np.zeros(14), 1.0))):
+            with pytest.raises(ValueError):
+                run_grid([a, b])
+
+    def test_no_grids_rejected(self):
+        with pytest.raises(ValueError):
+            run_grid([])
