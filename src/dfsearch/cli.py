@@ -144,19 +144,14 @@ def cmd_curves(config: dict, out_dir: str, svg: bool = False) -> list:
     targets = np.linspace(resolved["active_min"], resolved["active_max"], resolved["active_count"])
 
     header = ("lambda", "t", "expected_active", "df", "sdf")
-    subset_rows = []
-    lasso_rows = []
-    for lam in lams:
-        cp = cf.df_subset_orthogonal(xtmu, sigma, float(lam))
-        subset_rows.append((cp.lam, cp.t, cp.expected_active, cp.df, cp.sdf))
-        cl = cf.df_relaxed_lasso_orthogonal(xtmu, sigma, float(lam))
-        lasso_rows.append((cl.lam, cl.t, cl.expected_active, cl.df, cl.sdf))
-
-    by_active_rows = []
-    for target in targets:
-        t = cf.threshold_for_expected_active(xtmu, sigma, float(target))
-        cp = cf.df_subset_orthogonal(xtmu, sigma, 0.5 * t * t)
-        by_active_rows.append((cp.expected_active, t, 0.5 * t * t, t, cp.df, cp.sdf))
+    sub = cf.df_subset_orthogonal(xtmu, sigma, lams)
+    rel = cf.df_relaxed_lasso_orthogonal(xtmu, sigma, lams)
+    subset_rows = list(zip(sub.lam, sub.t, sub.expected_active, sub.df, sub.sdf))
+    lasso_rows = list(zip(rel.lam, rel.t, rel.expected_active, rel.df, rel.sdf))
+    t = cf.threshold_for_expected_active(xtmu, sigma, targets)
+    lam_subset = 0.5 * t * t
+    cp = cf.df_subset_orthogonal(xtmu, sigma, lam_subset)
+    by_active_rows = list(zip(cp.expected_active, t, lam_subset, t, cp.df, cp.sdf))
 
     # plots are drawn before anything is written, so a failing run leaves
     # no partial output

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 __all__ = [
     "CurvePoint",
@@ -49,6 +48,8 @@ def normal_cdf(x):
     erfc is accurate to a few ulps over the whole line, far inside the
     1e-12 absolute-error budget the tail-difference formulas need.
     """
+    from scipy.special import erfc  # imported here: simulations never need it
+
     x = np.asarray(x, dtype=float)
     out = 0.5 * erfc(-x / np.sqrt(2.0))
     return out if out.ndim else float(out)
@@ -83,28 +84,37 @@ def _as_grid(t):
     return t, t.ndim == 0
 
 
+def _sum_over_means(term, mu, t) -> np.ndarray:
+    """sum_i term(t, mu_i) for every entry of t (shape of t).
+
+    term is evaluated once per distinct mean and expanded back before the
+    sum, so its cost and its temporaries scale with the distinct means.
+    take keeps the expansion C-ordered, so the sum adds the same p terms in
+    the same order as a sum over mu itself (fancy indexing would lay it out
+    column-major and change the sum's last bits).
+    """
+    mu, inv = np.unique(np.atleast_1d(np.asarray(mu, dtype=float)), return_inverse=True)
+    return np.sum(term(t[..., None], mu).take(inv, axis=-1), axis=-1)
+
+
 def expected_active_hard(mu, sigma: float, t):
     """E|A_t| for hard thresholding at t of y ~ N(mu, sigma^2 I).
 
     Each component survives with probability
     ``1 - Phi((t - mu_i)/sigma) + Phi((-t - mu_i)/sigma)``.
     """
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
     t, scalar = _as_grid(t)
-    tt = t[..., None]
-    val = np.sum(
-        1.0 - normal_cdf((tt - mu) / sigma) + normal_cdf((-tt - mu) / sigma), axis=-1
+    val = _sum_over_means(
+        lambda tt, m: 1.0 - normal_cdf((tt - m) / sigma) + normal_cdf((-tt - m) / sigma), mu, t
     )
     return float(val) if scalar else val
 
 
 def _sdf_hard(mu, sigma: float, t):
     """(t/sigma) * sum_i [phi((t-mu_i)/sigma) + phi((t+mu_i)/sigma)]."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
     t, scalar = _as_grid(t)
-    tt = t[..., None]
-    val = (t / sigma) * np.sum(
-        normal_pdf((tt - mu) / sigma) + normal_pdf((tt + mu) / sigma), axis=-1
+    val = (t / sigma) * _sum_over_means(
+        lambda tt, m: normal_pdf((tt - m) / sigma) + normal_pdf((tt + m) / sigma), mu, t
     )
     return float(val) if scalar else val
 
@@ -124,7 +134,9 @@ def df_hard_threshold(mu, sigma: float, t):
 @dataclass(frozen=True)
 class CurvePoint:
     """One point of a df/sdf curve: tuning value, equivalent threshold,
-    expected active-set size, df, and sdf, with df = expected_active + sdf."""
+    expected active-set size, df, and sdf, with df = expected_active + sdf.
+    Built from an array of tuning values, every field is an array of the
+    same shape: the whole curve."""
 
     lam: float
     t: float
@@ -133,10 +145,12 @@ class CurvePoint:
     sdf: float
 
 
-def _threshold_curve_point(xtmu, sigma: float, lam: float, t: float) -> CurvePoint:
+def _threshold_curve_point(xtmu, sigma: float, lam, t) -> CurvePoint:
     ea = expected_active_hard(xtmu, sigma, t)
     sdf = _sdf_hard(xtmu, sigma, t)
-    return CurvePoint(lam=float(lam), t=float(t), expected_active=ea, df=ea + sdf, sdf=sdf)
+    if np.ndim(lam) == 0:
+        lam, t = float(lam), float(t)
+    return CurvePoint(lam=lam, t=t, expected_active=ea, df=ea + sdf, sdf=sdf)
 
 
 def df_subset_orthogonal(xtmu, sigma: float, lam: float) -> CurvePoint:
@@ -148,7 +162,7 @@ def df_subset_orthogonal(xtmu, sigma: float, lam: float) -> CurvePoint:
         X'mu, length p (for X = I this is just the mean vector).
     sigma : float
         Noise standard deviation.
-    lam : float
+    lam : float or array
         Penalty level; the equivalent hard threshold is t = sqrt(2*lam).
 
     Returns
@@ -157,7 +171,8 @@ def df_subset_orthogonal(xtmu, sigma: float, lam: float) -> CurvePoint:
         ``df = expected_active + sdf`` holds exactly: both terms are built
         from the same floating-point subexpressions.
     """
-    if lam < 0:
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam < 0):
         raise ValueError("lam must be nonnegative")
     return _threshold_curve_point(xtmu, sigma, lam, t=np.sqrt(2.0 * lam))
 
@@ -170,9 +185,10 @@ def df_relaxed_lasso_orthogonal(xtmu, sigma: float, lam: float) -> CurvePoint:
     soft thresholding support, and refitting on it is hard thresholding at
     the same level.
     """
-    if lam < 0:
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam < 0):
         raise ValueError("lam must be nonnegative")
-    return _threshold_curve_point(xtmu, sigma, lam, t=float(lam))
+    return _threshold_curve_point(xtmu, sigma, lam, t=lam)
 
 
 def sdf_null(p: int, sigma: float, lam):
@@ -204,34 +220,45 @@ def sdf_dense(beta_star, sigma: float, lam):
     return _sdf_hard(beta_star, sigma, np.sqrt(2.0 * np.asarray(lam, dtype=float)))
 
 
-def threshold_for_expected_active(xtmu, sigma: float, target: float) -> float:
+def threshold_for_expected_active(xtmu, sigma: float, target):
     """Invert E|A_t| for the threshold t by monotone bisection.
 
     E|A_t| decreases strictly from p at t=0 toward 0, so for any target in
     (0, p] there is a unique threshold; the returned t satisfies
     |E|A_t| - target| <= 1e-10.  Used to reparametrize curves by expected
-    active-set size instead of lam.
+    active-set size instead of lam.  An array of targets is inverted in
+    one pass: each entry keeps its own bracket and stopping rule, so it
+    visits the same midpoints, and returns the same bits, as a scalar call.
     """
     xtmu = np.atleast_1d(np.asarray(xtmu, dtype=float))
     p = xtmu.shape[0]
-    if not 0.0 < target <= p:
+    goal = np.asarray(target, dtype=float)
+    if not np.all((0.0 < goal) & (goal <= p)):
         raise ValueError(f"target expected active size must lie in (0, {p}]")
-    if target == p:
-        return 0.0
-    lo, hi = 0.0, float(sigma)
-    while expected_active_hard(xtmu, sigma, hi) > target:
-        hi *= 2.0
-        if hi > 1e12 * sigma:
+    scalar = goal.ndim == 0
+    goal = goal.ravel()
+    t = np.zeros(goal.size)
+    lo, hi = np.zeros(goal.size), np.full(goal.size, float(sigma))
+    live = np.flatnonzero(goal != p)
+    grow = live
+    while grow.size:
+        grow = grow[expected_active_hard(xtmu, sigma, hi[grow]) > goal[grow]]
+        hi[grow] *= 2.0
+        if np.any(hi[grow] > 1e12 * sigma):
             raise ValueError("target too small to invert at this scale")
     for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        val = expected_active_hard(xtmu, sigma, mid)
-        if abs(val - target) <= 1e-10:
-            return mid
-        if val > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, hi):
+        if not live.size:
             break
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo[live] + hi[live])
+        val = expected_active_hard(xtmu, sigma, mid)
+        hit = np.abs(val - goal[live]) <= 1e-10
+        t[live[hit]] = mid[hit]
+        above = val > goal[live]
+        lo[live[above]] = mid[above]
+        hi[live[~above]] = mid[~above]
+        narrow = ~hit & (hi[live] - lo[live] <= 1e-16 * np.maximum(1.0, hi[live]))
+        end = live[narrow]
+        t[end] = 0.5 * (lo[end] + hi[end])
+        live = live[~hit & ~narrow]
+    t[live] = 0.5 * (lo[live] + hi[live])
+    return float(t[0]) if scalar else t.reshape(np.shape(target))

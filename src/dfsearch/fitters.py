@@ -8,7 +8,10 @@ against the same design at once.  Each single-response function is one
 `FitProcedure(...).fit(y)` call, so `FitProcedure` is the one place a fit
 request (kind, lambda, support, responses) is validated.  The Monte Carlo
 estimators lean on the batched path; a plain Python loop over 10^4
-replications would dominate the runtime budget otherwise.
+replications would dominate the runtime budget otherwise.  The jumps of the
+discontinuous kinds along coordinate lines of the response, which the Stein
+boundary term needs, are worked out here too, in closed form from the same
+plan, support table and coordinate descent.
 """
 
 from __future__ import annotations
@@ -370,6 +373,14 @@ class _SubsetPlan:
             live = live[i[live] != 0]
         return out
 
+    def accumulate(self, T: np.ndarray) -> np.ndarray:
+        """Sum T along every support's parent chain, in place: row i of
+        the result is T[i] plus the result at parent[i].  Returns T."""
+        for k in range(1, self.starts.size - 1):
+            blk = slice(self.starts[k], self.starts[k + 1])
+            T[blk] += T[self.parent[blk]]
+        return T
+
     def half_rss(self, Y: np.ndarray) -> np.ndarray:
         """Half residual sum of squares of every support (rows) against
         every response (columns, one per row of Y)."""
@@ -377,10 +388,7 @@ class _SubsetPlan:
         half *= half
         half *= -0.5
         half[0] = 0.5 * np.sum(Y * Y, axis=1)
-        for k in range(1, self.starts.size - 1):
-            blk = slice(self.starts[k], self.starts[k + 1])
-            half[blk] += half[self.parent[blk]]
-        return half
+        return self.accumulate(half)
 
     def block_min(self, half: np.ndarray) -> np.ndarray:
         """Columnwise minimum of half over each cardinality, shape (p+1, R)."""
@@ -690,3 +698,256 @@ def fit_path(kind: str, design: DesignMatrix, Y: np.ndarray, lam_grid, support=N
                 diagnostic={**(err.diagnostic or {}), "grid_index": li, "lam": float(lam)},
             ) from err
     return fits
+
+
+# ---------------------------------------------------------------------------
+# exact jumps along coordinate lines
+# ---------------------------------------------------------------------------
+
+# Steps of one envelope walk or homotopy: each step passes a winner switch
+# or a lasso knot, so only a degenerate line comes near this.
+_MAX_LINE_STEPS = 10_000
+
+# Floats in one table of the best-subset envelope walk (all supports against
+# _WALK_FLOATS // 2^p lines, at least one); a step holds about twenty such
+# tables, 1 MB each.
+_WALK_FLOATS = 1 << 17
+
+
+def _line_error(message: str, line: int, n: int, diagnostic=None) -> NumericalError:
+    rep, coord = divmod(int(line), n)
+    return NumericalError(
+        f"{message} (replication {rep}, coordinate {coord})",
+        diagnostic={**(diagnostic or {}), "replication": rep, "coordinate": coord},
+    )
+
+
+def _first_crossing(a0, a1, a2):
+    """Smallest u > 0 at which a0 + a1 u + a2 u^2 falls below zero, where
+    a0 >= 0 (a0 = 0 marks a tie whose a1, a2 already favor the current
+    winner), elementwise; inf where it never does.  The roots come from the
+    cancellation-free pair qq / a2 and a0 / qq."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sq = np.sqrt(a1 * a1 - 4.0 * a2 * a0)
+        qq = -0.5 * (a1 + np.copysign(sq, a1))
+        r1 = qq / a2
+        r2 = a0 / qq
+    return np.minimum(np.where(r1 > 0, r1, np.inf), np.where(r2 > 0, r2, np.inf))
+
+
+def _envelope_walk(A, B, C, pen, lo, hi, lines, n):
+    """Walk the lower envelope of the best-subset objectives along a
+    coordinate line, one column per line.
+
+    Support S (row) has objective pen_S - A_S/2 - s B_S - s^2 C_S / 2 at
+    coordinate value s, up to a term shared by all supports, and fitted
+    value B_S + s C_S at the coordinate.  Just right of any point the
+    winner has the least objective, then the least slope, then the least
+    curvature, then the earliest plan row (cardinality, then lexicographic
+    order); objectives within 1e-12 relative count as equal.  Each step
+    moves every line to the first root at which another support falls
+    below its winner.  Returns (line, location, left, right) of every
+    winner switch."""
+    s = lo.astype(float)
+    prev = np.zeros(s.size, dtype=np.intp)
+    left = np.empty(s.size)
+    live = np.arange(s.size)
+    out = []
+    for step in range(_MAX_LINE_STEPS):
+        a, b, c = A[:, live], B[:, live], C[:, live]
+        sl = s[live]
+        v = pen - 0.5 * a - sl * b - (0.5 * sl * sl) * c
+        g = -b - sl * c
+        vmin = v.min(axis=0)
+        tied = v <= vmin + _TIE_TOL * (1.0 + np.abs(vmin))
+        gt = np.where(tied, g, np.inf)
+        best = tied & (gt == gt.min(axis=0))
+        ct = np.where(best, c, -np.inf)
+        best &= ct == ct.max(axis=0)
+        w = np.argmax(best, axis=0)
+        r = np.arange(live.size)
+        bw, cw = b[w, r], c[w, r]
+        if step:
+            moved = w != prev[live]
+            k = live[moved]
+            out.append((lines[k], sl[moved], left[k], bw[moved] + sl[moved] * cw[moved]))
+        u = _first_crossing(np.where(tied, 0.0, v - v[w, r]), g - g[w, r],
+                            0.5 * (cw - c)).min(axis=0)
+        t = np.maximum(sl + u, np.nextafter(sl, np.inf))
+        go = t <= hi[live]
+        prev[live] = w
+        live = live[go]
+        s[live] = t[go]
+        left[live] = bw[go] + t[go] * cw[go]
+        if not live.size:
+            return out
+    raise _line_error("best-subset envelope walk did not finish", lines[live[0]], n)
+
+
+def _subset_line_jumps(plan: _SubsetPlan, Y0, coord, lo, hi, lam):
+    """Best-subset winner switches along every line.  Along the line with
+    coordinate i set to s, support S keeps the plan's unit vectors q_a,
+    so q_a'y = q_a'y0 + s q_a[i] (y0 is the response with coordinate i
+    zeroed); summing over the parent chain as half_rss does gives
+    A_S = sum (q_a'y0)^2, B_S = sum (q_a'y0) q_a[i] and C_S = sum q_a[i]^2."""
+    N, n = plan.q.shape
+    card = np.repeat(np.arange(plan.starts.size - 1), np.diff(plan.starts))
+    pen = (lam * card)[:, None]
+    Cq = plan.accumulate(plan.q * plan.q)
+    out = []
+    step = max(1, _WALK_FLOATS // N)
+    for start in range(0, Y0.shape[0], step):
+        lines = np.arange(start, min(start + step, Y0.shape[0]))
+        d = plan.q[:, coord[lines]]
+        c = plan.q @ Y0[lines].T
+        out += _envelope_walk(plan.accumulate(c * c), plan.accumulate(c * d),
+                              Cq[:, coord[lines]], pen, lo[lines], hi[lines], lines, n)
+    return out
+
+
+def _hard_line_jumps(X, Y0, coord, lo, hi, t):
+    """Hard-threshold switches along every line: X'y moves as
+    v0 + s X[i, :], so coefficient j switches where v_j = +-t, at
+    s = (+-t - v0_j) / X_ij, and fitted[i] moves by X_ij times its
+    change."""
+    V0 = Y0 @ X
+    Xi = X[coord]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        loc = (np.array([-t, t])[:, None, None] - V0) / Xi
+    side, line, j = np.nonzero((Xi != 0) & (loc >= lo[:, None]) & (loc <= hi[:, None]))
+    s = loc[side, line, j]
+    k = np.arange(s.size)
+    V = V0[line] + s[:, None] * Xi[line]
+    coef = np.where(np.abs(V) >= t, V, 0.0)
+    coef[k, j] = 0.0
+    base = np.sum(coef * Xi[line], axis=1)
+    xj = Xi[line, j]
+    step = (2 * side - 1) * t * xj  # X_ij times the switching coefficient, +-t
+    enters = (2 * side - 1) * xj > 0  # |v_j| grows with s
+    return [(line, s, base + np.where(enters, 0.0, step), base + np.where(enters, step, 0.0))]
+
+
+def _relaxed_line_jumps(proc: FitProcedure, Y0, coord, lo, hi):
+    """Relaxed-lasso jumps along every line, by the lasso homotopy in the
+    response.
+
+    One batch of coordinate descent fits the lasso at the lower end of
+    every line; on its active set A with signs z the coefficients are
+    then exact, beta_A = G_AA^-1 (X_A'y - lam z), and the KKT conditions
+    are checked.  Along the line beta_A moves with d beta_A / ds =
+    pinv(X_A) e_i and the correlations c = X'(y - X_A beta_A) with
+    X[i, :] - G[:, A] d beta_A.  The next knot is where some beta_j,
+    j in A, reaches 0 (j leaves) or some |c_j|, j not in A, reaches lam
+    (j enters with the sign of c_j).  At each knot fitted[i] jumps from
+    (P_A y)_i to (P_A' y)_i, both projections from the design's support
+    table.  Returns (line, location, left, right) of every knot."""
+    lam, X = proc.lam, proc.design.values
+    cache = _design_cache(X)
+    m, n = Y0.shape
+    G = X.T @ X
+    s = lo.astype(float)
+    Ys = Y0.copy()
+    Ys[np.arange(m), coord] = s
+    try:
+        start = FitProcedure("lasso", lam, proc.design).fit_many(Ys)
+    except NumericalError as err:
+        raise _line_error(f"lasso at the lower end of the line: {err}",
+                          err.diagnostic["replication"], n, err.diagnostic) from err
+    active = start.active.copy()
+    z = np.sign(start.beta)
+    entered = np.full(m, -1)  # the variable that entered at the last knot
+    left = np.empty(m)
+    gate = 1e-8 * max(1.0, float(np.abs(Ys @ X).max()), lam)
+    live = np.arange(m)
+    out = []
+    for step in range(_MAX_LINE_STEPS):
+        r = np.arange(live.size)
+        ci = coord[live]
+        ys = Y0[live]
+        ys[r, ci] = s[live]
+        beta = np.zeros((live.size, X.shape[1]))
+        dbeta = np.zeros_like(beta)
+        fit = np.zeros(live.size)
+        dfit = np.zeros(live.size)
+        for rows, S in _mask_groups(active[live]):
+            if not S.size:
+                continue
+            pinv, rank = cache.factors(S)
+            if rank < S.size:
+                raise _line_error("singular lasso Gram matrix on the active set "
+                                  f"{S.tolist()}", live[rows[0]], n)
+            ls = ys[rows] @ pinv.T
+            dls = pinv[:, ci[rows]].T
+            beta[rows[:, None], S] = ls - lam * (z[live[rows][:, None], S] @ (pinv @ pinv.T))
+            dbeta[rows[:, None], S] = dls
+            xi = X[ci[rows][:, None], S]
+            fit[rows] = np.sum(xi * ls, axis=1)
+            dfit[rows] = np.sum(xi * dls, axis=1)
+        c = (ys - beta @ X.T) @ X
+        dc = X[ci] - dbeta @ G
+        A = active[live]
+        if step:
+            out.append((live, s[live], left[live], fit))
+        else:
+            bad = np.any(A & (np.sign(beta) != z[live]), axis=1)
+            bad |= np.any(~A & ~(np.abs(c) <= lam + gate), axis=1)
+            if np.any(bad):
+                raise _line_error("the lasso at the lower end of the line fails the KKT "
+                                  "check on its own active set", live[np.argmax(bad)], n)
+        # a variable that has just entered starts from exactly 0, so its
+        # rounding cannot fake a knot where it leaves again at once
+        k = np.flatnonzero(entered[live] >= 0)
+        beta[k, entered[live[k]]] = 0.0
+        side = np.sign(dc)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u_out = np.where(A & (beta * dbeta < 0), -beta / dbeta, np.inf)
+            u_in = (side * lam - c) / dc
+        u = np.minimum(u_out, np.where(~A & (u_in > 0), u_in, np.inf))
+        jn = np.argmin(u, axis=1)
+        un = u[r, jn]
+        t = s[live] + un
+        go = t <= hi[live]
+        jn, ent = jn[go], ~A[go, jn[go]]
+        left[live[go]] = fit[go] + un[go] * dfit[go]
+        live = live[go]
+        s[live] = t[go]
+        active[live, jn] = ent
+        z[live[ent], jn[ent]] = side[go][ent, jn[ent]]
+        entered[live] = np.where(ent, jn, -1)
+        if not live.size:
+            return out
+    raise _line_error("lasso homotopy did not finish", live[0], n)
+
+
+def _line_jumps(proc: FitProcedure, Y: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Every switch of the coordinate maps of a built-in procedure, exactly.
+
+    For each row y of Y (a replication) and each coordinate i, the line
+    is y with coordinate i set to s, for s in [lo[i], hi[i]], and its map
+    is s -> fitted[i].  Returns arrays (rep, coord, loc, left, right),
+    ordered by replication, coordinate and location, where left and right
+    are the one-sided limits of the map at loc.  Switches whose two sides
+    agree (to the last bits) are included.  Continuous kinds, and the
+    relaxed lasso at lam = 0 (least squares on every column), return
+    empty arrays without fitting.
+    """
+    Y = _responses(Y, proc.design.n)
+    R, n = Y.shape
+    X = proc.design.values
+    rep, coord = np.divmod(np.arange(R * n), n)
+    Y0 = Y[rep]
+    Y0[np.arange(rep.size), coord] = 0.0
+    lo, hi = np.broadcast_to(lo, n)[coord], np.broadcast_to(hi, n)[coord]
+    if proc.kind == "best-subset":
+        parts = _subset_line_jumps(_design_cache(X).plan(), Y0, coord, lo, hi, proc.lam)
+    elif proc.kind == "hard-threshold":
+        parts = _hard_line_jumps(X, Y0, coord, lo, hi, proc.lam)
+    elif proc.kind == "relaxed-lasso" and proc.lam > 0:
+        parts = _relaxed_line_jumps(proc, Y0, coord, lo, hi)
+    else:
+        parts = []
+    parts = parts or [(np.empty(0, dtype=np.intp),) + (np.empty(0),) * 3]
+    line, loc, left, right = (np.concatenate(col) for col in zip(*parts))
+    order = np.lexsort((loc, line))
+    line = line[order]
+    return rep[line], coord[line], loc[order], left[order], right[order]

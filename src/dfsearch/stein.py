@@ -8,11 +8,17 @@ black-box fitting procedures along single response coordinates, and splits
 a procedure's degrees of freedom into a derivative (divergence) part and a
 jump (boundary) part estimated by Monte Carlo.
 
-Fits produced by the procedures in this package are piecewise linear in the
-response, which the scanner exploits: away from active-set changes the
-coordinate maps have locally constant slope, so a cell whose increment
+The boundary term of a built-in procedure comes from its exact jumps along
+each coordinate line, worked out in closed form by ``fitters`` (the
+best-subset objective envelope, hard-threshold crossings, the relaxed
+lasso's homotopy knots; continuous kinds have none).  Any other object with
+``design.n`` and ``fit_many`` is scanned instead.  The scanner samples the
+coordinate map on a grid: fits of the procedures in this package are
+piecewise linear in the response, so away from active-set changes the
+coordinate maps have locally constant slope, a cell whose increment
 deviates from its neighbors marks a kink or a jump, and one-sided limits
-distinguish the two.
+distinguish the two.  The scanner also serves the tests as an independent
+check of the exact paths.
 """
 
 from __future__ import annotations
@@ -22,11 +28,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .closedform import normal_pdf
 from .errors import NumericalError
-from .fitters import FitProcedure
+from .fitters import FitProcedure, _line_jumps
 from .model import SignalSpec
 from .montecarlo import draw_responses
 
@@ -283,6 +288,8 @@ def _panels(f: PiecewiseScalarFunction, lo: float, hi: float):
 
 
 def _integrate(f_of_x, f: PiecewiseScalarFunction, mu: float, sigma: float) -> float:
+    from scipy.integrate import quad  # imported here: only the quadrature checks need it
+
     lo, hi = mu - _QUAD_SPAN * sigma, mu + _QUAD_SPAN * sigma
     total, err = 0.0, 0.0
     for a, b in _panels(f, lo, hi):
@@ -335,11 +342,15 @@ def verify_stein_univariate(f: PiecewiseScalarFunction, mu: float, sigma: float)
 # discontinuity scanning for fitted coordinate maps
 # ---------------------------------------------------------------------------
 
+def _check_grid_points(grid_points: int) -> None:
+    if grid_points < 16:
+        raise ValueError("grid_points must be at least 16")
+
+
 def _grids(lo, hi, grid_points: int) -> np.ndarray:
     """Uniform scan grids from lo to hi (scalars or vectors), one row per
     entry, shape (m, grid_points)."""
-    if grid_points < 16:
-        raise ValueError("grid_points must be at least 16")
+    _check_grid_points(grid_points)
     return np.linspace(np.atleast_1d(lo), np.atleast_1d(hi), grid_points, axis=1)
 
 
@@ -452,6 +463,13 @@ def scan_discontinuities(proc: FitProcedure, coord: int, y_fixed: np.ndarray,
     JumpRecords, sorted by location.  A cell that turns out to hold two
     discontinuities raises NumericalError and asks for a finer grid; a
     non-finite fitted value raises NumericalError too.
+
+    The grid can miss jumps.  A smaller jump that shares a grid cell with a
+    larger one is merged into it and dropped without an error.  Cells are
+    flagged by the size of their increment, so a jump against the map's
+    slope that is smaller than about two increments of the neighboring
+    cells leaves its cell calmer than its neighbors, and is not flagged.
+    A narrower window (or more grid points) resolves both.
     """
     y = np.asarray(y_fixed, dtype=float).copy()
     if y.ndim != 1 or y.size != proc.design.n:
@@ -533,19 +551,47 @@ def _divergence_terms(proc: FitProcedure, Y0: np.ndarray, F0: np.ndarray,
     return central.sum(axis=1)
 
 
-def _boundary_term(proc: FitProcedure, y: np.ndarray, signal: SignalSpec,
-                   grids: np.ndarray) -> float:
-    """phi-weighted jump sum over all coordinates for one response draw."""
-    coord, loc, left, right = _scan(proc, y, np.arange(y.size), grids)
-    total = 0.0
+def _scanned_jumps(proc, Y0: np.ndarray, grids: np.ndarray, workers: int):
+    """The scanner's jumps of every coordinate map of every row of Y0, as
+    arrays (rep, coord, loc, left, right) in (replication, coordinate,
+    location) order: one scan per replication, on `workers` threads."""
+    coords = np.arange(Y0.shape[1])
+
+    def task(r):
+        return _scan(proc, Y0[r], coords, grids)
+
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            scans = list(pool.map(task, range(Y0.shape[0])))
+    else:
+        scans = [task(r) for r in range(Y0.shape[0])]
+    rep = np.repeat(np.arange(len(scans)), [scan[0].size for scan in scans])
+    return (rep, *(np.concatenate(parts) for parts in zip(*scans)))
+
+
+def _boundary_terms(proc, Y0: np.ndarray, signal: SignalSpec, grid_points: int,
+                    workers: int) -> np.ndarray:
+    """phi-weighted jump sum over all coordinates, per replication, shape
+    (R,).  Jumps of a built-in procedure are exact; any other procedure is
+    scanned.  Each replication sums in (coordinate, location) order."""
+    lo, hi = signal.mu - _SPAN * signal.sigma, signal.mu + _SPAN * signal.sigma
+    if isinstance(proc, FitProcedure):
+        rep, coord, loc, left, right = _line_jumps(proc, Y0, lo, hi)
+    else:
+        rep, coord, loc, left, right = _scanned_jumps(proc, Y0, _grids(lo, hi, grid_points),
+                                                      workers)
+    jump = right - left
+    keep = np.abs(jump) > _JUMP_THRESHOLD  # the rest are kinks
     sigma = signal.sigma
-    for i, s, jump in zip(coord.tolist(), loc.tolist(), (right - left).tolist()):
-        total += normal_pdf((s - signal.mu[i]) / sigma) / sigma * jump
-    return total
+    weight = normal_pdf((loc[keep] - signal.mu[coord[keep]]) / sigma) / sigma * jump[keep]
+    return np.bincount(rep[keep], weights=weight, minlength=Y0.shape[0])
 
 
 def thread_count() -> int:
-    """Worker threads for the decomposition scans, from the environment
+    """Worker threads for the decomposition's scans of procedures without an
+    exact jump path, from the environment
     variable DFSEARCH_THREADS: unset or empty means 1, otherwise a positive
     integer, capped at the machine's CPU count.  Raises ValueError for
     anything else."""
@@ -567,35 +613,25 @@ def stein_decompose_df(proc: FitProcedure, signal: SignalSpec, reps: int, seed: 
 
     Per replication, the divergence is the sum of the coordinate partial
     derivatives by central differences (step 1e-5 * sigma), and the
-    boundary term scans every coordinate map over mu_i +/- 8 sigma on
-    grid_points (at least 16) points for jumps, weighting each by the
-    normal density at its location.  Returns the two Monte Carlo means;
-    their sum estimates df.  The environment variable DFSEARCH_THREADS
-    (default 1, see thread_count) parallelizes the per-replication scans;
-    the reduction order is fixed, so results do not depend on it.
+    boundary term sums the jumps (above 1e-4) of every coordinate map over
+    mu_i +/- 8 sigma, each weighted by the normal density at its location.
+    A FitProcedure's jumps are exact (see the module docstring), and
+    continuous kinds need no fit for them.  Any other procedure is scanned
+    on grid_points (at least 16, checked for every procedure) points per
+    coordinate; the environment variable DFSEARCH_THREADS (default 1, see
+    thread_count) splits those scans over replications.  Each
+    replication's jumps are summed in a fixed order, so results do not
+    depend on threads or batching.  Returns the two Monte Carlo means;
+    their sum estimates df.
     """
     if reps < 2:
         raise ValueError("reps must be at least 2")
     workers = thread_count()
-    grids = _grids(signal.mu - _SPAN * signal.sigma, signal.mu + _SPAN * signal.sigma,
-                   grid_points)
+    _check_grid_points(grid_points)
     Y0 = draw_responses(signal, reps, seed)
     F0 = proc.fit_many(Y0).fitted
     div = _divergence_terms(proc, Y0, F0, _FD_STEP * signal.sigma)
-
-    bnd = np.empty(reps)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def task(r):
-            return _boundary_term(proc, Y0[r], signal, grids)
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for r, val in enumerate(pool.map(task, range(reps))):
-                bnd[r] = val
-    else:
-        for r in range(reps):
-            bnd[r] = _boundary_term(proc, Y0[r], signal, grids)
+    bnd = _boundary_terms(proc, Y0, signal, grid_points, workers)
 
     if reps >= 8:
         centered = bnd - bnd.mean()

@@ -1,8 +1,13 @@
 """The dfsearch command: exit codes, output files, reproducible reruns."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import dfsearch
 import dfsearch.cli as cli
 from dfsearch.errors import NumericalError
 
@@ -224,6 +229,20 @@ class TestSteinCheckCommand:
         assert "grid_points must be at least 16" in capsys.readouterr().err
         assert not (out / "stein-decompose.csv").exists()
 
+    def test_close_jumps_on_a_correlated_design_decompose(self, tmp_path):
+        # a 4096-point scan finds two jumps in one cell on this design and
+        # exits 4; the exact jump paths have no grid to resolve
+        cfg = _write(
+            tmp_path / "st.txt",
+            "mode=decompose\nn=12\np=8\ndesign=block\nblock_sizes=4,4\n"
+            "procedures=best-subset,relaxed-lasso\nreps=20\n",
+        )
+        out = tmp_path / "o"
+        assert cli.main(["stein-check", "--config", cfg, "--out", str(out), "--seed", "3"]) == 0
+        _, _, rows = _read_csv(out / "stein-decompose.csv")
+        assert [r[0] for r in rows] == ["best-subset", "relaxed-lasso"]
+        assert all(float(r[2]) > 0 for r in rows)
+
     def test_block_design_requires_sizes(self, tmp_path):
         cfg = _write(tmp_path / "st.txt", "mode=decompose\ndesign=block\nreps=4\n")
         assert cli.main(["stein-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -335,3 +354,26 @@ class TestSimulateSharing:
         diag = info.value.diagnostic
         assert set(diag) == {"replication", "kkt_residual", "grid_index", "lam"}
         assert (diag["grid_index"], diag["lam"]) == (1, 0.3)
+
+
+class TestImports:
+    def test_import_and_simulate_leave_scipy_unloaded(self, tmp_path):
+        # scipy is imported only by the closed forms and the quadrature that
+        # use it, so the package and a simulate run start without it
+        cfg = _write(tmp_path / "c.txt",
+                     "procedures=lasso,best-subset,relaxed-lasso,ridge\nn=10\np=4\n"
+                     "block_sizes=2,2\nsupport=0\nreps=20\nlambda_count=3\n")
+        code = (
+            "import sys\n"
+            "import dfsearch.cli\n"
+            "assert 'scipy' not in sys.modules, 'loaded by the import'\n"
+            f"assert dfsearch.cli.main(['simulate', '--config', {cfg!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
+            "assert 'scipy' not in sys.modules, 'loaded by simulate'\n"
+        )
+        src = os.path.dirname(os.path.dirname(dfsearch.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr

@@ -186,3 +186,73 @@ class TestExpectedActiveInversion:
             threshold_for_expected_active(np.zeros(10), 1.0, 0.0)
         with pytest.raises(ValueError):
             threshold_for_expected_active(np.zeros(10), 1.0, 10.5)
+
+
+def _expected_active_reference(mu, sigma, t):
+    """E|A_t| for one scalar t, summed over every mean directly."""
+    return float(np.sum(1.0 - normal_cdf((t - mu) / sigma) + normal_cdf((-t - mu) / sigma)))
+
+
+def _threshold_reference(mu, sigma, target):
+    """The scalar bisection, one target at a time."""
+    p = mu.shape[0]
+    if target == p:
+        return 0.0
+    lo, hi = 0.0, float(sigma)
+    while _expected_active_reference(mu, sigma, hi) > target:
+        hi *= 2.0
+    for _ in range(500):
+        mid = 0.5 * (lo + hi)
+        val = _expected_active_reference(mu, sigma, mid)
+        if abs(val - target) <= 1e-10:
+            return mid
+        if val > target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-16 * max(1.0, hi):
+            break
+    return 0.5 * (lo + hi)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestArrayCalls:
+    """Array arguments return the same bits as one scalar computation per
+    entry, so curve tables do not depend on how they are batched."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_inversion_matches_scalar_bisection(self, seed):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(1, 300))
+        # repeated means exercise the one-evaluation-per-distinct-mean path
+        mu = rng.choice(rng.normal(scale=3.0, size=3), size=p) * (rng.random(p) < 0.7)
+        sigma = float(rng.uniform(0.3, 2.5))
+        targets = np.linspace(min(0.5, p / 2), p, 37)
+        got = threshold_for_expected_active(mu, sigma, targets)
+        want = [_threshold_reference(mu, sigma, float(x)) for x in targets]
+        npt.assert_array_equal(_bits(got), _bits(want))
+        assert threshold_for_expected_active(mu, sigma, float(targets[5])) == want[5]
+        ts = np.concatenate(([0.0], got))
+        npt.assert_array_equal(
+            _bits(expected_active_hard(mu, sigma, ts)),
+            _bits([_expected_active_reference(mu, sigma, float(t)) for t in ts]),
+        )
+
+    def test_curve_points_match_scalar_calls(self):
+        mu = np.array([0.0, 0.0, 1.5, -0.4, 1.5, 3.0])
+        lams = np.linspace(0.0, 6.0, 25)
+        for fn in (df_subset_orthogonal, df_relaxed_lasso_orthogonal):
+            curve = fn(mu, 1.3, lams)
+            for k, lam in enumerate(lams):
+                cp = fn(mu, 1.3, float(lam))
+                for field in ("lam", "t", "expected_active", "df", "sdf"):
+                    assert _bits(getattr(curve, field)[k]) == _bits(getattr(cp, field))
+
+    def test_array_inputs_are_validated(self):
+        with pytest.raises(ValueError):
+            df_subset_orthogonal(np.zeros(3), 1.0, np.array([0.5, -0.1]))
+        with pytest.raises(ValueError):
+            threshold_for_expected_active(np.zeros(10), 1.0, np.array([5.0, 10.5]))

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfsearch.closedform import df_hard_threshold
+from dfsearch import fitters, stein
+from dfsearch.closedform import df_hard_threshold, normal_pdf
 from dfsearch.errors import NumericalError
-from dfsearch.fitters import FitProcedure
+from dfsearch.fitters import FitProcedure, _line_jumps
 from dfsearch.model import RngSpec, SignalSpec, gen_block_design, gen_orthogonal_design
+from dfsearch.montecarlo import draw_responses
 from dfsearch.stein import (
     PiecewiseScalarFunction,
     check_jump_positivity,
@@ -314,6 +316,16 @@ class TestSteinDecomposition:
         threaded = stein_decompose_df(proc, signal, reps=24, seed=9)
         assert serial == threaded
 
+    def test_threaded_scan_matches_serial(self, monkeypatch):
+        # threads split only the scans of procedures without an exact path
+        proc = _stub_proc(lambda v: np.where(v < 0.25, 0.0, np.where(v < 1.0, v, 2.0 * v)))
+        signal = SignalSpec(np.zeros(4), 1.0)
+        serial = stein_decompose_df(proc, signal, reps=6, seed=9)
+        monkeypatch.setenv("DFSEARCH_THREADS", "4")
+        threaded = stein_decompose_df(proc, signal, reps=6, seed=9)
+        assert serial == threaded
+        assert serial.boundary > 0
+
     @pytest.mark.parametrize("value", ["0", "-1", "abc", "2.5"])
     def test_thread_count_rejects_bad_values(self, monkeypatch, value):
         monkeypatch.setenv("DFSEARCH_THREADS", value)
@@ -399,3 +411,174 @@ class TestJumpPositivity:
         with pytest.raises(NumericalError, match="non-finite") as info:
             check_jump_positivity(proc, signal, trials=4, seed=5)
         assert info.value.diagnostic == {"coord": 0, "location": -8.0}
+
+
+def _exact_line(proc, y, coord, lo=-8.0, hi=8.0):
+    """Locations and heights of every switch of one coordinate map, from
+    the exact path (switches of any height, sorted by location)."""
+    n = proc.design.n
+    _, c, loc, left, right = _line_jumps(proc, y[None, :], np.full(n, lo), np.full(n, hi))
+    return loc[c == coord], (right - left)[c == coord]
+
+
+def _line_case(data, kind):
+    """A procedure, a response and a coordinate: block designs (n <= 10,
+    p <= 8) for best subset and the relaxed lasso, orthogonal designs for
+    hard thresholding."""
+    n = data.draw(st.integers(3, 10), label="n")
+    p = data.draw(st.integers(2, min(8, n)), label="p")
+    if kind == "hard-threshold":
+        design = gen_orthogonal_design(n, p)
+        lam = data.draw(st.floats(0.1, 3.0), label="t")
+    else:
+        first = data.draw(st.integers(1, p), label="first block")
+        low = data.draw(st.floats(0.0, 0.6), label="corr_low")
+        high = data.draw(st.floats(low, 0.95), label="corr_high")
+        seed = data.draw(st.integers(0, 10_000), label="design seed")
+        sizes = [first, p - first] if first < p else [p]
+        design = gen_block_design(n, p, sizes, low, high, RngSpec(seed=seed, stream_id=0))
+        lam = data.draw(st.floats(0.1, 2.0), label="lam")
+    y = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="y seed")).standard_normal(n)
+    coord = data.draw(st.integers(0, n - 1), label="coord")
+    return FitProcedure(kind=kind, lam=lam, design=design), y, coord
+
+
+def _assert_exact_matches_scanner(proc, y, coord) -> int:
+    """Check one line's exact jumps against the scanner both ways; returns
+    the number of exact jumps confirmed one by one."""
+    loc, jump = _exact_line(proc, y, coord)
+    # each exact jump, scanned alone in a window that holds no other switch
+    # and is fine enough that the jump dominates its cell; jumps near the
+    # 1e-4 cutoff can fall on either side of it in the scan
+    gap = np.diff(np.concatenate(([-np.inf], loc, [np.inf])))
+    half = 0.5 * np.minimum(gap[:-1], gap[1:])
+    confirmed = 0
+    for s, size, h in zip(loc, jump, half):
+        if abs(size) <= 2e-4 or h < 1e-5:
+            continue
+        d = min(1e-3, h)
+        records = scan_discontinuities(proc, coord, y, s - d, s + d, grid_points=256)
+        assert len(records) == 1, (s, size, records)
+        assert abs(records[0].location - s) <= 1e-6
+        assert abs(records[0].jump - size) <= 1e-5, (s, size, records[0])
+        confirmed += 1
+    # every jump the full-line scan finds is an exact switch (the scan may
+    # merge two jumps of one cell, so only locations are compared)
+    try:
+        records = scan_discontinuities(proc, coord, y, -8.0, 8.0)
+    except NumericalError:  # two jumps in one cell: nothing to compare
+        records = []
+    for rec in records:
+        assert np.min(np.abs(loc - rec.location)) <= 1e-6, rec
+    return confirmed
+
+
+class TestExactJumps:
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["best-subset", "relaxed-lasso", "hard-threshold"]),
+           data=st.data())
+    def test_exact_jumps_match_the_scanner(self, kind, data):
+        _assert_exact_matches_scanner(*_line_case(data, kind))
+
+    @pytest.mark.parametrize("kind,rep,coord", [
+        ("best-subset", 17, 3), ("relaxed-lasso", 8, 4), ("relaxed-lasso", 14, 0),
+    ])
+    def test_lines_with_many_jumps_match_the_scanner(self, kind, rep, coord):
+        design = gen_block_design(8, 6, [3, 3], 0.4, 0.9, RngSpec(seed=7, stream_id=0))
+        proc = FitProcedure(kind=kind, lam=0.5, design=design)
+        y = draw_responses(SignalSpec(np.zeros(8), 1.0), rep + 1, 0)[rep]
+        assert _assert_exact_matches_scanner(proc, y, coord) >= 7
+
+    def test_close_best_subset_jumps_are_both_reported(self):
+        # the default scan puts these two jumps in one grid cell and drops
+        # the smaller one
+        design = gen_block_design(8, 6, [3, 3], 0.4, 0.9, RngSpec(seed=7, stream_id=0))
+        proc = FitProcedure(kind="best-subset", lam=0.5, design=design)
+        y = draw_responses(SignalSpec(np.zeros(8), 1.0), 18, 0)[17]
+        loc, jump = _exact_line(proc, y, 3)
+        near = (loc > -1.66) & (loc < -1.65) & (np.abs(jump) > 1e-4)
+        npt.assert_allclose(loc[near], [-1.65313, -1.65252], atol=1e-5)
+        npt.assert_allclose(jump[near], [0.0503, 0.4196], atol=1e-4)
+        records = scan_discontinuities(proc, 3, y, -1.66, -1.65)
+        npt.assert_allclose([r.location for r in records], loc[near], rtol=0, atol=1e-6)
+        npt.assert_allclose([r.jump for r in records], jump[near], rtol=0, atol=1e-5)
+
+    def test_jumps_are_ordered_and_independent_of_the_batch(self):
+        design = gen_block_design(7, 5, [2, 3], 0.3, 0.9, RngSpec(seed=2, stream_id=0))
+        Y = np.random.default_rng(4).standard_normal((5, 7))
+        lo, hi = np.full(7, -8.0), np.full(7, 8.0)
+        for kind in ("best-subset", "relaxed-lasso"):
+            proc = FitProcedure(kind=kind, lam=0.4, design=design)
+            rep, coord, loc, left, right = _line_jumps(proc, Y, lo, hi)
+            key = np.column_stack((rep, coord, loc))
+            assert [tuple(k) for k in key] == sorted(tuple(k) for k in key)
+            for r in range(5):
+                _, c1, l1, a1, b1 = _line_jumps(proc, Y[r:r + 1], lo, hi)
+                sel = rep == r
+                npt.assert_array_equal(c1, coord[sel])
+                npt.assert_allclose(np.column_stack((l1, a1, b1)),
+                                    np.column_stack((loc, left, right))[sel],
+                                    rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("kind,lam,support", [
+        ("lasso", 0.5, None),
+        ("ridge", 1.0, None),
+        ("least-squares-on-support", 0.0, (0, 2)),
+        ("soft-threshold", 1.0, None),
+        ("relaxed-lasso", 0.0, None),
+    ])
+    def test_continuous_kinds_fit_nothing_for_the_boundary(self, monkeypatch, kind, lam,
+                                                           support):
+        n = 6
+        design = (gen_orthogonal_design(n, 4) if kind == "soft-threshold" else
+                  gen_block_design(n, 4, [2, 2], 0.3, 0.8, RngSpec(seed=1, stream_id=0)))
+        proc = FitProcedure(kind=kind, lam=lam, design=design, support=support)
+        signal = SignalSpec(np.zeros(n), 1.0)
+        rows = []
+        fit_many, batch_lasso = FitProcedure.fit_many, fitters._batch_lasso
+
+        def counting(self, Y):
+            rows.append(("fit_many", len(Y)))
+            return fit_many(self, Y)
+
+        def counting_lasso(X, Y, lam):
+            rows.append(("lasso", len(Y)))
+            return batch_lasso(X, Y, lam)
+
+        monkeypatch.setattr(FitProcedure, "fit_many", counting)
+        monkeypatch.setattr(fitters, "_batch_lasso", counting_lasso)
+        dec = stein_decompose_df(proc, signal, reps=6, seed=3)
+        made = rows.copy()
+        rows.clear()
+        Y0 = draw_responses(signal, 6, 3)
+        stein._divergence_terms(proc, Y0, proc.fit_many(Y0).fitted, 1e-5)
+        assert made == rows  # the base fit and the divergence probes, nothing else
+        assert dec.boundary == 0.0
+
+    def test_duck_typed_procedure_is_scanned(self, monkeypatch):
+        scans = []
+        scan = stein._scan
+
+        def spy(*args):
+            scans.append(args[1])
+            return scan(*args)
+
+        monkeypatch.setattr(stein, "_scan", spy)
+        proc = _stub_proc(lambda v: np.where(v < 0.25, 0.0, 1.0))
+        dec = stein_decompose_df(proc, SignalSpec(np.zeros(4), 1.0), reps=3, seed=0)
+        assert len(scans) == 3  # one scan per replication
+        assert dec.boundary == pytest.approx(normal_pdf(0.25), abs=1e-6)
+        assert dec.divergence == pytest.approx(3.0, abs=1e-9)
+
+    def test_singular_active_gram_matrix_names_the_line(self, monkeypatch):
+        design = gen_block_design(6, 4, [2, 2], 0.3, 0.8, RngSpec(seed=1, stream_id=0))
+        proc = FitProcedure(kind="relaxed-lasso", lam=0.3, design=design)
+        Y = np.random.default_rng(0).standard_normal((2, 6))
+        monkeypatch.setattr(fitters._DesignCache, "factors",
+                            lambda self, S: (np.linalg.pinv(self.X[:, S]), S.size - 1))
+        with pytest.raises(NumericalError, match="singular") as info:
+            _line_jumps(proc, Y, np.full(6, -8.0), np.full(6, 8.0))
+        diag = info.value.diagnostic
+        assert set(diag) == {"replication", "coordinate"}
+        assert f"replication {diag['replication']}, coordinate {diag['coordinate']}" in str(
+            info.value)
