@@ -61,6 +61,9 @@ __all__ = [
 ]
 
 _QUAD_SPAN = 12.0
+_QUAD_EPSABS = 1e-12
+_QUAD_EPSREL = 1e-11
+_QUAD_LIMIT = 200  # subintervals per panel
 _QUAD_ERR_BUDGET = 1e-9
 _LIMIT_OFFSET = 1e-7
 _BISECT_WIDTH = 1e-9
@@ -282,21 +285,91 @@ def function_library() -> list:
 # univariate identity by quadrature
 # ---------------------------------------------------------------------------
 
+# qk15's abscissae on [0, 1] (xgk; the odd entries and 0 are the 7-point
+# Gauss nodes), Kronrod weights (wgk) and Gauss weights (wg), mirrored onto
+# the 15 nodes of [-1, 1]
+_XGK = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+])
+_WGK = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+])
+_WG = np.array([
+    0.0, 0.129484966168869693270611432679082,
+    0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975,
+    0.0, 0.417959183673469387755102040816327,
+])
+_GK_NODES = np.concatenate((-_XGK, _XGK[-2::-1]))
+_GK_WEIGHTS = np.concatenate((_WGK, _WGK[-2::-1]))
+_GAUSS_WEIGHTS = np.concatenate((_WG, _WG[-2::-1]))
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
 def _panels(f: PiecewiseScalarFunction, lo: float, hi: float):
     cuts = [lo] + [b for b in f.breakpoints if lo < b < hi] + [hi]
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def _integrate(f_of_x, f: PiecewiseScalarFunction, mu: float, sigma: float) -> float:
-    from scipy.integrate import quad  # imported here: only the quadrature checks need it
+def _gk15(f_of_x, a: np.ndarray, b: np.ndarray):
+    """QUADPACK's qk15 on every interval [a[k], b[k]] from one call of
+    f_of_x: the 15-point Kronrod value and its resasc-scaled error estimate
+    (Piessens et al., QUADPACK, 1983)."""
+    centre, half = (a + b) / 2, (b - a) / 2
+    fx = f_of_x((centre[:, None] + half[:, None] * _GK_NODES).ravel()).reshape(a.size, 15)
+    kronrod, gauss = fx @ _GK_WEIGHTS, fx @ _GAUSS_WEIGHTS
+    resabs = np.abs(fx) @ _GK_WEIGHTS * half  # a < b, so half > 0
+    resasc = np.abs(fx - 0.5 * kronrod[:, None]) @ _GK_WEIGHTS * half
+    err = np.abs((kronrod - gauss) * half)
+    scale = (resasc != 0) & (err != 0)
+    err[scale] = resasc[scale] * np.minimum(1.0, (200 * err[scale] / resasc[scale]) ** 1.5)
+    floor = resabs > _TINY / (50 * _EPS)
+    err[floor] = np.maximum(50 * _EPS * resabs[floor], err[floor])
+    return kronrod * half, err
 
+
+def _adaptive_gk15(f_of_x, a: float, b: float):
+    """(integral, error estimate) of f_of_x over [a, b] by adaptive GK15.
+
+    Each round evaluates every open subinterval in one call.  A subinterval
+    is accepted when its error is within its width's share of
+    max(epsabs, epsrel * |current estimate|); the rest are bisected.  When
+    bisecting would pass the subdivision limit, the open subintervals are
+    accepted as they are and their errors count in the estimate.
+    """
+    lo, hi = np.array([a]), np.array([b])
+    total, err, count = 0.0, 0.0, 1
+    while True:
+        val, e = _gk15(f_of_x, lo, hi)
+        tol = max(_QUAD_EPSABS, _QUAD_EPSREL * abs(total + val.sum()))
+        done = e * (b - a) <= tol * (hi - lo)
+        total += val[done].sum()
+        err += e[done].sum()
+        lo, hi, val, e = lo[~done], hi[~done], val[~done], e[~done]
+        if not lo.size:
+            return total, err
+        if count + lo.size > _QUAD_LIMIT:
+            return total + val.sum(), err + e.sum()
+        count += lo.size
+        mid = (lo + hi) / 2
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+
+
+def _integrate(f_of_x, f: PiecewiseScalarFunction, mu: float, sigma: float) -> float:
     lo, hi = mu - _QUAD_SPAN * sigma, mu + _QUAD_SPAN * sigma
     total, err = 0.0, 0.0
     for a, b in _panels(f, lo, hi):
-        val, e = quad(f_of_x, a, b, epsabs=1e-12, epsrel=1e-11, limit=200)
+        val, e = _adaptive_gk15(f_of_x, a, b)
         total += val
         err += e
-    if err > _QUAD_ERR_BUDGET:
+    if not err <= _QUAD_ERR_BUDGET:  # NaN fails too
         raise NumericalError(
             f"quadrature error estimate {err:.3e} exceeds {_QUAD_ERR_BUDGET:.1e}",
             diagnostic={"error_estimate": err},
@@ -311,8 +384,8 @@ def stein_lhs_univariate(f: PiecewiseScalarFunction, mu: float, sigma: float) ->
         raise ValueError("sigma must be positive")
 
     def integrand(x):
-        z = (x - mu) / sigma
-        return (x - mu) * f.evaluate(x) * normal_pdf(z) / sigma
+        fx = np.array([f.evaluate(v) for v in x.tolist()])
+        return (x - mu) * fx * normal_pdf((x - mu) / sigma) / sigma
 
     return _integrate(integrand, f, mu, sigma) / sigma ** 2
 
@@ -324,7 +397,8 @@ def stein_rhs_univariate(f: PiecewiseScalarFunction, mu: float, sigma: float) ->
         raise ValueError("sigma must be positive")
 
     def integrand(x):
-        return f.derivative(x) * normal_pdf((x - mu) / sigma) / sigma
+        dfx = np.array([f.derivative(v) for v in x.tolist()])
+        return dfx * normal_pdf((x - mu) / sigma) / sigma
 
     total = _integrate(integrand, f, mu, sigma)
     for rec in f.jumps():
@@ -380,11 +454,12 @@ def _scan(proc: FitProcedure, y: np.ndarray, coords: np.ndarray, grids: np.ndarr
     grids, shape (m, G), as arrays (coord, location, left, right) ordered by
     coordinate and then by location.
 
-    Cells whose increment exceeds the smaller neighboring increment by a
-    margin are candidate jumps.  Within one linear piece increments agree
-    exactly, so the margin only has to beat the kink scale, not the slope
-    scale; a plain slope cutoff would have to sit above the largest jump
-    divided by the step and would go blind exactly where it matters.
+    Cells whose increment differs from both neighboring increments by a
+    margin are candidate jumps, whichever the jump's sign against the
+    slope.  Within one linear piece increments agree exactly, so the margin
+    only has to beat the kink scale, not the slope scale; a plain slope
+    cutoff would have to sit above the largest jump divided by the step and
+    would go blind exactly where it matters.
 
     Each narrowing round subdivides every open bracket into equal subcells,
     evaluates all interior points in one batched fit, and keeps the subcell
@@ -399,7 +474,8 @@ def _scan(proc: FitProcedure, y: np.ndarray, coords: np.ndarray, grids: np.ndarr
     edge = np.full((m, 1), np.inf)
     pad = np.hstack((edge, np.abs(d), edge))  # |increments|, inf past the ends
     ref = np.minimum(pad[:, :-2], pad[:, 2:])
-    row, g = np.nonzero(pad[:, 1:-1] - ref > 0.5 * _JUMP_THRESHOLD)
+    step = np.hstack((edge, np.abs(np.diff(d, axis=1)), edge))
+    row, g = np.nonzero(np.minimum(step[:, :-1], step[:, 1:]) > 0.5 * _JUMP_THRESHOLD)
 
     # the signed slope of the calmer neighbor cell steers the subdivision;
     # the other neighbor (the calmer one at a grid end) sets the slack
@@ -465,11 +541,12 @@ def scan_discontinuities(proc: FitProcedure, coord: int, y_fixed: np.ndarray,
     non-finite fitted value raises NumericalError too.
 
     The grid can miss jumps.  A smaller jump that shares a grid cell with a
-    larger one is merged into it and dropped without an error.  Cells are
-    flagged by the size of their increment, so a jump against the map's
-    slope that is smaller than about two increments of the neighboring
-    cells leaves its cell calmer than its neighbors, and is not flagged.
-    A narrower window (or more grid points) resolves both.
+    larger one is merged into it and dropped without an error.  A cell is
+    flagged when its increment differs from both neighbors' increments, so
+    two jumps of nearly the same height in adjacent cells are not flagged,
+    and neither is a jump at a kink whose slope change puts the cell's
+    increment back near a neighbor's.  A narrower window (or more grid
+    points) resolves all three.
     """
     y = np.asarray(y_fixed, dtype=float).copy()
     if y.ndim != 1 or y.size != proc.design.n:

@@ -356,10 +356,17 @@ class TestSimulateSharing:
         assert (diag["grid_index"], diag["lam"]) == (1, 0.3)
 
 
+def _run_python(code):
+    """Run code in a fresh interpreter that imports the package from source."""
+    src = os.path.dirname(os.path.dirname(dfsearch.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
 class TestImports:
     def test_import_and_simulate_leave_scipy_unloaded(self, tmp_path):
-        # scipy is imported only by the closed forms and the quadrature that
-        # use it, so the package and a simulate run start without it
         cfg = _write(tmp_path / "c.txt",
                      "procedures=lasso,best-subset,relaxed-lasso,ridge\nn=10\np=4\n"
                      "block_sizes=2,2\nsupport=0\nreps=20\nlambda_count=3\n")
@@ -371,9 +378,30 @@ class TestImports:
             f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
             "assert 'scipy' not in sys.modules, 'loaded by simulate'\n"
         )
-        src = os.path.dirname(os.path.dirname(dfsearch.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
+        done = _run_python(code)
         assert done.returncode == 0, done.stderr
+
+    def test_stein_check_and_curves_run_without_scipy(self, tmp_path):
+        stein_cfg = _write(tmp_path / "s.txt",
+                           "mode=both\nn=4\nprocedures=hard-threshold,best-subset,"
+                           "relaxed-lasso\nreps=4\n")
+        curves_cfg = _write(tmp_path / "c.txt",
+                            "regime=dense\np=50\nlambda_count=11\nactive_count=5\n")
+        stein_out, curves_out = tmp_path / "stein", tmp_path / "curves"
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None  # any import of scipy now raises\n"
+            "import dfsearch.cli\n"
+            f"code = dfsearch.cli.main(['stein-check', '--config', {stein_cfg!r}, "
+            f"'--out', {str(stein_out)!r}])\n"
+            "assert code == 0, f'stein-check exited {code}'\n"
+            f"code = dfsearch.cli.main(['curves', '--config', {curves_cfg!r}, "
+            f"'--out', {str(curves_out)!r}])\n"
+            "assert code == 0, f'curves exited {code}'\n"
+        )
+        done = _run_python(code)
+        assert done.returncode == 0, done.stderr
+        for path in (stein_out / "stein-univariate.csv", stein_out / "stein-decompose.csv",
+                     curves_out / "curves-subset.csv", curves_out / "curves-lasso.csv",
+                     curves_out / "curves-by-active.csv"):
+            assert _read_csv(path)[2], path

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.integrate import quad
+from scipy.special import erfc
 
 from dfsearch.closedform import (
     df_hard_threshold,
@@ -49,6 +50,18 @@ class TestNormalHelpers:
     def test_cdf_symmetry(self):
         x = np.linspace(-6, 6, 25)
         npt.assert_allclose(normal_cdf(x) + normal_cdf(-x), 1.0, atol=1e-15)
+
+    def test_cdf_matches_scipy_erfc(self):
+        x = np.linspace(-38.0, 38.0, 200_001)
+        npt.assert_allclose(normal_cdf(x), 0.5 * erfc(-x / np.sqrt(2.0)), rtol=0, atol=1e-15)
+
+    def test_cdf_keeps_scalars_and_shapes(self):
+        assert type(normal_cdf(-1.0)) is float
+        assert type(normal_cdf(np.float64(0.3))) is float
+        x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        out = normal_cdf(x)
+        assert out.shape == (3, 4) and out.dtype == np.float64
+        npt.assert_array_equal(out, [[normal_cdf(v) for v in row] for row in x.tolist()])
 
 
 class TestTruncatedMoments:

@@ -1,5 +1,6 @@
 """Univariate identity suite, discontinuity scanning, df decomposition."""
 
+import math
 import os
 from types import SimpleNamespace
 
@@ -8,6 +9,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from dfsearch import fitters, stein
 from dfsearch.closedform import df_hard_threshold, normal_pdf
@@ -83,6 +85,43 @@ class TestUnivariateIdentity:
             exact = df_hard_threshold(np.array([mu]), sigma, t)
             assert abs(lhs - rhs) < 1e-8
             assert abs(rhs - exact) < 1e-8
+
+    @pytest.mark.parametrize("name,f", _LIBRARY, ids=[n for n, _ in _LIBRARY])
+    def test_both_sides_match_scipy_quad(self, name, f):
+        # the independent reference: QUADPACK through scipy, on the same panels
+        for mu in (-2.0, 0.0, 3.0):
+            for sigma in (0.5, 1.0, 2.0):
+                def lhs(x):
+                    return (x - mu) * f.evaluate(x) * normal_pdf((x - mu) / sigma) / sigma
+
+                def rhs(x):
+                    return f.derivative(x) * normal_pdf((x - mu) / sigma) / sigma
+
+                panels = stein._panels(f, mu - 12 * sigma, mu + 12 * sigma)
+                ref_lhs, ref_rhs = (
+                    sum(quad(g, a, b, epsabs=1e-12, epsrel=1e-11, limit=200)[0]
+                        for a, b in panels)
+                    for g in (lhs, rhs)
+                )
+                ref_rhs += sum(normal_pdf((rec.location - mu) / sigma) / sigma * rec.jump
+                               for rec in f.jumps())
+                assert abs(stein_lhs_univariate(f, mu, sigma) - ref_lhs / sigma**2) <= 1e-12
+                assert abs(stein_rhs_univariate(f, mu, sigma) - ref_rhs) <= 1e-12
+
+    @pytest.mark.parametrize("fn,dfn", [
+        # too many oscillations for 200 subintervals, and no breakpoints to
+        # split at: the open subintervals' errors exceed the budget
+        (lambda x: math.sin(1e4 * x), lambda x: 1e4 * math.cos(1e4 * x)),
+        # a NaN error estimate must fail the budget, not pass it
+        (lambda x: math.nan if x > 0.3 else x, lambda x: math.nan if x > 0.3 else 1.0),
+    ], ids=["oscillating", "nan"])
+    def test_error_budget_overrun_raises(self, fn, dfn):
+        f = PiecewiseScalarFunction((), fn, dfn)
+        for side in (stein_lhs_univariate, stein_rhs_univariate):
+            with pytest.raises(NumericalError, match="quadrature error estimate") as info:
+                side(f, 0.0, 1.0)
+            assert set(info.value.diagnostic) == {"error_estimate"}
+            assert not info.value.diagnostic["error_estimate"] <= 1e-9
 
     def test_covariance_side_of_step_function_matches_density(self):
         # E[(x - mu) step(x)] / sigma^2 = phi(mu/sigma)/sigma for a unit step at 0
@@ -402,6 +441,19 @@ class TestJumpPositivity:
         assert bad and all(v.record.jump < 0 for v in bad)
         assert bad[0].record.location == pytest.approx(0.5, abs=1e-6)
 
+    def test_small_downward_jump_on_a_rising_map_is_flagged(self):
+        # slope 1 on a 3.9e-3 grid step: the jump leaves its cell calmer
+        # than its neighbors; the one-sided limits add 2e-7 of slope
+        def fn(v):
+            return v - np.where(v < 0.5, 0.0, 5e-4)
+
+        proc = _stub_proc(fn)
+        signal = SignalSpec(np.zeros(4), 1.0)
+        violations = check_jump_positivity(proc, signal, trials=4, seed=5)
+        assert [v.coord for v in violations] == [0]
+        assert violations[0].record.location == pytest.approx(0.5, abs=1e-6)
+        assert violations[0].record.jump == pytest.approx(-5e-4, abs=1e-6)
+
     def test_non_finite_map_raises_instead_of_passing(self):
         def fn(v):
             return np.where(v < 0.5, np.nan, v)
@@ -502,6 +554,20 @@ class TestExactJumps:
         records = scan_discontinuities(proc, 3, y, -1.66, -1.65)
         npt.assert_allclose([r.location for r in records], loc[near], rtol=0, atol=1e-6)
         npt.assert_allclose([r.jump for r in records], jump[near], rtol=0, atol=1e-5)
+
+    def test_small_jump_against_the_slope_is_flagged(self):
+        # a downward jump of less than two cell increments on a rising
+        # coordinate map, which a flag on absolute increments misses
+        design = gen_block_design(8, 6, [3, 3], 0.4, 0.9, RngSpec(seed=7, stream_id=0))
+        proc = FitProcedure(kind="relaxed-lasso", lam=0.5, design=design)
+        y = draw_responses(SignalSpec(np.zeros(8), 1.0), 9, 0)[8]
+        loc, jump = _exact_line(proc, y, 4)
+        near = np.abs(loc - 2.480842) < 1e-6
+        npt.assert_allclose(jump[near], [-7.75e-4], rtol=0, atol=1e-6)
+        records = scan_discontinuities(proc, 4, y, -8.0, 8.0)
+        found = [r for r in records if abs(r.location - 2.480842) < 1e-6]
+        assert len(found) == 1
+        assert found[0].jump == pytest.approx(jump[near][0], abs=1e-6)
 
     def test_jumps_are_ordered_and_independent_of_the_batch(self):
         design = gen_block_design(7, 5, [2, 3], 0.3, 0.9, RngSpec(seed=2, stream_id=0))
