@@ -41,7 +41,6 @@ from .stein import (
     stein_decompose_df,
     stein_lhs_univariate,
     stein_rhs_univariate,
-    thread_count,
 )
 from .svgplot import svg_plot
 
@@ -367,14 +366,13 @@ def _closed_form_df(kind: str, design: DesignMatrix, signal: SignalSpec, lam: fl
     return None
 
 
-def cmd_stein_check(config: dict, out_dir: str, svg: bool = False) -> list:
+def cmd_stein_check(config: dict, out_dir: str) -> list:
     """Univariate identity residuals and Monte Carlo df decompositions."""
     resolved = resolve_options(config, _STEIN_OPTIONS, "stein-check")
     if resolved["p"] is None:
         resolved["p"] = resolved["n"]
     if any(s <= 0 for s in resolved["sigmas"]):
         raise ConfigError("sigmas must be positive")
-    thread_count()  # a bad DFSEARCH_THREADS fails before any work
 
     # every table is computed before anything is written, so a failing run
     # leaves no partial output
@@ -453,17 +451,19 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Stein identity checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("curves", "closed-form df/sdf curve tables (orthogonal design)"),
-        ("simulate", "Monte Carlo df/sdf estimates over a tuning grid"),
-        ("stein-check", "Stein identity residuals and df decompositions"),
+    for name, help_text, flags in (
+        ("curves", "closed-form df/sdf curve tables (orthogonal design)", ("svg",)),
+        ("simulate", "Monte Carlo df/sdf estimates over a tuning grid", ("seed", "svg")),
+        ("stein-check", "Stein identity residuals and df decompositions", ("seed",)),
     ):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="key=value config file")
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override the config's seed")
-        sp.add_argument("--svg", action="store_true", help="also write SVG plots")
+        if "seed" in flags:
+            sp.add_argument("--seed", type=int, default=None,
+                            help="override the config's seed")
+        if "svg" in flags:
+            sp.add_argument("--svg", action="store_true", help="also write SVG plots")
     return parser
 
 
@@ -471,10 +471,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         raw = read_config(args.config)
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             raw["seed"] = str(args.seed)
+        kwargs = {"svg": args.svg} if hasattr(args, "svg") else {}
         try:
-            _COMMANDS[args.command](raw, args.out, svg=args.svg)
+            _COMMANDS[args.command](raw, args.out, **kwargs)
         except ValueError as err:
             raise ConfigError(str(err)) from err
     except ConfigError as err:

@@ -17,6 +17,7 @@ plan, support table and coordinate descent.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,12 +125,16 @@ def hard_threshold(v, t: float):
 # least squares on a fixed support
 # ---------------------------------------------------------------------------
 
-def _support_indices(S, p: int) -> np.ndarray:
-    items = list(S)
-    S = np.unique(np.asarray(items, dtype=int)) if items else np.array([], dtype=int)
-    if S.size and (S.min() < 0 or S.max() >= p):
+def _support_indices(S, p: int) -> tuple:
+    """The distinct column indices in S, sorted.  Each must be an integer
+    (anything operator.index accepts, so numpy integers too) in [0, p)."""
+    try:
+        items = sorted({operator.index(i) for i in S})
+    except TypeError:
+        raise ValueError("support indices must be integers") from None
+    if items and (items[0] < 0 or items[-1] >= p):
         raise ValueError(f"support indices out of range for p={p}")
-    return S
+    return tuple(items)
 
 
 def _mask_groups(masks: np.ndarray):
@@ -480,9 +485,10 @@ class _DesignCache:
     """Everything fits on one design share: the best-subset plan, built on
     first use, and the support table, which maps a support (its sorted
     column indices) to the (pinv, rank) of X[:, S] and starts over empty
-    once it holds more than _SUPPORT_TABLE_BYTES of pseudoinverses.  Fits
-    from several threads may race on it; every entry they could write is
-    the same, so a lost write only costs a recomputation."""
+    once it holds more than _SUPPORT_TABLE_BYTES of pseudoinverses.  The
+    package starts no threads, but a caller fitting from threads of its own
+    may race on it; every entry they could write is the same, so a lost
+    write only costs a recomputation."""
 
     def __init__(self, X: np.ndarray):
         self.X = X
@@ -508,8 +514,8 @@ class _DesignCache:
         return hit
 
 
-# The most recent design's cache, as one (key, _DesignCache) pair: fits may
-# run from several threads, and a single assignment is atomic.
+# The most recent design's cache, as one (key, _DesignCache) pair: a caller
+# may fit from threads of its own, and a single assignment is atomic.
 _PLAN_CACHE = None
 
 
@@ -646,8 +652,7 @@ class FitProcedure:
         if self.kind == "least-squares-on-support":
             if self.support is None:
                 raise ValueError("least-squares-on-support requires a support")
-            S = _support_indices(self.support, self.design.p)
-            object.__setattr__(self, "support", tuple(int(i) for i in S))
+            object.__setattr__(self, "support", _support_indices(self.support, self.design.p))
         elif self.support is not None:
             raise ValueError(f"support is not a parameter of kind {self.kind!r}")
         if self.kind == "best-subset":

@@ -23,7 +23,6 @@ check of the exact paths.
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -56,7 +55,6 @@ __all__ = [
     "verify_stein_univariate",
     "scan_discontinuities",
     "stein_decompose_df",
-    "thread_count",
     "check_jump_positivity",
 ]
 
@@ -84,7 +82,8 @@ class PiecewiseScalarFunction:
     ``fn`` evaluates the function, ``dfn`` its derivative (anything may be
     returned exactly at a breakpoint; that set has measure zero).  One-sided
     limits at breakpoints are stored exactly when known; otherwise they are
-    approximated by evaluation a hair to the side.
+    approximated by evaluation a hair to the side (1e-9 * max(1, |d|)
+    away, so the offset moves the argument at any magnitude).
     """
 
     breakpoints: tuple
@@ -121,13 +120,13 @@ class PiecewiseScalarFunction:
         k = self._bp_index(d)
         if self.left_values is not None:
             return float(self.left_values[k])
-        return self.evaluate(d - 1e-9)
+        return self.evaluate(d - 1e-9 * max(1.0, abs(d)))
 
     def right_limit(self, d: float) -> float:
         k = self._bp_index(d)
         if self.right_values is not None:
             return float(self.right_values[k])
-        return self.evaluate(d + 1e-9)
+        return self.evaluate(d + 1e-9 * max(1.0, abs(d)))
 
     def jumps(self) -> list:
         out = []
@@ -628,28 +627,18 @@ def _divergence_terms(proc: FitProcedure, Y0: np.ndarray, F0: np.ndarray,
     return central.sum(axis=1)
 
 
-def _scanned_jumps(proc, Y0: np.ndarray, grids: np.ndarray, workers: int):
+def _scanned_jumps(proc, Y0: np.ndarray, grids: np.ndarray):
     """The scanner's jumps of every coordinate map of every row of Y0, as
     arrays (rep, coord, loc, left, right) in (replication, coordinate,
-    location) order: one scan per replication, on `workers` threads."""
+    location) order: one scan per replication."""
     coords = np.arange(Y0.shape[1])
-
-    def task(r):
-        return _scan(proc, Y0[r], coords, grids)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scans = list(pool.map(task, range(Y0.shape[0])))
-    else:
-        scans = [task(r) for r in range(Y0.shape[0])]
+    scans = [_scan(proc, y, coords, grids) for y in Y0]
     rep = np.repeat(np.arange(len(scans)), [scan[0].size for scan in scans])
     return (rep, *(np.concatenate(parts) for parts in zip(*scans)))
 
 
-def _boundary_terms(proc, Y0: np.ndarray, signal: SignalSpec, grid_points: int,
-                    workers: int) -> np.ndarray:
+def _boundary_terms(proc, Y0: np.ndarray, signal: SignalSpec,
+                    grid_points: int) -> np.ndarray:
     """phi-weighted jump sum over all coordinates, per replication, shape
     (R,).  Jumps of a built-in procedure are exact; any other procedure is
     scanned.  Each replication sums in (coordinate, location) order."""
@@ -657,31 +646,12 @@ def _boundary_terms(proc, Y0: np.ndarray, signal: SignalSpec, grid_points: int,
     if isinstance(proc, FitProcedure):
         rep, coord, loc, left, right = _line_jumps(proc, Y0, lo, hi)
     else:
-        rep, coord, loc, left, right = _scanned_jumps(proc, Y0, _grids(lo, hi, grid_points),
-                                                      workers)
+        rep, coord, loc, left, right = _scanned_jumps(proc, Y0, _grids(lo, hi, grid_points))
     jump = right - left
     keep = np.abs(jump) > _JUMP_THRESHOLD  # the rest are kinks
     sigma = signal.sigma
     weight = normal_pdf((loc[keep] - signal.mu[coord[keep]]) / sigma) / sigma * jump[keep]
     return np.bincount(rep[keep], weights=weight, minlength=Y0.shape[0])
-
-
-def thread_count() -> int:
-    """Worker threads for the decomposition's scans of procedures without an
-    exact jump path, from the environment
-    variable DFSEARCH_THREADS: unset or empty means 1, otherwise a positive
-    integer, capped at the machine's CPU count.  Raises ValueError for
-    anything else."""
-    raw = os.environ.get("DFSEARCH_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"DFSEARCH_THREADS must be a positive integer, got {raw!r}")
-    return min(value, os.cpu_count() or 1)
 
 
 def stein_decompose_df(proc: FitProcedure, signal: SignalSpec, reps: int, seed: int,
@@ -695,20 +665,17 @@ def stein_decompose_df(proc: FitProcedure, signal: SignalSpec, reps: int, seed: 
     A FitProcedure's jumps are exact (see the module docstring), and
     continuous kinds need no fit for them.  Any other procedure is scanned
     on grid_points (at least 16, checked for every procedure) points per
-    coordinate; the environment variable DFSEARCH_THREADS (default 1, see
-    thread_count) splits those scans over replications.  Each
-    replication's jumps are summed in a fixed order, so results do not
-    depend on threads or batching.  Returns the two Monte Carlo means;
-    their sum estimates df.
+    coordinate, one replication at a time.  Each replication's jumps are
+    summed in a fixed order, so results do not depend on batching.
+    Returns the two Monte Carlo means; their sum estimates df.
     """
     if reps < 2:
         raise ValueError("reps must be at least 2")
-    workers = thread_count()
     _check_grid_points(grid_points)
     Y0 = draw_responses(signal, reps, seed)
     F0 = proc.fit_many(Y0).fitted
     div = _divergence_terms(proc, Y0, F0, _FD_STEP * signal.sigma)
-    bnd = _boundary_terms(proc, Y0, signal, grid_points, workers)
+    bnd = _boundary_terms(proc, Y0, signal, grid_points)
 
     if reps >= 8:
         centered = bnd - bnd.mean()

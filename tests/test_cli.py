@@ -209,13 +209,16 @@ class TestSteinCheckCommand:
         for name in ("stein-univariate.csv", "stein-decompose.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_bad_thread_count_exits_2_before_any_output(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("DFSEARCH_THREADS", "abc")
+    def test_former_thread_variable_is_ignored(self, tmp_path, monkeypatch):
+        # the package reads no environment variable, so a value that once
+        # failed the run changes no byte
         cfg = _write(tmp_path / "st.txt", "mode=both\nn=3\nprocedures=hard-threshold\nreps=5\n")
-        out = tmp_path / "o"
-        assert cli.main(["stein-check", "--config", cfg, "--out", str(out)]) == 2
-        assert "DFSEARCH_THREADS" in capsys.readouterr().err
-        assert not (out / "stein-univariate.csv").exists()
+        monkeypatch.delenv("DFSEARCH_THREADS", raising=False)
+        assert cli.main(["stein-check", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        monkeypatch.setenv("DFSEARCH_THREADS", "abc")
+        assert cli.main(["stein-check", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+        for name in ("stein-univariate.csv", "stein-decompose.csv", "resolved-config.txt"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     @pytest.mark.parametrize("grid_points", [0, 1, 15])
     def test_grid_points_below_16_exits_2(self, tmp_path, capsys, grid_points):
@@ -275,6 +278,22 @@ class TestFailingRunWritesNothing:
         cfg = _write(tmp_path / "c.txt", text)
         out = tmp_path / "o"
         assert cli.main([command, "--config", cfg, "--out", str(out), "--svg"]) == 2
+        assert not out.exists()
+
+
+class TestParserFlags:
+    @pytest.mark.parametrize("command,flag,text", [
+        ("curves", ["--seed", "1"], "regime=null\nlambda_count=3\nactive_count=2\n"),
+        ("stein-check", ["--svg"], "mode=library\nmus=0\nsigmas=1\n"),
+    ], ids=["curves-seed", "stein-check-svg"])
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, tmp_path, capsys,
+                                                              command, flag, text):
+        cfg = _write(tmp_path / "c.txt", text)
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", cfg, "--out", str(out), *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
 

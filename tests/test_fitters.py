@@ -2,7 +2,7 @@
 
 import itertools
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 import numpy.testing as npt
@@ -274,13 +274,20 @@ class TestBestSubset:
         designs = [_random_design(10, 6, s) for s in (11, 12)]
         Y = np.random.default_rng(13).standard_normal((5, 10))
         expected = [fit_path("best-subset", d, Y, [0.2, 0.9]) for d in designs]
+        results = [None] * 64
+
+        def work(first):
+            for i in range(first, first + 8):
+                results[i] = fit_path("best-subset", designs[i % 2], Y, [0.2, 0.9])
+
+        threads = [threading.Thread(target=work, args=(8 * k,)) for k in range(8)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(fit_path, "best-subset", designs[i % 2], Y, [0.2, 0.9])
-                           for i in range(64)]
-                results = [f.result(timeout=60) for f in futures]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
         for i, path in enumerate(results):
@@ -445,6 +452,17 @@ class TestFitProcedure:
             kind="least-squares-on-support", lam=0.0, design=d, support=(2, 0)
         )
         assert proc.support == (0, 2)
+
+    @pytest.mark.parametrize("bad", [1.5, "1"])
+    def test_support_indices_must_be_integers(self, bad):
+        d = _random_design(8, 3, 0)
+        with pytest.raises(ValueError, match="integers"):
+            FitProcedure(kind="least-squares-on-support", lam=0.0, design=d, support=(bad,))
+        proc = FitProcedure(
+            kind="least-squares-on-support", lam=0.0, design=d, support=(np.int64(2),)
+        )
+        assert proc.support == (2,)
+        assert type(proc.support[0]) is int
 
     @pytest.mark.parametrize(
         "kind,lam",

@@ -1,7 +1,6 @@
 """Univariate identity suite, discontinuity scanning, df decomposition."""
 
 import math
-import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,7 +26,6 @@ from dfsearch.stein import (
     stein_decompose_df,
     stein_lhs_univariate,
     stein_rhs_univariate,
-    thread_count,
     verify_stein_univariate,
 )
 
@@ -59,6 +57,15 @@ class TestPiecewiseScalarFunction:
         jumps = f.jumps()
         npt.assert_allclose([j.location for j in jumps], [-1.5, 1.5])
         npt.assert_allclose([j.jump for j in jumps], [1.5, 1.5])
+
+    @pytest.mark.parametrize("at", [0.5, -3.0, 1e9, -1e12])
+    def test_unstored_limits_see_a_step_at_any_magnitude(self, at):
+        # an absolute 1e-9 offset does not move an argument above about 1.7e7
+        f = PiecewiseScalarFunction(
+            breakpoints=(at,), fn=lambda x: 1.0 if x >= at else 0.0, dfn=lambda x: 0.0
+        )
+        assert (f.left_limit(at), f.right_limit(at)) == (0.0, 1.0)
+        assert [j.jump for j in f.jumps()] == [1.0]
 
     def test_soft_threshold_is_continuous(self):
         f = soft_threshold_function(1.0)
@@ -345,41 +352,16 @@ class TestSteinDecomposition:
     @pytest.mark.parametrize(
         "kind,lam", [("hard-threshold", 1.0), ("best-subset", 0.5), ("relaxed-lasso", 0.5)]
     )
-    def test_threaded_run_matches_serial(self, monkeypatch, kind, lam):
-        # best subset's threads share one cached enumeration plan
+    def test_cold_and_warm_plan_cache_agree(self, monkeypatch, kind, lam):
+        # the second run meets the plan and support table the first one
+        # filled (hard thresholding uses neither)
         d = gen_orthogonal_design(4, 4)
         signal = SignalSpec(np.zeros(4), 1.0)
         proc = FitProcedure(kind=kind, lam=lam, design=d)
-        serial = stein_decompose_df(proc, signal, reps=24, seed=9)
-        monkeypatch.setenv("DFSEARCH_THREADS", "4")
-        threaded = stein_decompose_df(proc, signal, reps=24, seed=9)
-        assert serial == threaded
-
-    def test_threaded_scan_matches_serial(self, monkeypatch):
-        # threads split only the scans of procedures without an exact path
-        proc = _stub_proc(lambda v: np.where(v < 0.25, 0.0, np.where(v < 1.0, v, 2.0 * v)))
-        signal = SignalSpec(np.zeros(4), 1.0)
-        serial = stein_decompose_df(proc, signal, reps=6, seed=9)
-        monkeypatch.setenv("DFSEARCH_THREADS", "4")
-        threaded = stein_decompose_df(proc, signal, reps=6, seed=9)
-        assert serial == threaded
-        assert serial.boundary > 0
-
-    @pytest.mark.parametrize("value", ["0", "-1", "abc", "2.5"])
-    def test_thread_count_rejects_bad_values(self, monkeypatch, value):
-        monkeypatch.setenv("DFSEARCH_THREADS", value)
-        with pytest.raises(ValueError, match="DFSEARCH_THREADS"):
-            thread_count()
-
-    def test_thread_count_defaults_to_one_and_caps_at_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("DFSEARCH_THREADS", raising=False)
-        assert thread_count() == 1
-        monkeypatch.setenv("DFSEARCH_THREADS", "")
-        assert thread_count() == 1
-        monkeypatch.setenv("DFSEARCH_THREADS", "1")
-        assert thread_count() == 1
-        monkeypatch.setenv("DFSEARCH_THREADS", "1000000")
-        assert thread_count() == (os.cpu_count() or 1)
+        monkeypatch.setattr(fitters, "_PLAN_CACHE", None)
+        cold = stein_decompose_df(proc, signal, reps=24, seed=9)
+        warm = stein_decompose_df(proc, signal, reps=24, seed=9)
+        assert cold == warm
 
     def test_nan_fits_raise_instead_of_a_nan_divergence(self):
         proc = SimpleNamespace(
