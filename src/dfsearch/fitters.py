@@ -8,10 +8,13 @@ against the same design at once.  Each single-response function is one
 `FitProcedure(...).fit(y)` call, so `FitProcedure` is the one place a fit
 request (kind, lambda, support, responses) is validated.  The Monte Carlo
 estimators lean on the batched path; a plain Python loop over 10^4
-replications would dominate the runtime budget otherwise.  The jumps of the
-discontinuous kinds along coordinate lines of the response, which the Stein
-boundary term needs, are worked out here too, in closed form from the same
-plan, support table and coordinate descent.
+replications would dominate the runtime budget otherwise.  The lasso's
+coordinate descent only has to find each response's support and signs: the
+exact lasso on them, taken from the support table and certified by its KKT
+residual, finishes the fit.  The jumps of the discontinuous kinds along
+coordinate lines of the response, which the Stein boundary term needs, are
+worked out here too, in closed form from the same plan, support table and
+coordinate descent.
 """
 
 from __future__ import annotations
@@ -218,6 +221,10 @@ def least_squares_on_support(X: DesignMatrix, y: np.ndarray, S) -> FitOutput:
 _CD_TOL = 1e-10
 _CD_MAX_SWEEPS = 100_000
 
+# Sweep count of the first checkpoint at which rows still running try the
+# exact solve on their support; the checkpoints double from there.
+_CD_FIRST_CHECK = 8
+
 
 def lasso_kkt_residual(X: DesignMatrix, y: np.ndarray, lam: float, beta: np.ndarray) -> float:
     """Worst violation of the lasso stationarity conditions at beta.
@@ -252,12 +259,14 @@ def _kkt_row_residuals(X: np.ndarray, Y: np.ndarray, lam: float, B: np.ndarray) 
 
 
 def _cd_sweeps(X, Y, lam, B, rows, G, XtY, diag, tol, max_sweeps):
-    """Run cyclic coordinate descent on the given rows until each row's max
-    coefficient change in a sweep drops below tol.  Each row converges and
-    freezes independently of the others: a row's sweep count and stopping
-    test involve only its own coefficients.  Its values are not independent
-    of the batch, though: the matrix products over the rows still active
-    are BLAS calls, which can move a row's last bits with the batch size."""
+    """Run at most max_sweeps sweeps of cyclic coordinate descent on the
+    given rows, until each row's max coefficient change in a sweep drops
+    below tol.  Returns the rows still moving (none once every row has
+    converged).  Each row converges and freezes independently of the
+    others: a row's sweep count and stopping test involve only its own
+    coefficients.  Its values are not independent of the batch, though:
+    the matrix products over the rows still active are BLAS calls, which
+    can move a row's last bits with the batch size."""
     upd = np.flatnonzero(diag > 0)
     for _ in range(max_sweeps):
         Bact = B[rows]
@@ -270,23 +279,74 @@ def _cd_sweeps(X, Y, lam, B, rows, G, XtY, diag, tol, max_sweeps):
         B[rows] = Bact
         rows = rows[~(delta < tol)]
         if rows.size == 0:
-            return None
+            break
     return rows
 
 
+def _lasso_on_support(pinv, Y, Z, lam):
+    """The lasso on a known support A and signs Z (rows of +-1 over A),
+    where X_A has full column rank: the KKT equations on A give
+    beta_A = pinv(X_A) y - lam pinv(X_A) pinv(X_A)' z_A.  Returns
+    (pinv(X_A) y, beta_A), one row per row of Y."""
+    ls = Y @ pinv.T
+    return ls, ls - lam * (Z @ (pinv @ pinv.T))
+
+
+def _certify_on_support(cache, Y, lam, B, rows, tol):
+    """Replace rows of B by the exact lasso on their current support and
+    signs where that is the lasso: its signs are the same and its KKT
+    residual is at most tol.  A rank-deficient support is never taken.
+    Returns the mask over rows of those replaced."""
+    Z = np.sign(B[rows])
+    exact = np.zeros_like(Z)
+    ok = np.ones(rows.size, dtype=bool)
+    for grp, S in _mask_groups(Z != 0):
+        pinv, rank = cache.factors(S)
+        if rank < S.size:
+            ok[grp] = False
+        else:
+            exact[grp[:, None], S] = _lasso_on_support(pinv, Y[rows[grp]],
+                                                       Z[grp[:, None], S], lam)[1]
+    ok &= np.all(np.sign(exact) == Z, axis=1)
+    ok &= _kkt_row_residuals(cache.X, Y[rows], lam, exact) <= tol
+    B[rows[ok]] = exact[ok]
+    return ok
+
+
 def _batch_lasso(X: np.ndarray, Y: np.ndarray, lam: float) -> BatchFit:
+    """Coordinate descent finds each row's support and signs; the exact
+    lasso on them finishes the fit.  CD stops early on a row once that
+    exact solve is certified at a KKT residual of 1e-12 * scale, far below
+    the 1e-8 * scale gate: a support one knot away can pass the gate (its
+    residual is the distance to the knot) but not this test."""
     R, p = Y.shape[0], X.shape[1]
     if lam == 0.0:
         # exact unpenalized limit: minimum-norm least squares
         B = Y @ np.linalg.pinv(X).T
     else:
+        cache = _design_cache(X)
         G = X.T @ X
         XtY = Y @ X
         diag = np.diag(G).copy()
+        scale = max(1.0, float(np.abs(XtY).max()), lam)
         B = np.zeros((R, p))
-        rows = np.arange(R)
-        rows = _cd_sweeps(X, Y, lam, B, rows, G, XtY, diag, _CD_TOL, _CD_MAX_SWEEPS)
-        if rows is not None:
+        # the signs of each row's last failed exact solve; NaN before any
+        tried = np.full((R, p), np.nan)
+        rows, done, check = np.arange(R), 0, _CD_FIRST_CHECK
+        while rows.size and done < _CD_MAX_SWEEPS:
+            stop = min(check, _CD_MAX_SWEEPS)
+            left = _cd_sweeps(X, Y, lam, B, rows, G, XtY, diag, _CD_TOL, stop - done)
+            # every row CD has converged and, at a checkpoint below the
+            # budget, every running row whose support or signs moved
+            trial = ~np.isin(rows, left, assume_unique=True)
+            if stop < _CD_MAX_SWEEPS:
+                trial |= np.any(np.sign(B[rows]) != tried[rows], axis=1)
+            trial = rows[trial]
+            ok = _certify_on_support(cache, Y, lam, B, trial, 1e-12 * scale)
+            tried[trial[~ok]] = np.sign(B[trial[~ok]])
+            rows = left[~np.isin(left, trial[ok], assume_unique=True)]
+            done, check = stop, 2 * check
+        if rows.size:
             res = _kkt_row_residuals(X, Y[rows], lam, B[rows])
             raise NumericalError(
                 f"lasso coordinate descent did not converge for replication "
@@ -294,7 +354,6 @@ def _batch_lasso(X: np.ndarray, Y: np.ndarray, lam: float) -> BatchFit:
                 diagnostic={"replication": int(rows[0]), "kkt_residual": float(res.max())},
             )
         # verify stationarity; polish stragglers before giving up
-        scale = max(1.0, float(np.abs(XtY).max()), lam)
         gate = 1e-8 * scale
         bad = np.flatnonzero(~(_kkt_row_residuals(X, Y, lam, B) <= gate))
         for extra_tol in (_CD_TOL / 100, _CD_TOL / 1000):
@@ -322,9 +381,16 @@ def _batch_lasso(X: np.ndarray, Y: np.ndarray, lam: float) -> BatchFit:
 def lasso_solve(X: DesignMatrix, y: np.ndarray, lam: float) -> FitOutput:
     """Minimize (1/2)||y - X beta||^2 + lam * ||beta||_1.
 
-    Cyclic coordinate descent, converged when no coefficient moves by more
-    than 1e-10 in a sweep, then verified against the stationarity conditions.
-    Raises NumericalError (with the final KKT residual) if either fails.
+    Cyclic coordinate descent finds the support and signs.  At sweeps 8,
+    16, 32, ... and once it has converged (no coefficient moving by more
+    than 1e-10 in a sweep), the exact lasso on that support and those signs
+    replaces it when the support's columns are linearly independent, the
+    signs hold and the KKT residual is at most 1e-12 * scale, where scale
+    is max(1, |X'y|_max, lam).  Otherwise the descent goes on, and its
+    own coefficients stand once it has converged.  The result is
+    verified against the stationarity conditions (1e-8 * scale).  Raises
+    NumericalError (with the final KKT residual) if descent runs out of
+    sweeps or the check fails.
     """
     return FitProcedure("lasso", lam, X).fit(y)
 
@@ -881,9 +947,9 @@ def _relaxed_line_jumps(proc: FitProcedure, Y0, coord, lo, hi):
             if rank < S.size:
                 raise _line_error("singular lasso Gram matrix on the active set "
                                   f"{S.tolist()}", live[rows[0]], n)
-            ls = ys[rows] @ pinv.T
+            ls, beta[rows[:, None], S] = _lasso_on_support(pinv, ys[rows],
+                                                           z[live[rows][:, None], S], lam)
             dls = pinv[:, ci[rows]].T
-            beta[rows[:, None], S] = ls - lam * (z[live[rows][:, None], S] @ (pinv @ pinv.T))
             dbeta[rows[:, None], S] = dls
             xi = X[ci[rows][:, None], S]
             fit[rows] = np.sum(xi * ls, axis=1)

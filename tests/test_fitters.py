@@ -146,6 +146,88 @@ class TestLasso:
         assert all(a >= b for a, b in zip(sizes[:-1], sizes[1:]))
 
 
+def _brute_force_lasso(X, y, lam):
+    """The lasso by enumeration of all 3^p sign patterns z: solve each
+    exactly on its support A (skipping a rank-deficient X_A) and keep the
+    pattern whose solution satisfies the KKT conditions strictly, with
+    sign(beta_A) = z_A and |X_j'(y - X beta)| < lam off A.  Returns the
+    coefficients and their margin, the smallest of min |beta_A| and
+    min (lam - |X_j'(y - X beta)|) off A; the margin is -inf when no
+    pattern qualifies."""
+    p = X.shape[1]
+    best, margin = np.zeros(p), -np.inf
+    for z in itertools.product((-1.0, 0.0, 1.0), repeat=p):
+        z = np.array(z)
+        A = np.flatnonzero(z)
+        beta = np.zeros(p)
+        if A.size:
+            if np.linalg.matrix_rank(X[:, A]) < A.size:
+                continue
+            P = np.linalg.pinv(X[:, A])
+            beta[A] = P @ y - lam * (P @ P.T) @ z[A]
+        c = X.T @ (y - X @ beta)
+        off = np.setdiff1d(np.arange(p), A)
+        m = min(np.min(z[A] * beta[A], initial=np.inf),
+                np.min(lam - np.abs(c[off]), initial=np.inf))
+        if m > margin:
+            best, margin = beta, m
+    return best, margin
+
+
+class TestLassoExactFinish:
+    def test_support_one_knot_away_is_not_taken(self):
+        # On support {0, 2} the exact solve gives beta[1] = 0 with a KKT
+        # residual of 1.03e-7, below the 1e-8 * scale gate (1.18e-7); the
+        # lasso has beta[1] = 1.79e-6.
+        d = gen_block_design(3, 3, [1, 2], 0.0, 0.0, RngSpec(315, 0))
+        y = np.random.default_rng(0).standard_normal(3)
+        y[0] = -7.12390843 - 1e-6
+        out = lasso_solve(d, y, 0.5)
+        assert out.beta[1] > 0
+        assert lasso_kkt_residual(d, y, 0.5, out.beta) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.integers(1, 5),
+        extra=st.integers(0, 4),
+        split=st.integers(1, 5),
+        corr=st.sampled_from([(0.0, 0.0), (0.4, 0.9), (0.9, 0.95)]),
+        lam=st.sampled_from([0.05, 0.3, 1.0, 3.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_brute_force_enumeration(self, p, extra, split, corr, lam, seed):
+        blocks = [b for b in (min(split, p), p - min(split, p)) if b]
+        d = gen_block_design(p + extra, p, blocks, *corr, RngSpec(seed, 0))
+        Y = 2.0 * np.random.default_rng(seed).standard_normal((6, p + extra))
+        refs = [_brute_force_lasso(d.values, y, lam) for y in Y]
+        assume(all(margin > 1e-6 for _, margin in refs))
+        got = FitProcedure("lasso", lam, d).fit_many(Y)
+        for r, (beta, _) in enumerate(refs):
+            npt.assert_allclose(got.beta[r], beta, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("lam", [0.05, 0.3, 1.0])
+    def test_duplicated_column_takes_no_rank_deficient_support(self, monkeypatch, lam):
+        d = gen_block_design(8, 5, [2, 3], 0.4, 0.9, RngSpec(61, 0))
+        X = d.values.copy()
+        X[:, 4] = X[:, 0]
+        d = DesignMatrix(X)
+        Y = np.random.default_rng(62).standard_normal((200, 8))
+        solved = []
+        real = fitters._lasso_on_support
+
+        def recording(pinv, *args):
+            solved.append(pinv)
+            return real(pinv, *args)
+
+        monkeypatch.setattr(fitters, "_lasso_on_support", recording)
+        out = FitProcedure("lasso", lam, d).fit_many(Y)
+        assert solved
+        assert all(np.linalg.matrix_rank(P) == P.shape[0] for P in solved)
+        gate = 1e-8 * max(1.0, float(np.abs(Y @ X).max()), lam)
+        for r in range(Y.shape[0]):
+            assert lasso_kkt_residual(d, Y[r], lam, out.beta[r]) <= gate
+
+
 def _subset_objectives(X, y, lam):
     """(penalized objective, support) of every support by lstsq, smallest
     supports first, lexicographic within a size."""
