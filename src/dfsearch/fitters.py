@@ -8,13 +8,12 @@ against the same design at once.  Each single-response function is one
 `FitProcedure(...).fit(y)` call, so `FitProcedure` is the one place a fit
 request (kind, lambda, support, responses) is validated.  The Monte Carlo
 estimators lean on the batched path; a plain Python loop over 10^4
-replications would dominate the runtime budget otherwise.  The lasso's
-coordinate descent only has to find each response's support and signs: the
-exact lasso on them, taken from the support table and certified by its KKT
-residual, finishes the fit.  The jumps of the discontinuous kinds along
-coordinate lines of the response, which the Stein boundary term needs, are
-worked out here too, in closed form from the same plan, support table and
-coordinate descent.
+replications would dominate the runtime budget otherwise.  The lasso walks
+each response's exact path in lambda once for a whole grid, and solves
+exactly on the supports it finds.  The jumps of the discontinuous kinds
+along coordinate lines of the response, which the Stein boundary term
+needs, are worked out here too, in closed form from the same plan, support
+table and lasso homotopy.
 """
 
 from __future__ import annotations
@@ -169,9 +168,10 @@ def _refit(cache: _DesignCache, Y: np.ndarray, masks: np.ndarray):
     fitted (R, n))."""
     beta = np.zeros((Y.shape[0], cache.X.shape[1]))
     fitted = np.zeros_like(Y)
-    for rows, S in _mask_groups(masks):
+    groups = list(_mask_groups(masks))
+    for (rows, S), (pinv, _) in zip(groups, cache.factors_many([S for _, S in groups])):
         if S.size:
-            coef = Y[rows] @ cache.factors(S)[0].T
+            coef = Y[rows] @ pinv.T
             beta[rows[:, None], S] = coef
             fitted[rows] = coef @ cache.X[:, S].T
     return beta, fitted
@@ -188,10 +188,10 @@ def refit_on_active_sets(X: np.ndarray, Y: np.ndarray, masks: np.ndarray):
 
 def _active_ranks(X: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """rank(X restricted to each row's active columns), one float per row."""
-    cache = _design_cache(X)
     ranks = np.empty(masks.shape[0])
-    for rows, S in _mask_groups(masks):
-        ranks[rows] = cache.factors(S)[1]
+    groups = list(_mask_groups(masks))
+    for (rows, _), (_, rank) in zip(groups, _design_cache(X).factors_many([S for _, S in groups])):
+        ranks[rows] = rank
     return ranks
 
 
@@ -215,16 +215,8 @@ def least_squares_on_support(X: DesignMatrix, y: np.ndarray, S) -> FitOutput:
 
 
 # ---------------------------------------------------------------------------
-# lasso via cyclic coordinate descent
+# lasso by its exact path in lambda
 # ---------------------------------------------------------------------------
-
-_CD_TOL = 1e-10
-_CD_MAX_SWEEPS = 100_000
-
-# Sweep count of the first checkpoint at which rows still running try the
-# exact solve on their support; the checkpoints double from there.
-_CD_FIRST_CHECK = 8
-
 
 def lasso_kkt_residual(X: DesignMatrix, y: np.ndarray, lam: float, beta: np.ndarray) -> float:
     """Worst violation of the lasso stationarity conditions at beta.
@@ -233,164 +225,162 @@ def lasso_kkt_residual(X: DesignMatrix, y: np.ndarray, lam: float, beta: np.ndar
     and = lam with matching sign on it.  Infinite when beta or the gradient
     is not finite, so a NaN fit never passes.
     """
-    Xv = X.values
-    beta = np.asarray(beta, dtype=float)
+    Xv, beta = X.values, np.asarray(beta, dtype=float)
     if not np.all(np.isfinite(beta)):
         return float("inf")
     g = Xv.T @ (np.asarray(y, dtype=float) - Xv @ beta)
-    if not np.all(np.isfinite(g)):
-        return float("inf")
-    active = beta != 0
-    worst = 0.0
-    if np.any(~active):
-        worst = max(worst, float(np.max(np.abs(g[~active])) - lam))
-    if np.any(active):
-        worst = max(
-            worst, float(np.max(np.abs(g[active] - lam * np.sign(beta[active]))))
-        )
-    return max(worst, 0.0)
-
-
-def _kkt_row_residuals(X: np.ndarray, Y: np.ndarray, lam: float, B: np.ndarray) -> np.ndarray:
-    C = (Y - B @ X.T) @ X
-    active = B != 0
-    viol = np.where(active, np.abs(C - lam * np.sign(B)), np.maximum(np.abs(C) - lam, 0.0))
-    return viol.max(axis=1)
-
-
-def _cd_sweeps(X, Y, lam, B, rows, G, XtY, diag, tol, max_sweeps):
-    """Run at most max_sweeps sweeps of cyclic coordinate descent on the
-    given rows, until each row's max coefficient change in a sweep drops
-    below tol.  Returns the rows still moving (none once every row has
-    converged).  Each row converges and freezes independently of the
-    others: a row's sweep count and stopping test involve only its own
-    coefficients.  Its values are not independent of the batch, though:
-    the matrix products over the rows still active are BLAS calls, which
-    can move a row's last bits with the batch size."""
-    upd = np.flatnonzero(diag > 0)
-    for _ in range(max_sweeps):
-        Bact = B[rows]
-        delta = np.zeros(rows.shape[0])
-        for j in upd:
-            rho = XtY[rows, j] - Bact @ G[:, j] + diag[j] * Bact[:, j]
-            bj = np.sign(rho) * np.maximum(np.abs(rho) - lam, 0.0) / diag[j]
-            delta = np.maximum(delta, np.abs(bj - Bact[:, j]))
-            Bact[:, j] = bj
-        B[rows] = Bact
-        rows = rows[~(delta < tol)]
-        if rows.size == 0:
-            break
-    return rows
+    viol = np.where(beta != 0, np.abs(g - lam * np.sign(beta)), np.abs(g) - lam)
+    return max(float(viol.max(initial=0.0)), 0.0) if np.all(np.isfinite(g)) else float("inf")
 
 
 def _lasso_on_support(pinv, Y, Z, lam):
-    """The lasso on a known support A and signs Z (rows of +-1 over A),
-    where X_A has full column rank: the KKT equations on A give
-    beta_A = pinv(X_A) y - lam pinv(X_A) pinv(X_A)' z_A.  Returns
-    (pinv(X_A) y, beta_A), one row per row of Y."""
+    """(pinv(X_A) y, beta_A) per row of Y, for the lasso on support A with
+    signs Z (rows of +-1) where X_A has full column rank: the KKT equations
+    give beta_A = pinv(X_A) y - lam pinv(X_A) pinv(X_A)' z_A."""
     ls = Y @ pinv.T
     return ls, ls - lam * (Z @ (pinv @ pinv.T))
 
 
-def _certify_on_support(cache, Y, lam, B, rows, tol):
-    """Replace rows of B by the exact lasso on their current support and
-    signs where that is the lasso: its signs are the same and its KKT
-    residual is at most tol.  A rank-deficient support is never taken.
-    Returns the mask over rows of those replaced."""
-    Z = np.sign(B[rows])
-    exact = np.zeros_like(Z)
-    ok = np.ones(rows.size, dtype=bool)
-    for grp, S in _mask_groups(Z != 0):
-        pinv, rank = cache.factors(S)
-        if rank < S.size:
-            ok[grp] = False
-        else:
-            exact[grp[:, None], S] = _lasso_on_support(pinv, Y[rows[grp]],
-                                                       Z[grp[:, None], S], lam)[1]
-    ok &= np.all(np.sign(exact) == Z, axis=1)
-    ok &= _kkt_row_residuals(cache.X, Y[rows], lam, exact) <= tol
-    B[rows[ok]] = exact[ok]
-    return ok
+def _lasso_walk(X, G, XtY, grid, signs):
+    """Walk each row's lasso path down from |X'y|_inf, knot to knot, writing
+    its signs at each grid value (positive, descending) a step passes into
+    signs (grid.size, rows, p).  On active set A with signs z, beta_A =
+    G_AA^-1 (X_A'y - lam z_A), G_AA padded with an identity block to the
+    largest live |A|.  A knot is where some beta_j, j in A, reaches 0 (j
+    leaves) or some |c_j| = |X_j'(y - X beta)|, j not in A, reaches lam (j
+    enters with that sign).  A variable that has just entered does not leave
+    at once, nor one that has just left re-enter at once on its old side.
+    No column in the span of the active ones (to _DEP_TOL, as in the subset
+    plan), or any once n are active, enters.  Rows not done in
+    _MAX_LINE_STEPS steps keep zero signs where they did not reach."""
+    (n, p), L = X.shape, XtY.shape[0]
+    Gz = np.eye(p + min(n, p))
+    Gz[:p, :p] = G
+    lam = np.abs(XtY).max(axis=1, initial=0.0)
+    nxt = np.searchsorted(-grid, -lam, side="right")  # the next grid value to record
+    z = np.zeros((L, p), dtype=np.int8)
+    bar = np.zeros(L, dtype=np.intp)  # kind * p + j of the event the last knot rules out
+    sig = np.array([1.0, -1.0])[:, None, None]
+    live = np.flatnonzero(nxt < grid.size)
+    for _ in range(_MAX_LINE_STEPS):
+        if not live.size:
+            return
+        rc, zl = np.arange(live.size)[:, None], z[live]
+        A = zl != 0
+        m = int(A.sum(axis=1).max())
+        idx = np.argsort(~A, axis=1, kind="stable")[:, :m]
+        pad = ~A[rc, idx]
+        gidx = np.where(pad, p + np.arange(m), idx)
+        Gi = np.linalg.inv(Gz[gidx[:, :, None], gidx[:, None, :]])
+        zA = zl[rc, idx]
+        rhs = np.where(pad, 0.0, XtY[live[:, None], idx] - lam[live, None] * zA)
+        bw = np.zeros((live.size, p, 2))
+        bw[rc, idx] = Gi @ np.stack([rhs, zA], axis=2)
+        beta, w = bw.transpose(2, 0, 1)
+        Gb, a = (bw.transpose(2, 0, 1).reshape(-1, p) @ G).reshape(2, -1, p)
+        # u[kind, row, j]: how far lam falls before j leaves (kind 0) or
+        # enters with sign +1 (kind 1) or -1 (kind 2)
+        den, u = 1.0 - sig * a, np.full((3, live.size, p), np.inf)
+        np.divide(-beta, w, out=u[0], where=A & (zl * w < 0))
+        np.divide(lam[live, None] - sig * (XtY[live] - Gb), den, out=u[1:], where=(den > 0) & ~A)
+        u = np.maximum(u, 0.0).transpose(1, 0, 2).reshape(live.size, 3 * p)
+        u[rc[:, 0], bar[live]] = np.inf
+        while True:
+            e = np.argmin(u, axis=1)
+            kind, j = np.divmod(e, p)
+            t = np.flatnonzero((kind > 0) & (u.min(axis=1) < np.inf))
+            # entries the Schur complement of G_jj does not clear are projected
+            g, gjj = np.where(pad[t], 0.0, G[idx[t], j[t, None]]), G[j[t], j[t]]
+            full = A[t].sum(axis=1) >= n
+            near = full | (gjj - np.einsum("ti,tij,tj->t", g, Gi[t], g) <= 1e-4 * gjj)
+            t, full = t[near], full[near]
+            if t.size:
+                XA = np.where(pad[t, None, :], 0.0, X[:, idx[t]].transpose(1, 0, 2))
+                x = X[:, j[t]].T
+                res = x - (XA @ (_pinv_rank(XA)[0] @ x[:, :, None]))[..., 0]
+                t = t[full | (np.linalg.norm(res, axis=1) <= _DEP_TOL * np.linalg.norm(x, axis=1))]
+            if not t.size:
+                break
+            u[t, p + j[t]] = u[t, 2 * p + j[t]] = np.inf
+        new = lam[live] - u.min(axis=1)
+        stop = np.searchsorted(-grid, -new, side="right")
+        for k in range(int(nxt[live].min()), int(stop.max())):
+            rec = (nxt[live] <= k) & (k < stop)
+            signs[k, live[rec]] = zl[rec]
+        nxt[live] = stop
+        go = stop < grid.size
+        live, kind, j = live[go], kind[go], j[go]
+        lam[live] = new[go]
+        bar[live] = np.where(kind > 0, j, (1 + (z[live, j] < 0)) * p + j)
+        z[live, j] = np.array([0, 1, -1], dtype=np.int8)[kind]
+
+
+def _lasso_path(X: np.ndarray, Y: np.ndarray, lams) -> list[BatchFit]:
+    """The lasso at every lambda of lams (any order, repeats allowed) for
+    each row of Y: the exact lasso on the support and signs of the row's
+    walk, all supports from one table lookup, solved again without any
+    coefficient that comes out zero or of the other sign (a knot, to
+    rounding).  KKT gate 1e-8 * max(1, |X'Y|_max, lam); lam = 0 gives pinv(X) y."""
+    R, p = Y.shape[0], X.shape[1]
+    grid = np.array(sorted({lam for lam in lams if lam > 0}, reverse=True))
+    XtY = Y @ X
+    scale = max(1.0, float(np.abs(XtY).max(initial=0.0)))
+    signs = np.zeros((grid.size, R, p), dtype=np.int8)
+    step = max(1, _WALK_FLOATS // min(X.shape) ** 2)
+    for r0 in range(0, R if grid.size else 0, step):
+        _lasso_walk(X, X.T @ X, XtY[r0:r0 + step], grid, signs[:, r0:r0 + step])
+    B, Z = np.zeros((grid.size * R, p)), signs.reshape(-1, p)
+    todo = np.arange(grid.size * R)
+    while todo.size:
+        groups = list(_mask_groups(Z[todo] != 0))
+        B[todo] = 0.0
+        for (rows, S), (pinv, rank) in zip(groups, _design_cache(X).factors_many(
+                [S for _, S in groups])):
+            rows = todo[rows]
+            if rank < S.size:
+                B[rows] = np.nan  # fails the KKT check
+            elif S.size:
+                B[rows[:, None], S] = _lasso_on_support(pinv, Y[rows % R], Z[rows[:, None], S],
+                                                        grid[rows // R, None])[1]
+        flip = (Z != 0) & np.where(Z > 0, B <= 0, B >= 0)
+        Z[flip] = 0
+        todo = np.flatnonzero(flip.any(axis=1))
+        del groups, flip  # the fits below are the peak of memory
+    B = B.reshape(grid.size, R, p)
+    del XtY, signs, Z
+    fits = {}
+    for lam in dict.fromkeys(lams):
+        beta = B[np.searchsorted(-grid, -lam)] if lam else Y @ np.linalg.pinv(X).T
+        fitted = beta @ X.T
+        E = Y - fitted
+        V = np.abs(E @ X - lam * np.sign(beta))
+        V[beta == 0] -= lam  # |c_j - lam z_j| on the support, |c_j| - lam off it
+        res, gate = V.max(axis=1), 1e-8 * max(scale, lam)
+        bad = np.flatnonzero(~(res <= gate)) if lam else ()
+        if len(bad):
+            diag = {"replication": int(bad[0]), "kkt_residual": float(res[bad].max()),
+                    "grid_index": lams.index(lam), "lam": float(lam)}
+            raise NumericalError(
+                f"grid index {diag['grid_index']} (lambda={lam:g}): lasso stationarity check "
+                f"failed for replication {bad[0]}: KKT residual {diag['kkt_residual']:.3e} > "
+                f"{gate:.3e}", diagnostic=diag)
+        objective = 0.5 * np.sum(E ** 2, axis=1) + lam * np.sum(np.abs(beta), axis=1)
+        fits[lam] = BatchFit(beta=beta, fitted=fitted, active=beta != 0, objective=objective)
+    return [fits[lam] for lam in lams]
 
 
 def _batch_lasso(X: np.ndarray, Y: np.ndarray, lam: float) -> BatchFit:
-    """Coordinate descent finds each row's support and signs; the exact
-    lasso on them finishes the fit.  CD stops early on a row once that
-    exact solve is certified at a KKT residual of 1e-12 * scale, far below
-    the 1e-8 * scale gate: a support one knot away can pass the gate (its
-    residual is the distance to the knot) but not this test."""
-    R, p = Y.shape[0], X.shape[1]
-    if lam == 0.0:
-        # exact unpenalized limit: minimum-norm least squares
-        B = Y @ np.linalg.pinv(X).T
-    else:
-        cache = _design_cache(X)
-        G = X.T @ X
-        XtY = Y @ X
-        diag = np.diag(G).copy()
-        scale = max(1.0, float(np.abs(XtY).max()), lam)
-        B = np.zeros((R, p))
-        # the signs of each row's last failed exact solve; NaN before any
-        tried = np.full((R, p), np.nan)
-        rows, done, check = np.arange(R), 0, _CD_FIRST_CHECK
-        while rows.size and done < _CD_MAX_SWEEPS:
-            stop = min(check, _CD_MAX_SWEEPS)
-            left = _cd_sweeps(X, Y, lam, B, rows, G, XtY, diag, _CD_TOL, stop - done)
-            # every row CD has converged and, at a checkpoint below the
-            # budget, every running row whose support or signs moved
-            trial = ~np.isin(rows, left, assume_unique=True)
-            if stop < _CD_MAX_SWEEPS:
-                trial |= np.any(np.sign(B[rows]) != tried[rows], axis=1)
-            trial = rows[trial]
-            ok = _certify_on_support(cache, Y, lam, B, trial, 1e-12 * scale)
-            tried[trial[~ok]] = np.sign(B[trial[~ok]])
-            rows = left[~np.isin(left, trial[ok], assume_unique=True)]
-            done, check = stop, 2 * check
-        if rows.size:
-            res = _kkt_row_residuals(X, Y[rows], lam, B[rows])
-            raise NumericalError(
-                f"lasso coordinate descent did not converge for replication "
-                f"{int(rows[0])}; final KKT residual {res.max():.3e}",
-                diagnostic={"replication": int(rows[0]), "kkt_residual": float(res.max())},
-            )
-        # verify stationarity; polish stragglers before giving up
-        gate = 1e-8 * scale
-        bad = np.flatnonzero(~(_kkt_row_residuals(X, Y, lam, B) <= gate))
-        for extra_tol in (_CD_TOL / 100, _CD_TOL / 1000):
-            if bad.size == 0:
-                break
-            Bb = B[bad].copy()
-            _cd_sweeps(
-                X, Y[bad], lam, Bb, np.arange(bad.size), G, XtY[bad], diag,
-                extra_tol, _CD_MAX_SWEEPS,
-            )
-            B[bad] = Bb
-            bad = bad[~(_kkt_row_residuals(X, Y[bad], lam, B[bad]) <= gate)]
-        if bad.size:
-            res = _kkt_row_residuals(X, Y[bad], lam, B[bad])
-            raise NumericalError(
-                f"lasso stationarity check failed for replication {int(bad[0])}: "
-                f"KKT residual {res.max():.3e} > {gate:.3e}",
-                diagnostic={"replication": int(bad[0]), "kkt_residual": float(res.max())},
-            )
-    fitted = B @ X.T
-    objective = 0.5 * np.sum((Y - fitted) ** 2, axis=1) + lam * np.sum(np.abs(B), axis=1)
-    return BatchFit(beta=B, fitted=fitted, active=B != 0, objective=objective)
+    return _lasso_path(X, Y, (lam,))[0]
 
 
 def lasso_solve(X: DesignMatrix, y: np.ndarray, lam: float) -> FitOutput:
     """Minimize (1/2)||y - X beta||^2 + lam * ||beta||_1.
 
-    Cyclic coordinate descent finds the support and signs.  At sweeps 8,
-    16, 32, ... and once it has converged (no coefficient moving by more
-    than 1e-10 in a sweep), the exact lasso on that support and those signs
-    replaces it when the support's columns are linearly independent, the
-    signs hold and the KKT residual is at most 1e-12 * scale, where scale
-    is max(1, |X'y|_max, lam).  Otherwise the descent goes on, and its
-    own coefficients stand once it has converged.  The result is
-    verified against the stationarity conditions (1e-8 * scale).  Raises
-    NumericalError (with the final KKT residual) if descent runs out of
-    sweeps or the check fails.
+    The exact piecewise-linear path in lambda (LARS with the lasso
+    modification) is walked down from |X'y|_inf to lam; the exact lasso on
+    the support and signs it reaches, checked against the stationarity
+    conditions at 1e-8 * max(1, |X'y|_max, lam) (else NumericalError), is
+    the result.  lam = 0 gives minimum-norm least squares.
     """
     return FitProcedure("lasso", lam, X).fit(y)
 
@@ -533,18 +523,16 @@ def _build_subset_plan(X: np.ndarray) -> _SubsetPlan:
 
 
 def _pinv_rank(A: np.ndarray):
-    """(pinv(A), rank(A)) from one SVD.  The pinv is np.linalg.pinv's own
-    computation (1e-15 relative cutoff), bit for bit; the rank uses
-    np.linalg.matrix_rank's tolerance, max(shape) * eps * s_max."""
-    if A.shape[1] == 0:
-        return np.zeros((0, A.shape[0])), 0
+    """(pinv, rank) of each matrix of a stack A (..., n, k) from one stacked
+    SVD: np.linalg.pinv's own computation (1e-15 relative cutoff), bit for
+    bit, and np.linalg.matrix_rank's tolerance, max(n, k) * eps * s_max."""
     u, s, vt = np.linalg.svd(A, full_matrices=False)
-    s_max = np.max(s)
-    rank = int(np.count_nonzero(s > s_max * (max(A.shape) * np.finfo(float).eps)))
+    s_max = np.max(s, axis=-1, keepdims=True, initial=0.0)  # s >= 0; 0 only when k = 0
+    rank = np.count_nonzero(s > s_max * (max(A.shape[-2:]) * np.finfo(float).eps), axis=-1)
     large = s > 1e-15 * s_max
     s = np.divide(1, s, where=large, out=s)
     s[~large] = 0
-    return vt.T @ (s[:, None] * u.T), rank
+    return np.matmul(np.swapaxes(vt, -1, -2), s[..., None] * np.swapaxes(u, -1, -2)), rank
 
 
 class _DesignCache:
@@ -569,15 +557,30 @@ class _DesignCache:
         return plan
 
     def factors(self, S: np.ndarray):
-        key = S.astype(np.intp, copy=False).tobytes()
-        hit = self._table.get(key)
-        if hit is None:
-            hit = _pinv_rank(self.X[:, S])
-            if self._nbytes > _SUPPORT_TABLE_BYTES:
-                self._table, self._nbytes = {}, 0
-            self._table[key] = hit
-            self._nbytes += hit[0].nbytes
-        return hit
+        return self.factors_many([S])[0]
+
+    def factors_many(self, supports) -> list:
+        """(pinv, rank) of X[:, S] for every S of supports, in order.  The
+        misses are filled by stacked SVDs, per cardinality and at most
+        _WALK_FLOATS floats each, and entered one at a time as factors
+        enters them, so a fill past the budget starts the table over."""
+        keys = [S.astype(np.intp, copy=False).tobytes() for S in supports]
+        hits = [self._table.get(key) for key in keys]
+        miss, found = {}, {}
+        for key, S, hit in zip(keys, supports, hits):
+            if hit is None:
+                miss.setdefault(len(S), {})[key] = S
+        for k, by_key in miss.items():
+            cols = np.array(list(by_key.values()), dtype=np.intp).reshape(len(by_key), k)
+            step = max(1, _WALK_FLOATS // (self.X.shape[0] * max(k, 1)))
+            for c in range(0, len(cols), step):
+                pinvs, ranks = _pinv_rank(np.moveaxis(self.X[:, cols[c:c + step]], 0, 1))
+                for key, pinv, rank in zip(list(by_key)[c:c + step], pinvs, ranks.tolist()):
+                    if self._nbytes > _SUPPORT_TABLE_BYTES:
+                        self._table, self._nbytes = {}, 0
+                    self._table[key] = found[key] = (pinv.copy(), rank)
+                    self._nbytes += pinv.nbytes
+        return [hit or found[key] for hit, key in zip(hits, keys)]
 
 
 # The most recent design's cache, as one (key, _DesignCache) pair: a caller
@@ -750,25 +753,21 @@ def fit_path(kind: str, design: DesignMatrix, Y: np.ndarray, lam_grid, support=N
     """Fit one procedure across a whole lambda grid with shared work.
 
     Best subset scores every support once per block of responses and picks
-    each lambda's winners from that one table; other kinds simply loop, and
-    a NumericalError names the grid index and lambda it failed at.
-    Returns one BatchFit per grid value, in order.
+    each lambda's winners from that one table.  The lasso and the relaxed
+    lasso walk each response's lasso path once, through every grid value
+    (a NumericalError names the grid index and lambda it failed at).  Other
+    kinds loop.  Returns one BatchFit per grid value, in order.
     """
-    Y = _responses(Y, design.n)
+    Y, X = _responses(Y, design.n), design.values
     procs = [FitProcedure(kind=kind, lam=float(lam), design=design, support=support)
              for lam in lam_grid]
-    if procs and kind == "best-subset":
-        return _batch_best_subset_grid(design.values, Y, [proc.lam for proc in procs])
-    fits = []
-    for li, (lam, proc) in enumerate(zip(lam_grid, procs)):
-        try:
-            fits.append(proc.fit_many(Y))
-        except NumericalError as err:
-            raise NumericalError(
-                f"grid index {li} (lambda={lam:g}): {err}",
-                diagnostic={**(err.diagnostic or {}), "grid_index": li, "lam": float(lam)},
-            ) from err
-    return fits
+    lams = [proc.lam for proc in procs]
+    if lams and kind == "best-subset":
+        return _batch_best_subset_grid(X, Y, lams)
+    if lams and kind in ("lasso", "relaxed-lasso"):
+        path = _lasso_path(X, Y, lams)
+        return path if kind == "lasso" else [_batch_refit(X, Y, fit.active) for fit in path]
+    return [proc.fit_many(Y) for proc in procs]
 
 
 # ---------------------------------------------------------------------------
@@ -779,9 +778,9 @@ def fit_path(kind: str, design: DesignMatrix, Y: np.ndarray, lam_grid, support=N
 # or a lasso knot, so only a degenerate line comes near this.
 _MAX_LINE_STEPS = 10_000
 
-# Floats in one table of the best-subset envelope walk (all supports against
-# _WALK_FLOATS // 2^p lines, at least one); a step holds about twenty such
-# tables, 1 MB each.
+# Floats in one working table, 1 MB: the best-subset envelope walk's (all
+# supports against _WALK_FLOATS // 2^p lines; a step holds about twenty), a
+# lasso walk block's Gram inverses, and one stacked support-table SVD's input.
 _WALK_FLOATS = 1 << 17
 
 
@@ -902,16 +901,16 @@ def _relaxed_line_jumps(proc: FitProcedure, Y0, coord, lo, hi):
     """Relaxed-lasso jumps along every line, by the lasso homotopy in the
     response.
 
-    One batch of coordinate descent fits the lasso at the lower end of
-    every line; on its active set A with signs z the coefficients are
-    then exact, beta_A = G_AA^-1 (X_A'y - lam z), and the KKT conditions
-    are checked.  Along the line beta_A moves with d beta_A / ds =
-    pinv(X_A) e_i and the correlations c = X'(y - X_A beta_A) with
-    X[i, :] - G[:, A] d beta_A.  The next knot is where some beta_j,
-    j in A, reaches 0 (j leaves) or some |c_j|, j not in A, reaches lam
-    (j enters with the sign of c_j).  At each knot fitted[i] jumps from
-    (P_A y)_i to (P_A' y)_i, both projections from the design's support
-    table.  Returns (line, location, left, right) of every knot."""
+    The lasso walk in lambda fits the lasso at the lower end of every line,
+    exact on its active set A with signs z, beta_A = G_AA^-1 (X_A'y - lam
+    z), and its KKT conditions are checked.  Along the line beta_A moves
+    with d beta_A / ds = pinv(X_A) e_i and the correlations
+    c = X'(y - X_A beta_A) with X[i, :] - G[:, A] d beta_A.  The next knot
+    is where some beta_j, j in A, reaches 0 (j leaves) or some |c_j|, j not
+    in A, reaches lam (j enters with the sign of c_j).  At each knot
+    fitted[i] jumps from (P_A y)_i to (P_A' y)_i, both projections from the
+    design's support table.  Returns (line, location, left, right) of every
+    knot."""
     lam, X = proc.lam, proc.design.values
     cache = _design_cache(X)
     m, n = Y0.shape

@@ -333,14 +333,15 @@ class TestSimulateSharing:
         from dfsearch import fitters, montecarlo
 
         draws = self._count(monkeypatch, montecarlo, "draw_responses")
-        lassos = self._count(monkeypatch, fitters, "_batch_lasso")
+        paths = self._count(monkeypatch, fitters, "_lasso_path")
         refits = self._count(monkeypatch, fitters, "refit_on_active_sets")
         refits += self._count(monkeypatch, montecarlo, "refit_on_active_sets")
         grid_calls = self._count(monkeypatch, cli, "run_grid")
         cfg = _write(tmp_path / "c.txt", "procedures=lasso,relaxed-lasso,ridge\n" + self._TEXT)
         assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert len(grid_calls) == len(draws) == 1
-        assert [args[2] for args in lassos] == [0.05, 0.3, 1.0]
+        # one lasso path walk serves the whole grid
+        assert [list(args[2]) for args in paths] == [[0.05, 0.3, 1.0]]
         # the relaxed fit (the lasso's sdf refit too) and the ridge sdf refit;
         # a relaxed sdf refit only where a refit coefficient is exactly zero
         assert len(refits) <= 2 * 3
@@ -349,23 +350,20 @@ class TestSimulateSharing:
     def test_lasso_failure_names_its_grid_index(self, tmp_path, monkeypatch, capsys, procedures):
         from dfsearch import fitters, montecarlo
 
-        real = fitters._batch_lasso
+        walk = fitters._lasso_walk
 
-        def one_sweep_at_0_3(X, Y, lam):
-            sweeps = fitters._CD_MAX_SWEEPS
-            fitters._CD_MAX_SWEEPS = 1 if lam == 0.3 else sweeps
-            try:
-                return real(X, Y, lam)
-            finally:
-                fitters._CD_MAX_SWEEPS = sweeps
+        def short_at_0_3(X, G, XtY, grid, signs):
+            # a walk that stops short of lambda = 0.3 leaves all-zero signs there
+            walk(X, G, XtY, grid, signs)
+            signs[grid == 0.3] = 0
 
-        monkeypatch.setattr(fitters, "_batch_lasso", one_sweep_at_0_3)
+        monkeypatch.setattr(fitters, "_lasso_walk", short_at_0_3)
         grid_calls = self._count(monkeypatch, cli, "run_grid")
         cfg = _write(tmp_path / "c.txt", f"procedures={procedures}\n" + self._TEXT)
         out = tmp_path / "o"
         assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 4
         err = capsys.readouterr().err
-        assert "grid index 1 (lambda=0.3): lasso coordinate descent did not converge" in err
+        assert "grid index 1 (lambda=0.3): lasso stationarity check failed" in err
         assert not out.exists()
         assert len(grid_calls) == 1
         with pytest.raises(NumericalError, match=r"grid index 1 \(lambda=0\.3\)") as info:
@@ -373,6 +371,19 @@ class TestSimulateSharing:
         diag = info.value.diagnostic
         assert set(diag) == {"replication", "kkt_residual", "grid_index", "lam"}
         assert (diag["grid_index"], diag["lam"]) == (1, 0.3)
+
+
+class TestLassoBelowFullRank:
+    def test_n_below_p_grid_exits_0(self, tmp_path):
+        # at the smallest lambdas the lasso's active sets reach n = 8
+        # columns; every grid value must still be fit exactly
+        cfg = _write(tmp_path / "c.txt", "procedures=lasso\nn=8\np=12\nblock_sizes=6,6\n"
+                                         "support=0,6\nreps=300\n")
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        _, _, rows = _read_csv(out / "simulate.csv")
+        assert len(rows) == 10
+        assert all(0.0 <= float(row[2]) <= 8.0 for row in rows)
 
 
 def _run_python(code):

@@ -26,7 +26,14 @@ from dfsearch.fitters import (
     ridge_fit,
     soft_threshold,
 )
-from dfsearch.model import DesignMatrix, RngSpec, gen_block_design, gen_orthogonal_design
+from dfsearch.model import (
+    DesignMatrix,
+    RngSpec,
+    SignalSpec,
+    gen_block_design,
+    gen_orthogonal_design,
+)
+from dfsearch.montecarlo import draw_responses
 
 
 def _random_design(n, p, seed):
@@ -226,6 +233,59 @@ class TestLassoExactFinish:
         gate = 1e-8 * max(1.0, float(np.abs(Y @ X).max()), lam)
         for r in range(Y.shape[0]):
             assert lasso_kkt_residual(d, Y[r], lam, out.beta[r]) <= gate
+
+
+class TestLassoPath:
+    def test_n_below_p_path_is_exact(self):
+        # the simulate config procedures=lasso n=8 p=12 block_sizes=6,6
+        # support=0,6 reps=300: at the smallest lambdas the active sets
+        # reach n columns, and a support of more than n columns has rank n
+        d = gen_block_design(8, 12, [6, 6], 0.6, 0.9, RngSpec(seed=7, stream_id=0))
+        beta = np.zeros(12)
+        beta[[0, 6]] = 1.0
+        signal = SignalSpec.from_coefficients(d, beta, 1.0)
+        Y = draw_responses(signal, 300, 0)
+        lam_max = float(np.abs(d.values.T @ signal.mu).max())
+        grid = np.geomspace(0.01 * lam_max, lam_max, 10)
+        for lam, fit in zip(grid, fit_path("lasso", d, Y, grid)):
+            scale = max(1.0, float(np.abs(Y @ d.values).max()), lam)
+            worst = max(lasso_kkt_residual(d, y, lam, b) for y, b in zip(Y, fit.beta))
+            assert worst <= 1e-12 * scale
+            assert fit.active.sum(axis=1).max() <= 8
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from([(12, 6), (20, 5), (10, 4), (6, 8), (5, 9)]),
+        duplicate=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        fractions=st.lists(st.sampled_from([0.0, 0.01, 0.05, 0.2, 0.5, 1.0, 1.5]),
+                           min_size=1, max_size=6),
+    )
+    def test_path_matches_one_fit_per_value(self, shape, duplicate, seed, fractions):
+        # an unsorted grid with repeats, zero and values at or above the
+        # largest lam_max of the rows, which fit all zeros
+        n, p = shape
+        X = gen_block_design(n, p, [p // 2, p - p // 2], 0.4, 0.9, RngSpec(seed, 0)).values.copy()
+        if duplicate:
+            X[:, p - 1] = X[:, 0]
+        d = DesignMatrix(X)
+        Y = 2.0 * np.random.default_rng(seed).standard_normal((25, n))
+        lam_max = float(np.abs(Y @ X).max())
+        grid = [f * lam_max for f in fractions]
+        for lam, fit in zip(grid, fit_path("lasso", d, Y, grid)):
+            one = FitProcedure("lasso", lam, d).fit_many(Y)
+            if duplicate:
+                # a copy of an active column may stand in for it, so only
+                # the fitted values are unique; rounding picks the copy
+                npt.assert_allclose(fit.fitted, one.fitted, rtol=0, atol=1e-9)
+            else:
+                npt.assert_array_equal(fit.active, one.active)
+                npt.assert_allclose(fit.beta, one.beta, rtol=0, atol=1e-12)
+            if lam >= lam_max:
+                assert not fit.active.any()
+            for out in (fit, one) if lam > 0 else ():
+                assert max(lasso_kkt_residual(d, y, lam, b) for y, b in zip(Y, out.beta)) <= (
+                    1e-9 * max(1.0, lam_max, lam))
 
 
 def _subset_objectives(X, y, lam):
@@ -754,6 +814,41 @@ class TestSupportTable:
         npt.assert_array_equal(got[1][0], want[1][0])
         npt.assert_array_equal(got[1][1], want[1][1])
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from([(8, 4), (10, 6), (6, 5), (3, 5), (2, 6), (4, 6)]),
+        structure=st.sampled_from(["plain", "duplicate", "collinear"]),
+        seed=st.integers(0, 2**32 - 1),
+        picks=st.lists(st.integers(0, 63), min_size=1, max_size=40),
+    )
+    def test_stacked_fill_equals_one_svd_per_support(self, shape, structure, seed, picks):
+        # many supports per cardinality in one lookup, repeats and the
+        # empty support included; duplicated and collinear columns and
+        # n < p make many of them rank deficient
+        n, p = shape
+        X = _structured_design(n, p, seed, structure)
+        supports = [np.flatnonzero([(b >> j) & 1 for j in range(p)]) for b in picks]
+        for S, (P, rank) in zip(supports, fitters._DesignCache(X).factors_many(supports)):
+            want, want_rank = fitters._pinv_rank(X[:, S])
+            npt.assert_array_equal(P, want)
+            npt.assert_array_equal(P, np.linalg.pinv(X[:, S]))
+            assert rank == want_rank == np.linalg.matrix_rank(X[:, S])
+
+    def test_fill_larger_than_the_budget(self, monkeypatch):
+        X = _structured_design(10, 6, 5, "duplicate")
+        supports = [np.array(S) for k in range(1, 7) for S in itertools.combinations(range(6), k)]
+        # 63 pinvs of 80 bytes per column, far past 1000 bytes
+        monkeypatch.setattr(fitters, "_SUPPORT_TABLE_BYTES", 1000)
+        cache = fitters._DesignCache(X)
+        for _ in range(2):  # misses, then a table that started over
+            for S, (P, rank) in zip(supports, cache.factors_many(supports)):
+                npt.assert_array_equal(P, np.linalg.pinv(X[:, S]))
+                assert rank == np.linalg.matrix_rank(X[:, S])
+            sizes = [P.nbytes for P, _ in cache._table.values()]
+            assert 0 < len(sizes) < len(supports)
+            assert cache._nbytes == sum(sizes)
+            assert cache._nbytes - sizes[-1] <= 1000
+
     def test_ranks_follow_the_active_sets(self):
         X = _structured_design(8, 5, 3, "duplicate")  # column 4 copies column 0
         masks = np.array([[1, 0, 0, 0, 1], [1, 1, 0, 0, 0], [0] * 5, [1, 0, 0, 0, 1]], dtype=bool)
@@ -762,11 +857,19 @@ class TestSupportTable:
 
 class TestGridIndexErrors:
     def test_fit_path_names_the_failing_value_and_keeps_the_diagnostic(self, monkeypatch):
+        # a walk that stops short of lambda = 0.3 leaves all-zero signs
+        # there, which the KKT gate rejects
         d = _random_design(12, 6, 40)
         Y = np.random.default_rng(41).standard_normal((3, 12))
-        monkeypatch.setattr(fitters, "_CD_MAX_SWEEPS", 1)
-        with pytest.raises(NumericalError, match="grid index 0") as info:
-            fit_path("lasso", d, Y, [0.05, 0.5])
+        walk = fitters._lasso_walk
+
+        def short_at_0_3(X, G, XtY, grid, signs):
+            walk(X, G, XtY, grid, signs)
+            signs[grid == 0.3] = 0
+
+        monkeypatch.setattr(fitters, "_lasso_walk", short_at_0_3)
+        with pytest.raises(NumericalError, match=r"grid index 1 \(lambda=0\.3\)") as info:
+            fit_path("lasso", d, Y, [0.05, 0.3, 1.0])
         diag = info.value.diagnostic
-        assert diag["grid_index"] == 0 and diag["lam"] == 0.05
+        assert diag["grid_index"] == 1 and diag["lam"] == 0.3
         assert {"replication", "kkt_residual"} <= set(diag)
