@@ -68,6 +68,23 @@ def _write_text(path: str, text: str):
         fh.write(text)
 
 
+def _write_outputs(out_dir: str, tables, sidecar: str, plots=()) -> list:
+    """Write the CSV tables (name, schema, header, rows), then
+    resolved-config.txt holding sidecar, then the (name, text) plots into
+    out_dir.  Returns the paths in that order."""
+    os.makedirs(out_dir, exist_ok=True)
+    paths = []
+    for name, schema, header, rows in tables:
+        paths.append(os.path.join(out_dir, name))
+        _write_csv(paths[-1], schema, header, rows)
+    paths.append(os.path.join(out_dir, "resolved-config.txt"))
+    _write_text(paths[-1], sidecar)
+    for name, text in plots:
+        paths.append(os.path.join(out_dir, name))
+        _write_text(paths[-1], text)
+    return paths
+
+
 def _parse_procedures(allowed):
     inner = parse_choice(*allowed)
 
@@ -173,28 +190,14 @@ def cmd_curves(config: dict, out_dir: str, svg: bool = False) -> list:
             xlabel="expected active-set size", ylabel="sdf",
         )
 
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
-
-    def emit(name, schema, hdr, rows):
-        path = os.path.join(out_dir, name)
-        _write_csv(path, schema, hdr, rows)
-        paths.append(path)
-
-    emit("curves-subset.csv", "curves-v1", header, subset_rows)
-    emit("curves-lasso.csv", "curves-v1", header, lasso_rows)
-    emit(
-        "curves-by-active.csv", "curves-by-active-v1",
-        ("expected_active", "t", "lambda_subset", "lambda_lasso", "df", "sdf"),
-        by_active_rows,
-    )
-    sidecar = os.path.join(out_dir, "resolved-config.txt")
-    _write_text(sidecar, format_resolved(resolved, _CURVES_OPTIONS, "curves"))
-    paths.append(sidecar)
-    for name, text in plots.items():
-        paths.append(os.path.join(out_dir, name))
-        _write_text(paths[-1], text)
-    return paths
+    tables = [
+        ("curves-subset.csv", "curves-v1", header, subset_rows),
+        ("curves-lasso.csv", "curves-v1", header, lasso_rows),
+        ("curves-by-active.csv", "curves-by-active-v1",
+         ("expected_active", "t", "lambda_subset", "lambda_lasso", "df", "sdf"), by_active_rows),
+    ]
+    return _write_outputs(out_dir, tables, format_resolved(resolved, _CURVES_OPTIONS, "curves"),
+                          plots.items())
 
 
 # ---------------------------------------------------------------------------
@@ -298,16 +301,8 @@ def cmd_simulate(config: dict, out_dir: str, svg: bool = False) -> list:
             diagonal=True,
         )
 
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "simulate.csv")
-    _write_csv(csv_path, "simulate-v1", header, rows)
-    sidecar = os.path.join(out_dir, "resolved-config.txt")
-    _write_text(sidecar, format_resolved(resolved, _SIM_OPTIONS, "simulate"))
-    paths = [csv_path, sidecar]
-    for name, text in plots.items():
-        paths.append(os.path.join(out_dir, name))
-        _write_text(paths[-1], text)
-    return paths
+    return _write_outputs(out_dir, [("simulate.csv", "simulate-v1", header, rows)],
+                          format_resolved(resolved, _SIM_OPTIONS, "simulate"), plots.items())
 
 
 # ---------------------------------------------------------------------------
@@ -419,17 +414,7 @@ def cmd_stein_check(config: dict, out_dir: str) -> list:
             rows,
         ))
 
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    for name, schema, header, rows in tables:
-        path = os.path.join(out_dir, name)
-        _write_csv(path, schema, header, rows)
-        paths.append(path)
-
-    sidecar = os.path.join(out_dir, "resolved-config.txt")
-    _write_text(sidecar, format_resolved(resolved, _STEIN_OPTIONS, "stein-check"))
-    paths.append(sidecar)
-    return paths
+    return _write_outputs(out_dir, tables, format_resolved(resolved, _STEIN_OPTIONS, "stein-check"))
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,12 @@ against the same design at once.  Each single-response function is one
 `FitProcedure(...).fit(y)` call, so `FitProcedure` is the one place a fit
 request (kind, lambda, support, responses) is validated.  The Monte Carlo
 estimators lean on the batched path; a plain Python loop over 10^4
-replications would dominate the runtime budget otherwise.  The lasso walks
-each response's exact path in lambda once for a whole grid, and solves
-exactly on the supports it finds.  The jumps of the discontinuous kinds
-along coordinate lines of the response, which the Stein boundary term
-needs, are worked out here too, in closed form from the same plan, support
-table and lasso homotopy.
+replications would dominate the runtime budget otherwise.  One homotopy
+kernel moves the lasso knot to knot: down each response's path in lambda
+(once for a whole grid; the exact solve on the supports it finds is the
+fit), and along coordinate lines of the response, where the relaxed lasso
+jumps at its knots, for the Stein boundary term.  Best subset's and hard
+thresholding's jumps along those lines are worked out in closed form.
 """
 
 from __future__ import annotations
@@ -234,85 +234,118 @@ def lasso_kkt_residual(X: DesignMatrix, y: np.ndarray, lam: float, beta: np.ndar
 
 
 def _lasso_on_support(pinv, Y, Z, lam):
-    """(pinv(X_A) y, beta_A) per row of Y, for the lasso on support A with
-    signs Z (rows of +-1) where X_A has full column rank: the KKT equations
-    give beta_A = pinv(X_A) y - lam pinv(X_A) pinv(X_A)' z_A."""
-    ls = Y @ pinv.T
-    return ls, ls - lam * (Z @ (pinv @ pinv.T))
+    """beta_A per row of Y, for the lasso on support A with signs Z (rows of
+    +-1) where X_A has full column rank: the KKT equations give
+    beta_A = pinv(X_A) y - lam pinv(X_A) pinv(X_A)' z_A."""
+    return Y @ pinv.T - lam * (Z @ (pinv @ pinv.T))
+
+
+def _homotopy(X, G, b, lam, z, db, dlam, live, visit):
+    """Move the lasso state of the rows live, b = X'y, lam and the signs z
+    (int8, 0 off the active set A), in place along the direction (db, dlam),
+    knot to knot, in blocks of _WALK_FLOATS // min(n, p)^2 rows.  On A,
+    beta_A = G_AA^-1 (b_A - lam z_A) moves by w = G_AA^-1 (db_A - dlam z_A)
+    per unit step (G_AA padded with an identity block to the largest live
+    |A|), and c = b - G beta by dc = db - G w.  At a knot some beta_j, j in
+    A, reaches 0 (j leaves, at u = -beta_j / w_j where z_j w_j < 0) or some
+    c_j, j not in A, reaches sigma lam (j enters with sign sigma, at
+    u = (lam - sigma c_j) / (sigma dc_j - dlam) where that denominator is
+    > 0).  A variable that has just entered does not leave at once, nor one
+    that has just left re-enter at once on its old side.  No column in the
+    span of the active ones (to _DEP_TOL, as in the subset plan), or any
+    once n are active, enters.
+
+    Each step calls visit(live, u, kind, j, zl, beta, c): the live rows,
+    how far each is from its next knot (inf if none), that knot's event
+    (kind 0: j leaves; 1 or 2: j enters with sign +1 or -1), the signs zl up
+    to it, and beta and c where the step starts.  visit returns which rows
+    go through their knot.  Returns the rows still going after
+    _MAX_LINE_STEPS steps."""
+    n, p = X.shape
+    Gz = np.eye(p + min(n, p))
+    Gz[:p, :p] = G
+    bar = np.full(b.shape[0], 3 * p)  # kind * p + j of the event the last knot rules out
+    sig = np.array([1.0, -1.0])[:, None]
+    block = max(1, _WALK_FLOATS // min(n, p) ** 2)
+    stuck = []
+    for r0 in range(0, live.size, block):
+        rows = live[r0:r0 + block]
+        for _ in range(_MAX_LINE_STEPS):
+            if not rows.size:
+                break
+            rc, zl = np.arange(rows.size)[:, None], z[rows]
+            A = zl != 0
+            m = int(A.sum(axis=1).max())
+            idx = np.argsort(~A, axis=1, kind="stable")[:, :m]
+            pad = ~A[rc, idx]
+            gidx = np.where(pad, p + np.arange(m), idx)
+            Gi = np.linalg.inv(Gz[gidx[:, :, None], gidx[:, None, :]])
+            zA = zl[rc, idx]
+            rhs = np.where(pad, 0.0, b[rows[:, None], idx] - lam[rows, None] * zA)
+            drhs = np.where(pad, 0.0, db[rows[:, None], idx] - dlam * zA)
+            bw = np.zeros((rows.size, p, 2))
+            bw[rc, idx] = Gi @ np.stack([rhs, drhs], axis=2)
+            beta, w = bw.transpose(2, 0, 1)
+            Gb, Gw = (bw.transpose(2, 0, 1).reshape(-1, p) @ G).reshape(2, -1, p)
+            c, dc = b[rows] - Gb, db[rows] - Gw
+            # u[row, kind, j]: how far the row moves before j leaves (kind 0)
+            # or enters with sign +1 (kind 1) or -1 (kind 2); kind 3 is the
+            # empty bar
+            u = np.full((rows.size, 4, p), np.inf)
+            den = sig * dc[:, None] - dlam
+            np.divide(-beta, w, out=u[:, 0], where=A & (zl * w < 0))
+            np.divide(lam[rows, None, None] - sig * c[:, None], den, out=u[:, 1:3],
+                      where=(den > 0) & ~A[:, None])
+            u = np.maximum(u, 0.0).reshape(rows.size, 4 * p)
+            u[rc[:, 0], bar[rows]] = np.inf
+            while True:
+                e = np.argmin(u, axis=1)
+                kind, j = np.divmod(e, p)
+                t = np.flatnonzero((kind > 0) & (u.min(axis=1) < np.inf))
+                # entries the Schur complement of G_jj does not clear are projected
+                g, gjj = np.where(pad[t], 0.0, G[idx[t], j[t, None]]), G[j[t], j[t]]
+                full = A[t].sum(axis=1) >= n
+                near = full | (gjj - np.einsum("ti,tij,tj->t", g, Gi[t], g) <= 1e-4 * gjj)
+                t, full = t[near], full[near]
+                if t.size:
+                    XA = np.where(pad[t, None, :], 0.0, X[:, idx[t]].transpose(1, 0, 2))
+                    x = X[:, j[t]].T
+                    res = x - (XA @ (_pinv_rank(XA)[0] @ x[:, :, None]))[..., 0]
+                    t = t[full | (np.linalg.norm(res, axis=1) <= _DEP_TOL * np.linalg.norm(x, axis=1))]
+                if not t.size:
+                    break
+                u[t, p + j[t]] = u[t, 2 * p + j[t]] = np.inf
+            step = u.min(axis=1)
+            go = visit(rows, step, kind, j, zl, beta, c)
+            rows, kind, j, step = rows[go], kind[go], j[go], step[go]
+            lam[rows] += step * dlam
+            b[rows] += step[:, None] * db[rows]
+            bar[rows] = np.where(kind > 0, j, (1 + (z[rows, j] < 0)) * p + j)
+            z[rows, j] = np.array([0, 1, -1], dtype=np.int8)[kind]
+        stuck.append(rows)
+    return np.concatenate(stuck) if stuck else live
 
 
 def _lasso_walk(X, G, XtY, grid, signs):
-    """Walk each row's lasso path down from |X'y|_inf, knot to knot, writing
-    its signs at each grid value (positive, descending) a step passes into
-    signs (grid.size, rows, p).  On active set A with signs z, beta_A =
-    G_AA^-1 (X_A'y - lam z_A), G_AA padded with an identity block to the
-    largest live |A|.  A knot is where some beta_j, j in A, reaches 0 (j
-    leaves) or some |c_j| = |X_j'(y - X beta)|, j not in A, reaches lam (j
-    enters with that sign).  A variable that has just entered does not leave
-    at once, nor one that has just left re-enter at once on its old side.
-    No column in the span of the active ones (to _DEP_TOL, as in the subset
-    plan), or any once n are active, enters.  Rows not done in
-    _MAX_LINE_STEPS steps keep zero signs where they did not reach."""
-    (n, p), L = X.shape, XtY.shape[0]
-    Gz = np.eye(p + min(n, p))
-    Gz[:p, :p] = G
+    """Walk each row's lasso path down from |X'y|_inf (the kernel with
+    db = 0, dlam = -1), writing its signs at each grid value (positive,
+    descending) a step passes into signs (grid.size, rows, p).  Rows not
+    done in _MAX_LINE_STEPS steps keep zero signs where they did not
+    reach."""
     lam = np.abs(XtY).max(axis=1, initial=0.0)
     nxt = np.searchsorted(-grid, -lam, side="right")  # the next grid value to record
-    z = np.zeros((L, p), dtype=np.int8)
-    bar = np.zeros(L, dtype=np.intp)  # kind * p + j of the event the last knot rules out
-    sig = np.array([1.0, -1.0])[:, None, None]
-    live = np.flatnonzero(nxt < grid.size)
-    for _ in range(_MAX_LINE_STEPS):
-        if not live.size:
-            return
-        rc, zl = np.arange(live.size)[:, None], z[live]
-        A = zl != 0
-        m = int(A.sum(axis=1).max())
-        idx = np.argsort(~A, axis=1, kind="stable")[:, :m]
-        pad = ~A[rc, idx]
-        gidx = np.where(pad, p + np.arange(m), idx)
-        Gi = np.linalg.inv(Gz[gidx[:, :, None], gidx[:, None, :]])
-        zA = zl[rc, idx]
-        rhs = np.where(pad, 0.0, XtY[live[:, None], idx] - lam[live, None] * zA)
-        bw = np.zeros((live.size, p, 2))
-        bw[rc, idx] = Gi @ np.stack([rhs, zA], axis=2)
-        beta, w = bw.transpose(2, 0, 1)
-        Gb, a = (bw.transpose(2, 0, 1).reshape(-1, p) @ G).reshape(2, -1, p)
-        # u[kind, row, j]: how far lam falls before j leaves (kind 0) or
-        # enters with sign +1 (kind 1) or -1 (kind 2)
-        den, u = 1.0 - sig * a, np.full((3, live.size, p), np.inf)
-        np.divide(-beta, w, out=u[0], where=A & (zl * w < 0))
-        np.divide(lam[live, None] - sig * (XtY[live] - Gb), den, out=u[1:], where=(den > 0) & ~A)
-        u = np.maximum(u, 0.0).transpose(1, 0, 2).reshape(live.size, 3 * p)
-        u[rc[:, 0], bar[live]] = np.inf
-        while True:
-            e = np.argmin(u, axis=1)
-            kind, j = np.divmod(e, p)
-            t = np.flatnonzero((kind > 0) & (u.min(axis=1) < np.inf))
-            # entries the Schur complement of G_jj does not clear are projected
-            g, gjj = np.where(pad[t], 0.0, G[idx[t], j[t, None]]), G[j[t], j[t]]
-            full = A[t].sum(axis=1) >= n
-            near = full | (gjj - np.einsum("ti,tij,tj->t", g, Gi[t], g) <= 1e-4 * gjj)
-            t, full = t[near], full[near]
-            if t.size:
-                XA = np.where(pad[t, None, :], 0.0, X[:, idx[t]].transpose(1, 0, 2))
-                x = X[:, j[t]].T
-                res = x - (XA @ (_pinv_rank(XA)[0] @ x[:, :, None]))[..., 0]
-                t = t[full | (np.linalg.norm(res, axis=1) <= _DEP_TOL * np.linalg.norm(x, axis=1))]
-            if not t.size:
-                break
-            u[t, p + j[t]] = u[t, 2 * p + j[t]] = np.inf
-        new = lam[live] - u.min(axis=1)
+
+    def record(live, u, kind, j, zl, beta, c):
+        new = lam[live] - u
         stop = np.searchsorted(-grid, -new, side="right")
         for k in range(int(nxt[live].min()), int(stop.max())):
             rec = (nxt[live] <= k) & (k < stop)
             signs[k, live[rec]] = zl[rec]
         nxt[live] = stop
-        go = stop < grid.size
-        live, kind, j = live[go], kind[go], j[go]
-        lam[live] = new[go]
-        bar[live] = np.where(kind > 0, j, (1 + (z[live, j] < 0)) * p + j)
-        z[live, j] = np.array([0, 1, -1], dtype=np.int8)[kind]
+        return stop < grid.size
+
+    _homotopy(X, G, XtY, lam, np.zeros(XtY.shape, dtype=np.int8), np.zeros_like(XtY), -1.0,
+              np.flatnonzero(nxt < grid.size), record)
 
 
 def _lasso_path(X: np.ndarray, Y: np.ndarray, lams) -> list[BatchFit]:
@@ -326,9 +359,8 @@ def _lasso_path(X: np.ndarray, Y: np.ndarray, lams) -> list[BatchFit]:
     XtY = Y @ X
     scale = max(1.0, float(np.abs(XtY).max(initial=0.0)))
     signs = np.zeros((grid.size, R, p), dtype=np.int8)
-    step = max(1, _WALK_FLOATS // min(X.shape) ** 2)
-    for r0 in range(0, R if grid.size else 0, step):
-        _lasso_walk(X, X.T @ X, XtY[r0:r0 + step], grid, signs[:, r0:r0 + step])
+    if grid.size:
+        _lasso_walk(X, X.T @ X, XtY, grid, signs)
     B, Z = np.zeros((grid.size * R, p)), signs.reshape(-1, p)
     todo = np.arange(grid.size * R)
     while todo.size:
@@ -341,7 +373,7 @@ def _lasso_path(X: np.ndarray, Y: np.ndarray, lams) -> list[BatchFit]:
                 B[rows] = np.nan  # fails the KKT check
             elif S.size:
                 B[rows[:, None], S] = _lasso_on_support(pinv, Y[rows % R], Z[rows[:, None], S],
-                                                        grid[rows // R, None])[1]
+                                                        grid[rows // R, None])
         flip = (Z != 0) & np.where(Z > 0, B <= 0, B >= 0)
         Z[flip] = 0
         todo = np.flatnonzero(flip.any(axis=1))
@@ -556,14 +588,11 @@ class _DesignCache:
             plan = self._plan = _build_subset_plan(self.X)
         return plan
 
-    def factors(self, S: np.ndarray):
-        return self.factors_many([S])[0]
-
     def factors_many(self, supports) -> list:
         """(pinv, rank) of X[:, S] for every S of supports, in order.  The
         misses are filled by stacked SVDs, per cardinality and at most
-        _WALK_FLOATS floats each, and entered one at a time as factors
-        enters them, so a fill past the budget starts the table over."""
+        _WALK_FLOATS floats each, and entered one at a time, so a fill past
+        the budget starts the table over."""
         keys = [S.astype(np.intp, copy=False).tobytes() for S in supports]
         hits = [self._table.get(key) for key in keys]
         miss, found = {}, {}
@@ -899,22 +928,14 @@ def _hard_line_jumps(X, Y0, coord, lo, hi, t):
 
 def _relaxed_line_jumps(proc: FitProcedure, Y0, coord, lo, hi):
     """Relaxed-lasso jumps along every line, by the lasso homotopy in the
-    response.
-
-    The lasso walk in lambda fits the lasso at the lower end of every line,
-    exact on its active set A with signs z, beta_A = G_AA^-1 (X_A'y - lam
-    z), and its KKT conditions are checked.  Along the line beta_A moves
-    with d beta_A / ds = pinv(X_A) e_i and the correlations
-    c = X'(y - X_A beta_A) with X[i, :] - G[:, A] d beta_A.  The next knot
-    is where some beta_j, j in A, reaches 0 (j leaves) or some |c_j|, j not
-    in A, reaches lam (j enters with the sign of c_j).  At each knot
-    fitted[i] jumps from (P_A y)_i to (P_A' y)_i, both projections from the
-    design's support table.  Returns (line, location, left, right) of every
-    knot."""
+    response: the kernel with db = X[i, :] and dlam = 0, from the lasso at
+    the lower end of the line (the walk in lambda), whose KKT conditions
+    the kernel's own first solve must meet.  At each knot fitted[i] jumps
+    from (P_A y)_i to (P_A' y)_i, A and A' the active sets on either side,
+    both from one support-table lookup after the walk.  Returns (line,
+    location, left, right) of every knot."""
     lam, X = proc.lam, proc.design.values
-    cache = _design_cache(X)
     m, n = Y0.shape
-    G = X.T @ X
     s = lo.astype(float)
     Ys = Y0.copy()
     Ys[np.arange(m), coord] = s
@@ -923,70 +944,49 @@ def _relaxed_line_jumps(proc: FitProcedure, Y0, coord, lo, hi):
     except NumericalError as err:
         raise _line_error(f"lasso at the lower end of the line: {err}",
                           err.diagnostic["replication"], n, err.diagnostic) from err
-    active = start.active.copy()
-    z = np.sign(start.beta)
-    entered = np.full(m, -1)  # the variable that entered at the last knot
-    left = np.empty(m)
-    gate = 1e-8 * max(1.0, float(np.abs(Ys @ X).max()), lam)
-    live = np.arange(m)
-    out = []
-    for step in range(_MAX_LINE_STEPS):
-        r = np.arange(live.size)
-        ci = coord[live]
-        ys = Y0[live]
-        ys[r, ci] = s[live]
-        beta = np.zeros((live.size, X.shape[1]))
-        dbeta = np.zeros_like(beta)
-        fit = np.zeros(live.size)
-        dfit = np.zeros(live.size)
-        for rows, S in _mask_groups(active[live]):
-            if not S.size:
-                continue
-            pinv, rank = cache.factors(S)
-            if rank < S.size:
-                raise _line_error("singular lasso Gram matrix on the active set "
-                                  f"{S.tolist()}", live[rows[0]], n)
-            ls, beta[rows[:, None], S] = _lasso_on_support(pinv, ys[rows],
-                                                           z[live[rows][:, None], S], lam)
-            dls = pinv[:, ci[rows]].T
-            dbeta[rows[:, None], S] = dls
-            xi = X[ci[rows][:, None], S]
-            fit[rows] = np.sum(xi * ls, axis=1)
-            dfit[rows] = np.sum(xi * dls, axis=1)
-        c = (ys - beta @ X.T) @ X
-        dc = X[ci] - dbeta @ G
-        A = active[live]
-        if step:
-            out.append((live, s[live], left[live], fit))
-        else:
-            bad = np.any(A & (np.sign(beta) != z[live]), axis=1)
-            bad |= np.any(~A & ~(np.abs(c) <= lam + gate), axis=1)
-            if np.any(bad):
-                raise _line_error("the lasso at the lower end of the line fails the KKT "
-                                  "check on its own active set", live[np.argmax(bad)], n)
-        # a variable that has just entered starts from exactly 0, so its
-        # rounding cannot fake a knot where it leaves again at once
-        k = np.flatnonzero(entered[live] >= 0)
-        beta[k, entered[live[k]]] = 0.0
-        side = np.sign(dc)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u_out = np.where(A & (beta * dbeta < 0), -beta / dbeta, np.inf)
-            u_in = (side * lam - c) / dc
-        u = np.minimum(u_out, np.where(~A & (u_in > 0), u_in, np.inf))
-        jn = np.argmin(u, axis=1)
-        un = u[r, jn]
-        t = s[live] + un
+    XtY = Ys @ X
+    gate = 1e-8 * max(1.0, float(np.abs(XtY).max()), lam)
+    fresh = np.ones(m, dtype=bool)
+    knots = []
+
+    def record(live, u, kind, j, zl, beta, c):
+        k = np.flatnonzero(fresh[live])
+        A = zl[k] != 0
+        bad = np.any(A & (np.sign(beta[k]) != zl[k]), axis=1)
+        bad |= np.any(~A & ~(np.abs(c[k]) <= lam + gate), axis=1)
+        if np.any(bad):
+            raise _line_error("the lasso at the lower end of the line fails the KKT "
+                              "check on its own active set", live[k[np.argmax(bad)]], n)
+        fresh[live] = False
+        t = s[live] + u
         go = t <= hi[live]
-        jn, ent = jn[go], ~A[go, jn[go]]
-        left[live[go]] = fit[go] + un[go] * dfit[go]
-        live = live[go]
-        s[live] = t[go]
-        active[live, jn] = ent
-        z[live[ent], jn[ent]] = side[go][ent, jn[ent]]
-        entered[live] = np.where(ent, jn, -1)
-        if not live.size:
-            return out
-    raise _line_error("lasso homotopy did not finish", live[0], n)
+        s[live[go]] = t[go]
+        knots.append((live[go], t[go], zl[go] != 0, kind[go], j[go]))
+        return go
+
+    stuck = _homotopy(X, X.T @ X, XtY, np.full(m, lam), np.sign(start.beta).astype(np.int8),
+                      X[coord], 0.0, np.arange(m), record)
+    if stuck.size:
+        raise _line_error("lasso homotopy did not finish", stuck[0], n)
+    if not knots:
+        return []
+    line, loc, before, kind, j = (np.concatenate(col) for col in zip(*knots))
+    K = line.size
+    after = before.copy()
+    after[np.arange(K), j] = kind > 0
+    ys = Y0[line]
+    ys[np.arange(K), coord[line]] = loc
+    limits = np.zeros(2 * K)
+    groups = list(_mask_groups(np.concatenate((before, after))))
+    for (rows, S), (pinv, rank) in zip(groups, _design_cache(X).factors_many(
+            [S for _, S in groups])):
+        k = rows % K
+        if rank < S.size:
+            raise _line_error(f"singular lasso Gram matrix on the active set {S.tolist()}",
+                              line[k[0]], n)
+        if S.size:
+            limits[rows] = np.sum((ys[k] @ pinv.T) * X[coord[line[k]][:, None], S], axis=1)
+    return [(line, loc, limits[:K], limits[K:])]
 
 
 def _line_jumps(proc: FitProcedure, Y: np.ndarray, lo: np.ndarray, hi: np.ndarray):

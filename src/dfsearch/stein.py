@@ -637,6 +637,16 @@ def _scanned_jumps(proc, Y0: np.ndarray, grids: np.ndarray):
     return (rep, *(np.concatenate(parts) for parts in zip(*scans)))
 
 
+def _exact_jumps(proc: FitProcedure, Y0: np.ndarray, lo, hi):
+    """The exact jumps above 1e-4 of every coordinate map of every row of
+    Y0 over [lo_i, hi_i], as arrays (rep, coord, loc, left, right) in
+    (replication, coordinate, location) order; smaller ones count as kinks,
+    as in the scanner."""
+    rep, coord, loc, left, right = _line_jumps(proc, Y0, lo, hi)
+    keep = np.abs(right - left) > _JUMP_THRESHOLD
+    return rep[keep], coord[keep], loc[keep], left[keep], right[keep]
+
+
 def _boundary_terms(proc, Y0: np.ndarray, signal: SignalSpec,
                     grid_points: int) -> np.ndarray:
     """phi-weighted jump sum over all coordinates, per replication, shape
@@ -644,14 +654,12 @@ def _boundary_terms(proc, Y0: np.ndarray, signal: SignalSpec,
     scanned.  Each replication sums in (coordinate, location) order."""
     lo, hi = signal.mu - _SPAN * signal.sigma, signal.mu + _SPAN * signal.sigma
     if isinstance(proc, FitProcedure):
-        rep, coord, loc, left, right = _line_jumps(proc, Y0, lo, hi)
+        rep, coord, loc, left, right = _exact_jumps(proc, Y0, lo, hi)
     else:
         rep, coord, loc, left, right = _scanned_jumps(proc, Y0, _grids(lo, hi, grid_points))
-    jump = right - left
-    keep = np.abs(jump) > _JUMP_THRESHOLD  # the rest are kinks
     sigma = signal.sigma
-    weight = normal_pdf((loc[keep] - signal.mu[coord[keep]]) / sigma) / sigma * jump[keep]
-    return np.bincount(rep[keep], weights=weight, minlength=Y0.shape[0])
+    weight = normal_pdf((loc - signal.mu[coord]) / sigma) / sigma * (right - left)
+    return np.bincount(rep, weights=weight, minlength=Y0.shape[0])
 
 
 def stein_decompose_df(proc: FitProcedure, signal: SignalSpec, reps: int, seed: int,
@@ -711,23 +719,29 @@ def check_jump_positivity(proc: FitProcedure, signal: SignalSpec, trials: int,
                           seed: int, *, grid_points: int = 4096) -> list:
     """Probe random response configurations for negative jumps.
 
-    Each trial draws a response, scans one coordinate map over
-    mu_i +/- 8 sigma with scan_discontinuities (cycling through
-    coordinates), and records any jump with negative sign.  An empty list
-    is evidence (not proof) that the procedure's jumps are all upward,
-    which would make the boundary term, and hence the search cost,
-    nonnegative.
+    Each trial draws a response and takes the jumps (above 1e-4) of one
+    coordinate map over mu_i +/- 8 sigma, cycling through coordinates, and
+    records any jump with negative sign.  A FitProcedure's jumps are exact
+    (from the same paths as the decomposition's boundary term); any other
+    procedure is scanned with scan_discontinuities on grid_points (at least
+    16, checked for every procedure) points.  An empty list is evidence
+    (not proof) that the procedure's jumps are all upward, which would make
+    the boundary term, and hence the search cost, nonnegative.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    _check_grid_points(grid_points)
     Y = draw_responses(signal, trials, seed)
-    violations = []
-    for k in range(trials):
-        i = k % signal.n
-        lo = float(signal.mu[i] - _SPAN * signal.sigma)
-        hi = float(signal.mu[i] + _SPAN * signal.sigma)
-        records = scan_discontinuities(proc, i, Y[k], lo, hi, grid_points=grid_points)
-        for rec in records:
-            if rec.jump < 0:
-                violations.append(JumpViolation(trial=k, coord=i, record=rec))
-    return violations
+    lo, hi = signal.mu - _SPAN * signal.sigma, signal.mu + _SPAN * signal.sigma
+    found = []
+    if isinstance(proc, FitProcedure):
+        rep, coord, loc, left, right = _exact_jumps(proc, Y, lo, hi)
+        pick = coord == rep % signal.n
+        for k, i, s, a, b in zip(*(col[pick].tolist() for col in (rep, coord, loc, left, right))):
+            found.append((k, i, JumpRecord(location=s, left=a, right=b, jump=b - a)))
+    else:
+        for k in range(trials):
+            i = k % signal.n
+            found += [(k, i, rec) for rec in scan_discontinuities(
+                proc, i, Y[k], float(lo[i]), float(hi[i]), grid_points=grid_points)]
+    return [JumpViolation(trial=k, coord=i, record=rec) for k, i, rec in found if rec.jump < 0]

@@ -787,13 +787,13 @@ class TestSupportTable:
         for k in range(1, p + 1):
             for S in itertools.combinations(range(p), k):
                 S = np.array(S, dtype=np.intp)
-                P, rank = cache.factors(S)
+                P, rank = cache.factors_many([S])[0]
                 npt.assert_array_equal(P, np.linalg.pinv(X[:, S]))
                 assert rank == np.linalg.matrix_rank(X[:, S])
 
     def test_empty_support(self):
-        P, rank = fitters._design_cache(_random_design(5, 3, 0).values).factors(
-            np.array([], dtype=np.intp))
+        (P, rank), = fitters._design_cache(_random_design(5, 3, 0).values).factors_many(
+            [np.array([], dtype=np.intp)])
         assert P.shape == (0, 5) and rank == 0
 
     def test_clears_over_budget_without_changing_fits(self, monkeypatch):

@@ -14,7 +14,13 @@ from dfsearch import fitters, stein
 from dfsearch.closedform import df_hard_threshold, normal_pdf
 from dfsearch.errors import NumericalError
 from dfsearch.fitters import FitProcedure, _line_jumps
-from dfsearch.model import RngSpec, SignalSpec, gen_block_design, gen_orthogonal_design
+from dfsearch.model import (
+    DesignMatrix,
+    RngSpec,
+    SignalSpec,
+    gen_block_design,
+    gen_orthogonal_design,
+)
 from dfsearch.montecarlo import draw_responses
 from dfsearch.stein import (
     PiecewiseScalarFunction,
@@ -436,6 +442,23 @@ class TestJumpPositivity:
         assert violations[0].record.location == pytest.approx(0.5, abs=1e-6)
         assert violations[0].record.jump == pytest.approx(-5e-4, abs=1e-6)
 
+    def test_relaxed_lasso_reads_its_exact_jumps_without_a_scan(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("a FitProcedure was scanned")
+
+        monkeypatch.setattr(stein, "_scan", no_scan)
+        design = gen_block_design(8, 6, [3, 3], 0.4, 0.9, RngSpec(seed=7, stream_id=0))
+        proc = FitProcedure(kind="relaxed-lasso", lam=0.5, design=design)
+        signal = SignalSpec(np.zeros(8), 1.0)
+        violations = check_jump_positivity(proc, signal, trials=6, seed=0)
+        jumps = _line_jumps(proc, draw_responses(signal, 6, 0), np.full(8, -8.0), np.full(8, 8.0))
+        want = [(k, i, s, a, b) for k, i, s, a, b in zip(*(col.tolist() for col in jumps))
+                if i == k and b - a < -1e-4]
+        assert len(want) >= 5
+        assert [(v.trial, v.coord, v.record.location, v.record.left, v.record.right)
+                for v in violations] == want
+        assert all(v.record.jump == v.record.right - v.record.left for v in violations)
+
     def test_non_finite_map_raises_instead_of_passing(self):
         def fn(v):
             return np.where(v < 0.5, np.nan, v)
@@ -456,11 +479,11 @@ def _exact_line(proc, y, coord, lo=-8.0, hi=8.0):
 
 
 def _line_case(data, kind):
-    """A procedure, a response and a coordinate: block designs (n <= 10,
-    p <= 8) for best subset and the relaxed lasso, orthogonal designs for
-    hard thresholding."""
+    """A procedure, a response and a coordinate: block designs (n <= 10)
+    for best subset (p <= min(8, n)) and the relaxed lasso (p <= n + 4),
+    orthogonal designs for hard thresholding."""
     n = data.draw(st.integers(3, 10), label="n")
-    p = data.draw(st.integers(2, min(8, n)), label="p")
+    p = data.draw(st.integers(2, n + 4 if kind == "relaxed-lasso" else min(8, n)), label="p")
     if kind == "hard-threshold":
         design = gen_orthogonal_design(n, p)
         lam = data.draw(st.floats(0.1, 3.0), label="t")
@@ -513,6 +536,27 @@ class TestExactJumps:
            data=st.data())
     def test_exact_jumps_match_the_scanner(self, kind, data):
         _assert_exact_matches_scanner(*_line_case(data, kind))
+
+    @settings(max_examples=30, deadline=None)
+    @given(dependent=st.sampled_from(["negated duplicate", "sum"]), data=st.data())
+    def test_columns_in_the_span_of_others_match_the_scanner_or_name_the_line(
+            self, dependent, data):
+        # the last column is minus the first, or the sum of the first two:
+        # a line either fails with an error that names it, or each of its
+        # jumps is confirmed by the scanner
+        proc, y, coord = _line_case(data, "relaxed-lasso")
+        X = proc.design.values.copy()
+        n, p = X.shape
+        X[:, -1] = -X[:, 0] if dependent == "negated duplicate" or p < 3 else X[:, 0] + X[:, 1]
+        proc = FitProcedure(kind="relaxed-lasso", lam=proc.lam, design=DesignMatrix(X))
+        try:
+            _line_jumps(proc, y[None, :], np.full(n, -8.0), np.full(n, 8.0))
+        except NumericalError as err:
+            diag = err.diagnostic
+            assert diag["replication"] == 0 and diag["coordinate"] in range(n)
+            assert f"(replication 0, coordinate {diag['coordinate']})" in str(err)
+            return
+        _assert_exact_matches_scanner(proc, y, coord)
 
     @pytest.mark.parametrize("kind,rep,coord", [
         ("best-subset", 17, 3), ("relaxed-lasso", 8, 4), ("relaxed-lasso", 14, 0),
@@ -622,8 +666,23 @@ class TestExactJumps:
         design = gen_block_design(6, 4, [2, 2], 0.3, 0.8, RngSpec(seed=1, stream_id=0))
         proc = FitProcedure(kind="relaxed-lasso", lam=0.3, design=design)
         Y = np.random.default_rng(0).standard_normal((2, 6))
-        monkeypatch.setattr(fitters._DesignCache, "factors",
-                            lambda self, S: (np.linalg.pinv(self.X[:, S]), S.size - 1))
+        # only the one support lookup after the walk along the lines sees
+        # rank-deficient supports, not the lasso fits at their lower ends
+        walks = []
+        homotopy, factors_many = fitters._homotopy, fitters._DesignCache.factors_many
+
+        def recording(*args):
+            walks.append(args[6])  # dlam: -1 in lambda, 0 along a line
+            return homotopy(*args)
+
+        def deficient(self, supports):
+            found = factors_many(self, supports)
+            if walks and walks[-1] == 0:
+                found = [(pinv, S.size - 1) for (pinv, _), S in zip(found, supports)]
+            return found
+
+        monkeypatch.setattr(fitters, "_homotopy", recording)
+        monkeypatch.setattr(fitters._DesignCache, "factors_many", deficient)
         with pytest.raises(NumericalError, match="singular") as info:
             _line_jumps(proc, Y, np.full(6, -8.0), np.full(6, 8.0))
         diag = info.value.diagnostic
