@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,58 +140,42 @@ def _support_indices(S, p: int) -> tuple:
     return tuple(items)
 
 
-def _mask_groups(masks: np.ndarray):
-    """Yield (rows, S) for each distinct row of a boolean mask matrix
-    (compared through the packed bits): the row indices sharing it, in
-    increasing order, and its column indices.  A group's rows reach BLAS
-    in the same shape however they are found."""
-    if masks.shape[0] == 0:
-        return
-    packed = np.ascontiguousarray(np.packbits(masks, axis=1))
-    _, first, inv, counts = np.unique(packed.view(f"V{packed.shape[1]}").ravel(),
-                                      return_index=True, return_inverse=True,
-                                      return_counts=True)
-    order = np.argsort(inv, kind="stable")
-    row_ends = np.cumsum(counts).tolist()
-    unique = masks[first]
-    cols = np.nonzero(unique)[1]
-    col_ends = np.cumsum(unique.sum(axis=1)).tolist()
-    r0 = c0 = 0
-    for r1, c1 in zip(row_ends, col_ends):
-        yield order[r0:r1], cols[c0:c1]
-        r0, c0 = r1, c1
-
-
-def _refit(cache: _DesignCache, Y: np.ndarray, masks: np.ndarray):
-    """Exact least squares of each row of Y on its own active columns.  Rows
-    sharing a support are solved together through the support's
-    pseudoinverse from the design's support table.  Returns (beta (R, p),
-    fitted (R, n))."""
-    beta = np.zeros((Y.shape[0], cache.X.shape[1]))
-    fitted = np.zeros_like(Y)
-    groups = list(_mask_groups(masks))
-    for (rows, S), (pinv, _) in zip(groups, cache.factors_many([S for _, S in groups])):
-        if S.size:
-            coef = Y[rows] @ pinv.T
-            beta[rows[:, None], S] = coef
-            fitted[rows] = coef @ cache.X[:, S].T
-    return beta, fitted
+def _on_supports(cache: _DesignCache, Y: np.ndarray, masks: np.ndarray, signs=None, lam=None):
+    """Least squares of each row of Y on its active columns (masks),
+    beta_S = pinv(X_S) y, or with signs (R, p) and lam the lasso on that
+    support and signs, pinv(X_S)(y - lam pinv(X_S)' z_S), exact where X_S
+    has full column rank.  Each row's pinv(X_S), gathered from one table
+    lookup per cardinality in chunks of _WALK_FLOATS floats, multiplies that
+    row alone, as X does beta, so no row's bits depend on the others.
+    Returns (beta (R, p), fitted (R, n), rank of X_S per row)."""
+    (n, p), R = cache.X.shape, masks.shape[0]
+    beta, rank = np.zeros((R, p)), np.empty(R)
+    for k, rows, pinv, slot, rk in cache.lookup(masks):
+        rank[rows] = rk
+        cols = np.nonzero(masks[rows])[1].reshape(rows.size, k)
+        step = max(1, _WALK_FLOATS // (max(k, 1) * n))
+        for c in range(0, rows.size, step):
+            r, S = rows[c:c + step], cols[c:c + step]
+            P, y = pinv[slot[c:c + step]], Y[r, :, None]
+            if signs is not None:
+                y = y - lam * np.matmul(P.transpose(0, 2, 1), signs[r[:, None], S, None])
+            beta[r[:, None], S] = np.matmul(P, y)[..., 0]
+    return beta, np.matmul(beta[:, None, :], cache.X.T)[:, 0], rank
 
 
 def refit_on_active_sets(X: np.ndarray, Y: np.ndarray, masks: np.ndarray):
     """Least-squares refit of every response row on its own active set.
 
-    Rows sharing a support are solved together through the support's
-    pseudoinverse.  Returns (beta (R, p), fitted (R, n)).
+    Each row is solved alone through its support's pseudoinverse, so its
+    bits do not depend on the other rows.  Returns (beta (R, p), fitted (R, n)).
     """
-    return _refit(_design_cache(X), Y, masks)
+    return _on_supports(_design_cache(X), Y, masks)[:2]
 
 
 def _active_ranks(X: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """rank(X restricted to each row's active columns), one float per row."""
     ranks = np.empty(masks.shape[0])
-    groups = list(_mask_groups(masks))
-    for (rows, _), (_, rank) in zip(groups, _design_cache(X).factors_many([S for _, S in groups])):
+    for _, rows, _, _, rank in _design_cache(X).lookup(masks):
         ranks[rows] = rank
     return ranks
 
@@ -231,13 +216,6 @@ def lasso_kkt_residual(X: DesignMatrix, y: np.ndarray, lam: float, beta: np.ndar
     g = Xv.T @ (np.asarray(y, dtype=float) - Xv @ beta)
     viol = np.where(beta != 0, np.abs(g - lam * np.sign(beta)), np.abs(g) - lam)
     return max(float(viol.max(initial=0.0)), 0.0) if np.all(np.isfinite(g)) else float("inf")
-
-
-def _lasso_on_support(pinv, Y, Z, lam):
-    """beta_A per row of Y, for the lasso on support A with signs Z (rows of
-    +-1) where X_A has full column rank: the KKT equations give
-    beta_A = pinv(X_A) y - lam pinv(X_A) pinv(X_A)' z_A."""
-    return Y @ pinv.T - lam * (Z @ (pinv @ pinv.T))
 
 
 def _homotopy(X, G, b, lam, z, db, dlam, live, visit):
@@ -351,39 +329,33 @@ def _lasso_walk(X, G, XtY, grid, signs):
 def _lasso_path(X: np.ndarray, Y: np.ndarray, lams) -> list[BatchFit]:
     """The lasso at every lambda of lams (any order, repeats allowed) for
     each row of Y: the exact lasso on the support and signs of the row's
-    walk, all supports from one table lookup, solved again without any
+    walk, all rows through one support kernel, solved again without any
     coefficient that comes out zero or of the other sign (a knot, to
     rounding).  KKT gate 1e-8 * max(1, |X'Y|_max, lam); lam = 0 gives pinv(X) y."""
     R, p = Y.shape[0], X.shape[1]
+    cache = _design_cache(X)
     grid = np.array(sorted({lam for lam in lams if lam > 0}, reverse=True))
     XtY = Y @ X
     scale = max(1.0, float(np.abs(XtY).max(initial=0.0)))
     signs = np.zeros((grid.size, R, p), dtype=np.int8)
     if grid.size:
         _lasso_walk(X, X.T @ X, XtY, grid, signs)
-    B, Z = np.zeros((grid.size * R, p)), signs.reshape(-1, p)
-    todo = np.arange(grid.size * R)
-    while todo.size:
-        groups = list(_mask_groups(Z[todo] != 0))
-        B[todo] = 0.0
-        for (rows, S), (pinv, rank) in zip(groups, _design_cache(X).factors_many(
-                [S for _, S in groups])):
-            rows = todo[rows]
-            if rank < S.size:
-                B[rows] = np.nan  # fails the KKT check
-            elif S.size:
-                B[rows[:, None], S] = _lasso_on_support(pinv, Y[rows % R], Z[rows[:, None], S],
-                                                        grid[rows // R, None])
-        flip = (Z != 0) & np.where(Z > 0, B <= 0, B >= 0)
-        Z[flip] = 0
-        todo = np.flatnonzero(flip.any(axis=1))
-        del groups, flip  # the fits below are the peak of memory
-    B = B.reshape(grid.size, R, p)
-    del XtY, signs, Z
+    B = np.zeros((grid.size, R, p))
+    for g, Z in enumerate(signs):
+        todo = np.arange(R)
+        while todo.size:
+            masks = Z[todo] != 0
+            B[g, todo], _, rank = _on_supports(cache, Y[todo], masks, Z[todo], grid[g])
+            B[g, todo[rank < masks.sum(axis=1)]] = np.nan  # fails the KKT check
+            flip = (Z != 0) & np.where(Z > 0, B[g] <= 0, B[g] >= 0)
+            Z[flip] = 0
+            todo = np.flatnonzero(flip.any(axis=1))
+    del XtY, signs
     fits = {}
     for lam in dict.fromkeys(lams):
-        beta = B[np.searchsorted(-grid, -lam)] if lam else Y @ np.linalg.pinv(X).T
-        fitted = beta @ X.T
+        beta = B[np.searchsorted(-grid, -lam)] if lam else _on_supports(
+            cache, Y, np.ones((R, p), bool))[0]
+        fitted = np.matmul(beta[:, None, :], X.T)[:, 0]  # row by row, as in _on_supports
         E = Y - fitted
         V = np.abs(E @ X - lam * np.sign(beta))
         V[beta == 0] -= lam  # |c_j - lam z_j| on the support, |c_j| - lam off it
@@ -569,17 +541,18 @@ def _pinv_rank(A: np.ndarray):
 
 class _DesignCache:
     """Everything fits on one design share: the best-subset plan, built on
-    first use, and the support table, which maps a support (its sorted
-    column indices) to the (pinv, rank) of X[:, S] and starts over empty
-    once it holds more than _SUPPORT_TABLE_BYTES of pseudoinverses.  The
-    package starts no threads, but a caller fitting from threads of its own
-    may race on it; every entry they could write is the same, so a lost
-    write only costs a recomputation."""
+    first use, and the support table: per cardinality k, the packed masks
+    of the supports met so far, sorted, each with its slot in a stack of
+    the pinv (k, n) and an array of the rank of X[:, S].  Past
+    _SUPPORT_TABLE_BYTES of pseudoinverses it starts over empty.  A caller
+    may fit from threads of its own: a lookup holds the cache's lock, and
+    no stack is written to once built, so what a lookup returns stays valid."""
 
     def __init__(self, X: np.ndarray):
         self.X = X
         self._plan = None
-        self._table: dict = {}
+        self._lock = threading.Lock()
+        self._table: dict = {}  # k -> (sorted keys, their slots, pinv stack, ranks)
         self._nbytes = 0
 
     def plan(self) -> _SubsetPlan:
@@ -588,28 +561,52 @@ class _DesignCache:
             plan = self._plan = _build_subset_plan(self.X)
         return plan
 
-    def factors_many(self, supports) -> list:
-        """(pinv, rank) of X[:, S] for every S of supports, in order.  The
-        misses are filled by stacked SVDs, per cardinality and at most
-        _WALK_FLOATS floats each, and entered one at a time, so a fill past
-        the budget starts the table over."""
-        keys = [S.astype(np.intp, copy=False).tobytes() for S in supports]
-        hits = [self._table.get(key) for key in keys]
-        miss, found = {}, {}
-        for key, S, hit in zip(keys, supports, hits):
-            if hit is None:
-                miss.setdefault(len(S), {})[key] = S
-        for k, by_key in miss.items():
-            cols = np.array(list(by_key.values()), dtype=np.intp).reshape(len(by_key), k)
-            step = max(1, _WALK_FLOATS // (self.X.shape[0] * max(k, 1)))
-            for c in range(0, len(cols), step):
-                pinvs, ranks = _pinv_rank(np.moveaxis(self.X[:, cols[c:c + step]], 0, 1))
-                for key, pinv, rank in zip(list(by_key)[c:c + step], pinvs, ranks.tolist()):
-                    if self._nbytes > _SUPPORT_TABLE_BYTES:
-                        self._table, self._nbytes = {}, 0
-                    self._table[key] = found[key] = (pinv.copy(), rank)
-                    self._nbytes += pinv.nbytes
-        return [hit or found[key] for hit, key in zip(hits, keys)]
+    def lookup(self, masks: np.ndarray) -> list:
+        """(k, rows, pinv, slot, rank) per cardinality k of the rows of the
+        boolean masks (R, p), in increasing k: those rows, in order, a stack
+        pinv (m, k, n) where pinv[slot[j]] is pinv(X[:, S]) of row rows[j],
+        and rank(X[:, S]) per row.  The misses are filled by stacked SVDs of
+        at most _WALK_FLOATS floats and go in one at a time, in packed-mask
+        order; one that finds the table over budget starts it over."""
+        n, budget = self.X.shape[0], _SUPPORT_TABLE_BYTES
+        packed = np.ascontiguousarray(np.packbits(masks, axis=1))
+        keys = packed.view(f"V{packed.shape[1]}").ravel()
+        card = masks.sum(axis=1)
+        out = []
+        with self._lock:
+            for k in np.unique(card).tolist():
+                rows = np.flatnonzero(card == k)
+                q = keys[rows]
+                tkeys, tslot, pinv, rank = self._table.get(
+                    k, (keys[:0], np.empty(0, np.intp), np.empty((0, k, n)), np.empty(0, np.intp)))
+                at = np.minimum(np.searchsorted(tkeys, q), tkeys.size - 1)
+                miss = tkeys[at] != q if tkeys.size else np.ones(q.size, dtype=bool)
+                slot = tslot[at] if tkeys.size else np.empty(q.size, np.intp)
+                if miss.any():
+                    new, first, inv = np.unique(q[miss], return_index=True, return_inverse=True)
+                    cols = np.nonzero(masks[rows[miss][first]])[1].reshape(new.size, k)
+                    step = max(1, _WALK_FLOATS // (n * max(k, 1)))
+                    fills = [_pinv_rank(np.moveaxis(self.X[:, cols[c:c + step]], 0, 1))
+                             for c in range(0, new.size, step)]
+                    m, size = rank.size, 8 * k * n
+                    slot[miss] = m + inv
+                    pinv = np.concatenate([pinv] + [f[0] for f in fills])
+                    rank = np.concatenate([rank] + [f[1] for f in fills])
+                    # entry i is the first to find the table over budget, then every `every`-th
+                    every = budget // max(size, 1) + 1
+                    i = 0 if self._nbytes > budget else (budget - self._nbytes) // max(size, 1) + 1
+                    if i < new.size:
+                        i += (new.size - 1 - i) // every * every
+                        self._table = {k: (new[i:], np.arange(new.size - i), pinv[m + i:].copy(),
+                                           rank[m + i:])}
+                        self._nbytes = (new.size - i) * size
+                    else:
+                        pos = np.searchsorted(tkeys, new)
+                        tslot = np.insert(tslot, pos, m + np.arange(new.size))
+                        self._table[k] = (np.insert(tkeys, pos, new), tslot, pinv, rank)
+                        self._nbytes += new.size * size
+                out.append((k, rows, pinv, slot, rank[slot]))
+        return out
 
 
 # The most recent design's cache, as one (key, _DesignCache) pair: a caller
@@ -652,7 +649,7 @@ def _batch_best_subset_grid(X: np.ndarray, Y: np.ndarray, lams) -> list[BatchFit
                 win[li, s:s + step] = plan.winners(half, block_min, lam)
         for li in range(len(lams)):
             rows = slice(start, start + Yc.shape[0])
-            beta[li][rows], fitted[li][rows] = _refit(cache, Yc, plan.masks(win[li]))
+            beta[li][rows], fitted[li][rows], _ = _on_supports(cache, Yc, plan.masks(win[li]))
     out = []
     for li, lam in enumerate(lams):
         active = beta[li] != 0
@@ -686,8 +683,8 @@ def relaxed_lasso_fit(X: DesignMatrix, y: np.ndarray, lam: float) -> FitOutput:
 def _batch_ridge(X: np.ndarray, Y: np.ndarray, lam: float) -> BatchFit:
     p = X.shape[1]
     M = np.linalg.solve(X.T @ X + lam * np.eye(p), X.T)
-    B = Y @ M.T
-    fitted = B @ X.T
+    B = np.matmul(Y[:, None, :], M.T)[:, 0]  # row by row, as in _on_supports
+    fitted = np.matmul(B[:, None, :], X.T)[:, 0]
     objective = 0.5 * np.sum((Y - fitted) ** 2, axis=1) + 0.5 * lam * np.sum(B * B, axis=1)
     active = np.ones_like(B, dtype=bool)
     return BatchFit(beta=B, fitted=fitted, active=active, objective=objective)
@@ -809,12 +806,13 @@ _MAX_LINE_STEPS = 10_000
 
 # Floats in one working table, 1 MB: the best-subset envelope walk's (all
 # supports against _WALK_FLOATS // 2^p lines; a step holds about twenty), a
-# lasso walk block's Gram inverses, and one stacked support-table SVD's input.
+# lasso walk block's Gram inverses, one stacked support-table SVD's input, and
+# one chunk of pseudoinverses the support kernel gathers.
 _WALK_FLOATS = 1 << 17
 
 
-def _line_error(message: str, line: int, n: int, diagnostic=None) -> NumericalError:
-    rep, coord = divmod(int(line), n)
+def _line_error(message: str, rep, coord, line: int, diagnostic=None) -> NumericalError:
+    rep, coord = int(rep[line]), int(coord[line])
     return NumericalError(
         f"{message} (replication {rep}, coordinate {coord})",
         diagnostic={**(diagnostic or {}), "replication": rep, "coordinate": coord},
@@ -834,7 +832,7 @@ def _first_crossing(a0, a1, a2):
     return np.minimum(np.where(r1 > 0, r1, np.inf), np.where(r2 > 0, r2, np.inf))
 
 
-def _envelope_walk(A, B, C, pen, lo, hi, lines, n):
+def _envelope_walk(A, B, C, pen, lo, hi, lines, rep, coord):
     """Walk the lower envelope of the best-subset objectives along a
     coordinate line, one column per line.
 
@@ -846,7 +844,7 @@ def _envelope_walk(A, B, C, pen, lo, hi, lines, n):
     order); objectives within 1e-12 relative count as equal.  Each step
     moves every line to the first root at which another support falls
     below its winner.  Returns (line, location, left, right) of every
-    winner switch."""
+    winner switch; line k is replication rep[k], coordinate coord[k]."""
     s = lo.astype(float)
     prev = np.zeros(s.size, dtype=np.intp)
     left = np.empty(s.size)
@@ -880,16 +878,16 @@ def _envelope_walk(A, B, C, pen, lo, hi, lines, n):
         left[live] = bw[go] + t[go] * cw[go]
         if not live.size:
             return out
-    raise _line_error("best-subset envelope walk did not finish", lines[live[0]], n)
+    raise _line_error("best-subset envelope walk did not finish", rep, coord, lines[live[0]])
 
 
-def _subset_line_jumps(plan: _SubsetPlan, Y0, coord, lo, hi, lam):
+def _subset_line_jumps(plan: _SubsetPlan, Y0, rep, coord, lo, hi, lam):
     """Best-subset winner switches along every line.  Along the line with
     coordinate i set to s, support S keeps the plan's unit vectors q_a,
     so q_a'y = q_a'y0 + s q_a[i] (y0 is the response with coordinate i
     zeroed); summing over the parent chain as half_rss does gives
     A_S = sum (q_a'y0)^2, B_S = sum (q_a'y0) q_a[i] and C_S = sum q_a[i]^2."""
-    N, n = plan.q.shape
+    N = plan.q.shape[0]
     card = np.repeat(np.arange(plan.starts.size - 1), np.diff(plan.starts))
     pen = (lam * card)[:, None]
     Cq = plan.accumulate(plan.q * plan.q)
@@ -900,7 +898,7 @@ def _subset_line_jumps(plan: _SubsetPlan, Y0, coord, lo, hi, lam):
         d = plan.q[:, coord[lines]]
         c = plan.q @ Y0[lines].T
         out += _envelope_walk(plan.accumulate(c * c), plan.accumulate(c * d),
-                              Cq[:, coord[lines]], pen, lo[lines], hi[lines], lines, n)
+                              Cq[:, coord[lines]], pen, lo[lines], hi[lines], lines, rep, coord)
     return out
 
 
@@ -926,24 +924,24 @@ def _hard_line_jumps(X, Y0, coord, lo, hi, t):
     return [(line, s, base + np.where(enters, 0.0, step), base + np.where(enters, step, 0.0))]
 
 
-def _relaxed_line_jumps(proc: FitProcedure, Y0, coord, lo, hi):
+def _relaxed_line_jumps(proc: FitProcedure, Y0, rep, coord, lo, hi):
     """Relaxed-lasso jumps along every line, by the lasso homotopy in the
     response: the kernel with db = X[i, :] and dlam = 0, from the lasso at
     the lower end of the line (the walk in lambda), whose KKT conditions
     the kernel's own first solve must meet.  At each knot fitted[i] jumps
     from (P_A y)_i to (P_A' y)_i, A and A' the active sets on either side,
-    both from one support-table lookup after the walk.  Returns (line,
+    both from one support kernel call after the walk.  Returns (line,
     location, left, right) of every knot."""
     lam, X = proc.lam, proc.design.values
-    m, n = Y0.shape
+    m = Y0.shape[0]
     s = lo.astype(float)
     Ys = Y0.copy()
     Ys[np.arange(m), coord] = s
     try:
         start = FitProcedure("lasso", lam, proc.design).fit_many(Ys)
     except NumericalError as err:
-        raise _line_error(f"lasso at the lower end of the line: {err}",
-                          err.diagnostic["replication"], n, err.diagnostic) from err
+        raise _line_error(f"lasso at the lower end of the line: {err}", rep, coord,
+                          err.diagnostic["replication"], err.diagnostic) from err
     XtY = Ys @ X
     gate = 1e-8 * max(1.0, float(np.abs(XtY).max()), lam)
     fresh = np.ones(m, dtype=bool)
@@ -956,7 +954,7 @@ def _relaxed_line_jumps(proc: FitProcedure, Y0, coord, lo, hi):
         bad |= np.any(~A & ~(np.abs(c[k]) <= lam + gate), axis=1)
         if np.any(bad):
             raise _line_error("the lasso at the lower end of the line fails the KKT "
-                              "check on its own active set", live[k[np.argmax(bad)]], n)
+                              "check on its own active set", rep, coord, live[k[np.argmax(bad)]])
         fresh[live] = False
         t = s[live] + u
         go = t <= hi[live]
@@ -967,7 +965,7 @@ def _relaxed_line_jumps(proc: FitProcedure, Y0, coord, lo, hi):
     stuck = _homotopy(X, X.T @ X, XtY, np.full(m, lam), np.sign(start.beta).astype(np.int8),
                       X[coord], 0.0, np.arange(m), record)
     if stuck.size:
-        raise _line_error("lasso homotopy did not finish", stuck[0], n)
+        raise _line_error("lasso homotopy did not finish", rep, coord, stuck[0])
     if not knots:
         return []
     line, loc, before, kind, j = (np.concatenate(col) for col in zip(*knots))
@@ -976,25 +974,23 @@ def _relaxed_line_jumps(proc: FitProcedure, Y0, coord, lo, hi):
     after[np.arange(K), j] = kind > 0
     ys = Y0[line]
     ys[np.arange(K), coord[line]] = loc
-    limits = np.zeros(2 * K)
-    groups = list(_mask_groups(np.concatenate((before, after))))
-    for (rows, S), (pinv, rank) in zip(groups, _design_cache(X).factors_many(
-            [S for _, S in groups])):
-        k = rows % K
-        if rank < S.size:
-            raise _line_error(f"singular lasso Gram matrix on the active set {S.tolist()}",
-                              line[k[0]], n)
-        if S.size:
-            limits[rows] = np.sum((ys[k] @ pinv.T) * X[coord[line[k]][:, None], S], axis=1)
+    masks = np.concatenate((before, after))
+    _, fitted, rank = _on_supports(_design_cache(X), np.concatenate((ys, ys)), masks)
+    bad = np.flatnonzero(rank < masks.sum(axis=1))
+    if bad.size:
+        raise _line_error("singular lasso Gram matrix on the active set "
+                          f"{np.flatnonzero(masks[bad[0]]).tolist()}", rep, coord, line[bad[0] % K])
+    limits = fitted[np.arange(2 * K), np.tile(coord[line], 2)]
     return [(line, loc, limits[:K], limits[K:])]
 
 
-def _line_jumps(proc: FitProcedure, Y: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+def _line_jumps(proc: FitProcedure, Y: np.ndarray, lo: np.ndarray, hi: np.ndarray, lines=None):
     """Every switch of the coordinate maps of a built-in procedure, exactly.
 
     For each row y of Y (a replication) and each coordinate i, the line
-    is y with coordinate i set to s, for s in [lo[i], hi[i]], and its map
-    is s -> fitted[i].  Returns arrays (rep, coord, loc, left, right),
+    r * n + i is y with coordinate i set to s, for s in [lo[i], hi[i]], and
+    its map is s -> fitted[i]; lines (increasing, default all R * n) picks
+    the lines walked.  Returns arrays (rep, coord, loc, left, right),
     ordered by replication, coordinate and location, where left and right
     are the one-sided limits of the map at loc.  Switches whose two sides
     agree (to the last bits) are included.  Continuous kinds, and the
@@ -1004,16 +1000,16 @@ def _line_jumps(proc: FitProcedure, Y: np.ndarray, lo: np.ndarray, hi: np.ndarra
     Y = _responses(Y, proc.design.n)
     R, n = Y.shape
     X = proc.design.values
-    rep, coord = np.divmod(np.arange(R * n), n)
+    rep, coord = np.divmod(np.arange(R * n) if lines is None else lines, n)
     Y0 = Y[rep]
     Y0[np.arange(rep.size), coord] = 0.0
     lo, hi = np.broadcast_to(lo, n)[coord], np.broadcast_to(hi, n)[coord]
     if proc.kind == "best-subset":
-        parts = _subset_line_jumps(_design_cache(X).plan(), Y0, coord, lo, hi, proc.lam)
+        parts = _subset_line_jumps(_design_cache(X).plan(), Y0, rep, coord, lo, hi, proc.lam)
     elif proc.kind == "hard-threshold":
         parts = _hard_line_jumps(X, Y0, coord, lo, hi, proc.lam)
     elif proc.kind == "relaxed-lasso" and proc.lam > 0:
-        parts = _relaxed_line_jumps(proc, Y0, coord, lo, hi)
+        parts = _relaxed_line_jumps(proc, Y0, rep, coord, lo, hi)
     else:
         parts = []
     parts = parts or [(np.empty(0, dtype=np.intp),) + (np.empty(0),) * 3]

@@ -41,9 +41,13 @@ def draw_responses(signal: SignalSpec, reps: int, seed: int, stream_offset: int 
     """
     if reps < 1:
         raise ValueError("reps must be positive")
+    RngSpec(seed=seed, stream_id=stream_offset + reps - 1)  # the range check of the last id
+    g = RngSpec(seed=seed, stream_id=stream_offset).generator()
+    state = g.bit_generator.state  # a fresh counter and buffer, rekeyed per replication
     Y = np.empty((reps, signal.n))
     for r in range(reps):
-        g = RngSpec(seed=seed, stream_id=stream_offset + r).generator()
+        state["state"]["key"][1] = stream_offset + r
+        g.bit_generator.state = state
         Y[r] = signal.mu + signal.sigma * g.standard_normal(signal.n)
     return Y
 

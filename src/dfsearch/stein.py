@@ -637,12 +637,12 @@ def _scanned_jumps(proc, Y0: np.ndarray, grids: np.ndarray):
     return (rep, *(np.concatenate(parts) for parts in zip(*scans)))
 
 
-def _exact_jumps(proc: FitProcedure, Y0: np.ndarray, lo, hi):
-    """The exact jumps above 1e-4 of every coordinate map of every row of
-    Y0 over [lo_i, hi_i], as arrays (rep, coord, loc, left, right) in
-    (replication, coordinate, location) order; smaller ones count as kinks,
-    as in the scanner."""
-    rep, coord, loc, left, right = _line_jumps(proc, Y0, lo, hi)
+def _exact_jumps(proc: FitProcedure, Y0: np.ndarray, lo, hi, lines=None):
+    """The exact jumps above 1e-4 of the coordinate maps of the rows of Y0
+    over [lo_i, hi_i] (every map, or the lines r * n + i of lines), as
+    arrays (rep, coord, loc, left, right) in (replication, coordinate,
+    location) order; smaller ones count as kinks, as in the scanner."""
+    rep, coord, loc, left, right = _line_jumps(proc, Y0, lo, hi, lines)
     keep = np.abs(right - left) > _JUMP_THRESHOLD
     return rep[keep], coord[keep], loc[keep], left[keep], right[keep]
 
@@ -735,9 +735,9 @@ def check_jump_positivity(proc: FitProcedure, signal: SignalSpec, trials: int,
     lo, hi = signal.mu - _SPAN * signal.sigma, signal.mu + _SPAN * signal.sigma
     found = []
     if isinstance(proc, FitProcedure):
-        rep, coord, loc, left, right = _exact_jumps(proc, Y, lo, hi)
-        pick = coord == rep % signal.n
-        for k, i, s, a, b in zip(*(col[pick].tolist() for col in (rep, coord, loc, left, right))):
+        trial = np.arange(trials)
+        jumps = _exact_jumps(proc, Y, lo, hi, trial * signal.n + trial % signal.n)
+        for k, i, s, a, b in zip(*(col.tolist() for col in jumps)):
             found.append((k, i, JumpRecord(location=s, left=a, right=b, jump=b - a)))
     else:
         for k in range(trials):

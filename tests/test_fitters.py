@@ -220,13 +220,14 @@ class TestLassoExactFinish:
         d = DesignMatrix(X)
         Y = np.random.default_rng(62).standard_normal((200, 8))
         solved = []
-        real = fitters._lasso_on_support
+        lookup = fitters._DesignCache.lookup
 
-        def recording(pinv, *args):
-            solved.append(pinv)
-            return real(pinv, *args)
+        def recording(self, masks):
+            found = lookup(self, masks)
+            solved.extend(P for _, _, pinv, slot, _ in found for P in pinv[np.unique(slot)])
+            return found
 
-        monkeypatch.setattr(fitters, "_lasso_on_support", recording)
+        monkeypatch.setattr(fitters._DesignCache, "lookup", recording)
         out = FitProcedure("lasso", lam, d).fit_many(Y)
         assert solved
         assert all(np.linalg.matrix_rank(P) == P.shape[0] for P in solved)
@@ -448,6 +449,25 @@ def _structured_design(n, p, seed, structure):
     if structure == "collinear" and p >= 3:
         X[:, 1] = 0.5 * X[:, 0] - 2.0 * X[:, 2]
     return X
+
+
+def _factors(cache, supports):
+    """(pinv, rank) of X[:, S] for every S of supports, in order, from one
+    support-table lookup."""
+    masks = np.zeros((len(supports), cache.X.shape[1]), dtype=bool)
+    for i, S in enumerate(supports):
+        masks[i, S] = True
+    found = [None] * len(supports)
+    for _, rows, pinv, slot, rank in cache.lookup(masks):
+        for r, s, k in zip(rows, slot, rank):
+            found[r] = (pinv[s], k)
+    return found
+
+
+def _table_entries(cache):
+    """Number and bytes of the pinvs in a design's support table."""
+    stacks = [pinv for _, _, pinv, _ in cache._table.values()]
+    return sum(len(P) for P in stacks), sum(P.nbytes for P in stacks)
 
 
 def _separated_from_ties(X, y, lam, lo=1e-13, hi=1e-6):
@@ -742,6 +762,41 @@ class TestRefitOnActiveSets:
             npt.assert_allclose(beta[r], ref.beta, atol=1e-12)
             npt.assert_allclose(fitted[r], ref.fitted, atol=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from([(8, 4), (10, 6), (6, 5), (3, 5), (2, 6), (4, 6)]),
+        structure=st.sampled_from(["plain", "duplicate", "collinear"]),
+        seed=st.integers(0, 2**32 - 1),
+        split=st.integers(1, 29),
+        table=st.sampled_from(["warm", "prefilled", "tiny"]),
+    )
+    def test_rows_do_not_depend_on_the_batch_or_the_table(self, shape, structure, seed, split,
+                                                          table):
+        # every row bit for bit the same: fit alone, in the whole batch or
+        # in either part of a split, from a cold table, a warm one, one
+        # filled first with other supports, or one that keeps starting over
+        n, p = shape
+        X = _structured_design(n, p, seed, structure)
+        rng = np.random.default_rng(seed)
+        Y, masks = rng.standard_normal((30, n)), rng.random((30, p)) < 0.5
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fitters, "_PLAN_CACHE", None)
+            want = refit_on_active_sets(X, Y, masks)
+            if table != "warm":
+                mp.setattr(fitters, "_PLAN_CACHE", None)
+            if table == "prefilled":
+                refit_on_active_sets(X, rng.standard_normal((20, n)), rng.random((20, p)) < 0.5)
+            if table == "tiny":
+                mp.setattr(fitters, "_SUPPORT_TABLE_BYTES", 8 * n)
+            batch = refit_on_active_sets(X, Y, masks)
+            alone = [refit_on_active_sets(X, Y[r:r + 1], masks[r:r + 1]) for r in range(30)]
+            parts = [refit_on_active_sets(X, Y[rows], masks[rows])
+                     for rows in (slice(None, split), slice(split, None))]
+        for fits in ([batch], alone, parts):
+            beta, fitted = (np.concatenate(col) for col in zip(*fits))
+            npt.assert_array_equal(beta, want[0])
+            npt.assert_array_equal(fitted, want[1])
+
     def test_no_rows(self):
         d = _random_design(10, 4, 44)
         beta, fitted = refit_on_active_sets(d.values, np.zeros((0, 10)), np.zeros((0, 4), bool))
@@ -787,13 +842,13 @@ class TestSupportTable:
         for k in range(1, p + 1):
             for S in itertools.combinations(range(p), k):
                 S = np.array(S, dtype=np.intp)
-                P, rank = cache.factors_many([S])[0]
+                P, rank = _factors(cache, [S])[0]
                 npt.assert_array_equal(P, np.linalg.pinv(X[:, S]))
                 assert rank == np.linalg.matrix_rank(X[:, S])
 
     def test_empty_support(self):
-        (P, rank), = fitters._design_cache(_random_design(5, 3, 0).values).factors_many(
-            [np.array([], dtype=np.intp)])
+        (P, rank), = _factors(fitters._design_cache(_random_design(5, 3, 0).values),
+                              [np.array([], dtype=np.intp)])
         assert P.shape == (0, 5) and rank == 0
 
     def test_clears_over_budget_without_changing_fits(self, monkeypatch):
@@ -807,8 +862,9 @@ class TestSupportTable:
         monkeypatch.setattr(fitters, "_SUPPORT_TABLE_BYTES", 1000)
         got = proc.fit_many(Y), refit_on_active_sets(d.values, Y, masks)
         cache = fitters._PLAN_CACHE[1]
-        assert len(cache._table) <= 8
-        assert cache._nbytes <= 1000 + 8 * 20 * 10
+        count, nbytes = _table_entries(cache)
+        assert count <= 8
+        assert cache._nbytes == nbytes <= 1000 + 8 * 20 * 10
         npt.assert_array_equal(got[0].beta, want[0].beta)
         npt.assert_array_equal(got[0].fitted, want[0].fitted)
         npt.assert_array_equal(got[1][0], want[1][0])
@@ -828,11 +884,39 @@ class TestSupportTable:
         n, p = shape
         X = _structured_design(n, p, seed, structure)
         supports = [np.flatnonzero([(b >> j) & 1 for j in range(p)]) for b in picks]
-        for S, (P, rank) in zip(supports, fitters._DesignCache(X).factors_many(supports)):
+        for S, (P, rank) in zip(supports, _factors(fitters._DesignCache(X), supports)):
             want, want_rank = fitters._pinv_rank(X[:, S])
             npt.assert_array_equal(P, want)
             npt.assert_array_equal(P, np.linalg.pinv(X[:, S]))
             assert rank == want_rank == np.linalg.matrix_rank(X[:, S])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), budget=st.integers(0, 2000),
+           calls=st.integers(1, 4))
+    def test_budget_rule_enters_one_support_at_a_time(self, seed, budget, calls):
+        # the reference: per cardinality, the supports the table lacks go in
+        # one at a time, in packed-mask order, each after starting the table
+        # over if it holds more than the budget
+        n, p = 6, 5
+        X = _structured_design(n, p, seed, "plain")
+        rng = np.random.default_rng(seed)
+        table, nbytes = set(), 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fitters, "_SUPPORT_TABLE_BYTES", budget)
+            cache = fitters._DesignCache(X)
+            for _ in range(calls):
+                masks = rng.random((12, p)) < rng.random()
+                for k in sorted(set(masks.sum(axis=1).tolist())):
+                    keys = {np.packbits(m).tobytes() for m in masks if m.sum() == k}
+                    for key in sorted(keys - table):
+                        if nbytes > budget:
+                            table, nbytes = set(), 0
+                        table.add(key)
+                        nbytes += 8 * k * n
+                cache.lookup(masks)
+                got = [key.tobytes() for tkeys, _, _, _ in cache._table.values() for key in tkeys]
+                assert sorted(got) == sorted(table)
+                assert cache._nbytes == nbytes == _table_entries(cache)[1]
 
     def test_fill_larger_than_the_budget(self, monkeypatch):
         X = _structured_design(10, 6, 5, "duplicate")
@@ -841,13 +925,47 @@ class TestSupportTable:
         monkeypatch.setattr(fitters, "_SUPPORT_TABLE_BYTES", 1000)
         cache = fitters._DesignCache(X)
         for _ in range(2):  # misses, then a table that started over
-            for S, (P, rank) in zip(supports, cache.factors_many(supports)):
+            for S, (P, rank) in zip(supports, _factors(cache, supports)):
                 npt.assert_array_equal(P, np.linalg.pinv(X[:, S]))
                 assert rank == np.linalg.matrix_rank(X[:, S])
-            sizes = [P.nbytes for P, _ in cache._table.values()]
-            assert 0 < len(sizes) < len(supports)
-            assert cache._nbytes == sum(sizes)
-            assert cache._nbytes - sizes[-1] <= 1000
+            count, nbytes = _table_entries(cache)
+            assert 0 < count < len(supports)
+            assert cache._nbytes == nbytes
+            # the table started over within the lookup, so it holds only
+            # entries of that lookup; they go in by cardinality, so the last
+            # one entered has the largest
+            assert cache._nbytes - 8 * 10 * max(cache._table) <= 1000
+
+    def test_threads_sharing_a_table_that_keeps_starting_over(self, monkeypatch):
+        # more threads than cores, switching often, on one design's table:
+        # a lookup that paired a support with another support's slot would
+        # refit that row on the wrong columns
+        X = _structured_design(12, 8, 7, "plain")
+        rng = np.random.default_rng(8)
+        Y, masks = rng.standard_normal((16, 40, 12)), rng.random((16, 40, 8)) < 0.5
+        expected = [refit_on_active_sets(X, y, m) for y, m in zip(Y, masks)]
+        monkeypatch.setattr(fitters, "_PLAN_CACHE", None)
+        monkeypatch.setattr(fitters, "_SUPPORT_TABLE_BYTES", 4000)
+        results = [None] * 64
+
+        def work(first):
+            for i in range(first, first + 8):
+                results[i] = refit_on_active_sets(X, Y[i % 16], masks[i % 16])
+
+        threads = [threading.Thread(target=work, args=(8 * k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i, (beta, fitted) in enumerate(results):
+            npt.assert_array_equal(beta, expected[i % 16][0])
+            npt.assert_array_equal(fitted, expected[i % 16][1])
 
     def test_ranks_follow_the_active_sets(self):
         X = _structured_design(8, 5, 3, "duplicate")  # column 4 copies column 0

@@ -41,6 +41,23 @@ class TestDrawResponses:
         npt.assert_array_equal(Y, again)
         assert Y.shape == (6, 4)
 
+    @pytest.mark.parametrize("seed, offset", [(3, 0), (2**64 - 1, 17), (0, 2**64 - 5)])
+    def test_each_row_is_its_own_streams_draw(self, seed, offset):
+        signal = SignalSpec(np.linspace(-1.0, 2.0, 7), 1.5)
+        Y = draw_responses(signal, reps=5, seed=seed, stream_offset=offset)
+        for r in range(5):
+            g = RngSpec(seed=seed, stream_id=offset + r).generator()
+            npt.assert_array_equal(Y[r], signal.mu + signal.sigma * g.standard_normal(7))
+
+    def test_stream_ids_past_64_bits_are_rejected(self):
+        signal = SignalSpec(np.zeros(3), 1.0)
+        with pytest.raises(ValueError, match="stream_id"):
+            draw_responses(signal, reps=6, seed=0, stream_offset=2**64 - 5)
+        with pytest.raises(ValueError, match="stream_id"):
+            draw_responses(signal, reps=1, seed=0, stream_offset=-1)
+        with pytest.raises(ValueError, match="seed"):
+            draw_responses(signal, reps=1, seed=2**64)
+
     def test_stream_offset_gives_fresh_noise(self):
         signal = SignalSpec(np.zeros(8), 1.0)
         Y0 = draw_responses(signal, reps=4, seed=3)

@@ -451,13 +451,43 @@ class TestJumpPositivity:
         proc = FitProcedure(kind="relaxed-lasso", lam=0.5, design=design)
         signal = SignalSpec(np.zeros(8), 1.0)
         violations = check_jump_positivity(proc, signal, trials=6, seed=0)
-        jumps = _line_jumps(proc, draw_responses(signal, 6, 0), np.full(8, -8.0), np.full(8, 8.0))
+        # trial k walks only the line of coordinate k % n
+        jumps = _line_jumps(proc, draw_responses(signal, 6, 0), np.full(8, -8.0), np.full(8, 8.0),
+                            lines=np.arange(6) * 9)
         want = [(k, i, s, a, b) for k, i, s, a, b in zip(*(col.tolist() for col in jumps))
-                if i == k and b - a < -1e-4]
+                if b - a < -1e-4]
         assert len(want) >= 5
         assert [(v.trial, v.coord, v.record.location, v.record.left, v.record.right)
                 for v in violations] == want
         assert all(v.record.jump == v.record.right - v.record.left for v in violations)
+
+    @pytest.mark.parametrize("kind, lam", [("hard-threshold", 0.8), ("best-subset", 0.4),
+                                           ("relaxed-lasso", 0.5)])
+    def test_walks_only_the_chosen_lines(self, kind, lam):
+        # the same jumps as walking every line and keeping coordinate
+        # k % n of trial k; the walked lines share matrix products with
+        # different neighbours, so the floats agree to rounding
+        design = (gen_orthogonal_design(8, 6) if kind == "hard-threshold" else
+                  gen_block_design(8, 6, [3, 3], 0.4, 0.9, RngSpec(seed=7, stream_id=0)))
+        proc = FitProcedure(kind=kind, lam=lam, design=design)
+        signal = SignalSpec(np.zeros(8), 1.0)
+        trials = np.arange(20)
+        Y, lo, hi = draw_responses(signal, trials.size, 3), np.full(8, -8.0), np.full(8, 8.0)
+        full = _line_jumps(proc, Y, lo, hi)
+        pick = full[1] == full[0] % 8
+        got = _line_jumps(proc, Y, lo, hi, lines=trials * 8 + trials % 8)
+        assert got[0].size >= trials.size
+        for a, b in zip(got[:2], full[:2]):
+            npt.assert_array_equal(a, b[pick])
+        for a, b in zip(got[2:], full[2:]):
+            npt.assert_allclose(a, b[pick], rtol=0, atol=1e-12)
+        violations = check_jump_positivity(proc, signal, trials=trials.size, seed=3)
+        down = (full[4] - full[3] < -1e-4) & pick
+        assert [(v.trial, v.coord) for v in violations] == list(zip(*(c[down].tolist()
+                                                                      for c in full[:2])))
+        for v, s, a, b in zip(violations, *(c[down] for c in full[2:])):
+            npt.assert_allclose([v.record.location, v.record.left, v.record.right], [s, a, b],
+                                rtol=0, atol=1e-12)
 
     def test_non_finite_map_raises_instead_of_passing(self):
         def fn(v):
@@ -671,20 +701,21 @@ class TestExactJumps:
         # only the one support lookup after the walk along the lines sees
         # rank-deficient supports, not the lasso fits at their lower ends
         walks = []
-        homotopy, factors_many = fitters._homotopy, fitters._DesignCache.factors_many
+        homotopy, lookup = fitters._homotopy, fitters._DesignCache.lookup
 
         def recording(*args):
             walks.append(args[6])  # dlam: -1 in lambda, 0 along a line
             return homotopy(*args)
 
-        def deficient(self, supports):
-            found = factors_many(self, supports)
+        def deficient(self, masks):
+            found = lookup(self, masks)
             if walks and walks[-1] == 0:
-                found = [(pinv, S.size - 1) for (pinv, _), S in zip(found, supports)]
+                found = [(k, rows, pinv, slot, np.full(rows.size, k - 1))
+                         for k, rows, pinv, slot, _ in found]
             return found
 
         monkeypatch.setattr(fitters, "_homotopy", recording)
-        monkeypatch.setattr(fitters._DesignCache, "factors_many", deficient)
+        monkeypatch.setattr(fitters._DesignCache, "lookup", deficient)
         with pytest.raises(NumericalError, match="singular") as info:
             _line_jumps(proc, Y, np.full(6, -8.0), np.full(6, 8.0))
         diag = info.value.diagnostic
