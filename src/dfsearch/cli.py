@@ -374,12 +374,14 @@ def cmd_stein_check(config: dict, out_dir: str) -> list:
     tables = []
     if resolved["mode"] in ("library", "both"):
         rows = []
+        pairs = [(mu, s) for mu in resolved["mus"] for s in resolved["sigmas"]]
+        mus, sigmas = np.array(pairs).T
         for name, f in function_library():
-            for mu in resolved["mus"]:
-                for s in resolved["sigmas"]:
-                    lhs = stein_lhs_univariate(f, mu, s)
-                    rhs = stein_rhs_univariate(f, mu, s)
-                    rows.append((f"{name} mu={mu:g} sigma={s:g}", lhs, rhs, abs(lhs - rhs)))
+            # one quadrature run per side over every (mu, sigma) pair
+            lhs = stein_lhs_univariate(f, mus, sigmas).tolist()
+            rhs = stein_rhs_univariate(f, mus, sigmas).tolist()
+            for (mu, s), l, r in zip(pairs, lhs, rhs):
+                rows.append((f"{name} mu={mu:g} sigma={s:g}", l, r, abs(l - r)))
         tables.append(("stein-univariate.csv", "stein-univariate-v1",
                        ("case", "lhs", "rhs", "residual"), rows))
 

@@ -59,10 +59,6 @@ KINDS = (
 # support, 2^p * n floats, and must fit in this many bytes.
 SUBSET_PLAN_MAX_BYTES = 512 << 20
 
-# Best subset refits responses in chunks of _MAX_TABLE // 2^p rows: the rows
-# of a chunk that select the same support share one least-squares solve.
-_MAX_TABLE = 1 << 24
-
 # Floats in one best-subset working table: a slice of the plan build, or the
 # scores of all supports against _BLOCK_FLOATS // 2^p responses (at least
 # one).  8 MB stays in cache at small p.
@@ -474,7 +470,9 @@ class _SubsetPlan:
         thr = vmin + _TIE_TOL
         card = np.argmax(M <= thr, axis=0)
         win = np.empty(half.shape[1], dtype=np.intp)
-        for k in np.unique(card):
+        # the cardinalities present, without np.unique, whose first call
+        # imports numpy.ma (10-20 ms)
+        for k in np.flatnonzero(np.bincount(card)):
             cols = np.flatnonzero(card == k)
             blk = half[self.starts[k]:self.starts[k + 1], cols]
             win[cols] = self.starts[k] + np.argmax(blk + pen[k] <= thr[cols], axis=0)
@@ -574,7 +572,8 @@ class _DesignCache:
         card = masks.sum(axis=1)
         out = []
         with self._lock:
-            for k in np.unique(card).tolist():
+            # the cardinalities present, without np.unique (see _SubsetPlan.winners)
+            for k in np.flatnonzero(np.bincount(card)).tolist():
                 rows = np.flatnonzero(card == k)
                 q = keys[rows]
                 tkeys, tslot, pinv, rank = self._table.get(
@@ -631,30 +630,22 @@ def _batch_best_subset_grid(X: np.ndarray, Y: np.ndarray, lams) -> list[BatchFit
     lambda (the scores depend on lambda only through the cardinality
     penalty).  The capacity guard and the lambdas are checked by
     FitProcedure."""
-    n, p = X.shape
     cache = _design_cache(X)
     plan = cache.plan()
     R = Y.shape[0]
-    beta = [np.zeros((R, p)) for _ in lams]
-    fitted = [np.zeros((R, n)) for _ in lams]
-    chunk = max(1, _MAX_TABLE // (1 << p))
-    step = max(1, _BLOCK_FLOATS // (1 << p))
-    for start in range(0, R, chunk):
-        Yc = Y[start:start + chunk]
-        win = np.empty((len(lams), Yc.shape[0]), dtype=np.intp)
-        for s in range(0, Yc.shape[0], step):
-            half = plan.half_rss(Yc[s:s + step])
-            block_min = plan.block_min(half)
-            for li, lam in enumerate(lams):
-                win[li, s:s + step] = plan.winners(half, block_min, lam)
-        for li in range(len(lams)):
-            rows = slice(start, start + Yc.shape[0])
-            beta[li][rows], fitted[li][rows], _ = _on_supports(cache, Yc, plan.masks(win[li]))
+    step = max(1, _BLOCK_FLOATS // (1 << X.shape[1]))
+    win = np.empty((len(lams), R), dtype=np.intp)
+    for s in range(0, R, step):
+        half = plan.half_rss(Y[s:s + step])
+        block_min = plan.block_min(half)
+        for li, lam in enumerate(lams):
+            win[li, s:s + step] = plan.winners(half, block_min, lam)
     out = []
-    for li, lam in enumerate(lams):
-        active = beta[li] != 0
-        objective = 0.5 * np.sum((Y - fitted[li]) ** 2, axis=1) + lam * active.sum(axis=1)
-        out.append(BatchFit(beta=beta[li], fitted=fitted[li], active=active, objective=objective))
+    for lam, w in zip(lams, win):
+        beta, fitted, _ = _on_supports(cache, Y, plan.masks(w))
+        active = beta != 0
+        objective = 0.5 * np.sum((Y - fitted) ** 2, axis=1) + lam * active.sum(axis=1)
+        out.append(BatchFit(beta=beta, fitted=fitted, active=active, objective=objective))
     return out
 
 

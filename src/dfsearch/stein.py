@@ -84,6 +84,12 @@ class PiecewiseScalarFunction:
     limits at breakpoints are stored exactly when known; otherwise they are
     approximated by evaluation a hair to the side (1e-9 * max(1, |d|)
     away, so the offset moves the argument at any magnitude).
+
+    ``elementwise`` says that ``fn`` and ``dfn`` also take a float array and
+    return the values at each of its points (or one value for all of them),
+    bit for bit as on each point alone.  The quadrature then evaluates
+    every node of a round in one call; otherwise it calls ``evaluate`` and
+    ``derivative`` once per node.
     """
 
     breakpoints: tuple
@@ -92,6 +98,7 @@ class PiecewiseScalarFunction:
     left_values: tuple | None = None
     right_values: tuple | None = None
     label: str = ""
+    elementwise: bool = False
 
     def __post_init__(self):
         bps = tuple(float(b) for b in self.breakpoints)
@@ -150,13 +157,18 @@ class JumpRecord:
 # ---------------------------------------------------------------------------
 # built-in function library
 # ---------------------------------------------------------------------------
+#
+# Every library function is elementwise: its one form serves ``evaluate``
+# on a float and the quadrature on a node array, so both see the same bits.
 
 def identity_function() -> PiecewiseScalarFunction:
-    return PiecewiseScalarFunction((), lambda x: x, lambda x: 1.0, label="identity")
+    return PiecewiseScalarFunction((), lambda x: x, lambda x: 1.0, label="identity",
+                                   elementwise=True)
 
 
 def constant_function(c: float = 1.5) -> PiecewiseScalarFunction:
-    return PiecewiseScalarFunction((), lambda x: c, lambda x: 0.0, label="constant")
+    return PiecewiseScalarFunction((), lambda x: c, lambda x: 0.0, label="constant",
+                                   elementwise=True)
 
 
 def hard_threshold_function(t: float) -> PiecewiseScalarFunction:
@@ -167,15 +179,15 @@ def hard_threshold_function(t: float) -> PiecewiseScalarFunction:
         return identity_function()
 
     def fn(x):
-        return x if abs(x) >= t else 0.0
+        return np.where(np.abs(x) >= t, x, 0.0)
 
     def dfn(x):
-        return 1.0 if abs(x) > t else 0.0
+        return np.where(np.abs(x) > t, 1.0, 0.0)
 
     return PiecewiseScalarFunction(
         (-t, t), fn, dfn,
         left_values=(-t, 0.0), right_values=(0.0, t),
-        label=f"hard-threshold t={t:g}",
+        label=f"hard-threshold t={t:g}", elementwise=True,
     )
 
 
@@ -185,30 +197,31 @@ def soft_threshold_function(t: float) -> PiecewiseScalarFunction:
         raise ValueError("t must be nonnegative")
 
     def fn(x):
-        return np.sign(x) * max(abs(x) - t, 0.0)
+        return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
     def dfn(x):
-        return 1.0 if abs(x) > t else 0.0
+        return np.where(np.abs(x) > t, 1.0, 0.0)
 
     bps = (-t, t) if t > 0 else ()
     left = (0.0, 0.0) if t > 0 else None
     return PiecewiseScalarFunction(
         bps, fn, dfn, left_values=left, right_values=left,
-        label=f"soft-threshold t={t:g}",
+        label=f"soft-threshold t={t:g}", elementwise=True,
     )
 
 
 def sign_function() -> PiecewiseScalarFunction:
     return PiecewiseScalarFunction(
-        (0.0,), lambda x: float(np.sign(x)), lambda x: 0.0,
-        left_values=(-1.0,), right_values=(1.0,), label="sign",
+        (0.0,), np.sign, lambda x: 0.0,
+        left_values=(-1.0,), right_values=(1.0,), label="sign", elementwise=True,
     )
 
 
 def step_function(at: float = 0.0) -> PiecewiseScalarFunction:
     return PiecewiseScalarFunction(
-        (at,), lambda x: 1.0 if x >= at else 0.0, lambda x: 0.0,
+        (at,), lambda x: np.where(x >= at, 1.0, 0.0), lambda x: 0.0,
         left_values=(0.0,), right_values=(1.0,), label=f"step at {at:g}",
+        elementwise=True,
     )
 
 
@@ -218,12 +231,12 @@ def clipped_linear_function(lo: float, hi: float) -> PiecewiseScalarFunction:
         raise ValueError("need lo < hi")
 
     def dfn(x):
-        return 1.0 if lo < x < hi else 0.0
+        return np.where((lo < x) & (x < hi), 1.0, 0.0)
 
     return PiecewiseScalarFunction(
-        (lo, hi), lambda x: min(max(x, lo), hi), dfn,
+        (lo, hi), lambda x: np.minimum(np.maximum(x, lo), hi), dfn,
         left_values=(lo, hi), right_values=(lo, hi),
-        label=f"clip [{lo:g}, {hi:g}]",
+        label=f"clip [{lo:g}, {hi:g}]", elementwise=True,
     )
 
 
@@ -232,14 +245,16 @@ def polynomial_jump_function() -> PiecewiseScalarFunction:
     pieces."""
 
     def fn(x):
-        return x * x if x < 1.0 else x ** 3 + 1.0
+        # x * x * x, not x ** 3: numpy's array power and Python's float
+        # power can round the cube differently
+        return np.where(x < 1.0, x * x, x * x * x + 1.0)
 
     def dfn(x):
-        return 2.0 * x if x < 1.0 else 3.0 * x * x
+        return np.where(x < 1.0, 2.0 * x, 3.0 * x * x)
 
     return PiecewiseScalarFunction(
         (1.0,), fn, dfn, left_values=(1.0,), right_values=(2.0,),
-        label="polynomial pieces with unit jump",
+        label="polynomial pieces with unit jump", elementwise=True,
     )
 
 
@@ -247,11 +262,12 @@ def negative_jump_function() -> PiecewiseScalarFunction:
     """x below 0, x - 2 at and above 0: a downward jump of -2."""
 
     def fn(x):
-        return x if x < 0.0 else x - 2.0
+        return np.where(x < 0.0, x, x - 2.0)
 
     return PiecewiseScalarFunction(
         (0.0,), fn, lambda x: 1.0,
         left_values=(0.0,), right_values=(-2.0,), label="negative jump",
+        elementwise=True,
     )
 
 
@@ -260,6 +276,7 @@ def removable_break_function() -> PiecewiseScalarFunction:
     return PiecewiseScalarFunction(
         (0.3,), lambda x: x, lambda x: 1.0,
         left_values=(0.3,), right_values=(0.3,), label="removable break",
+        elementwise=True,
     )
 
 
@@ -317,15 +334,20 @@ def _panels(f: PiecewiseScalarFunction, lo: float, hi: float):
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def _gk15(f_of_x, a: np.ndarray, b: np.ndarray):
-    """QUADPACK's qk15 on every interval [a[k], b[k]] from one call of
-    f_of_x: the 15-point Kronrod value and its resasc-scaled error estimate
-    (Piessens et al., QUADPACK, 1983)."""
-    centre, half = (a + b) / 2, (b - a) / 2
-    fx = f_of_x((centre[:, None] + half[:, None] * _GK_NODES).ravel()).reshape(a.size, 15)
-    kronrod, gauss = fx @ _GK_WEIGHTS, fx @ _GAUSS_WEIGHTS
-    resabs = np.abs(fx) @ _GK_WEIGHTS * half  # a < b, so half > 0
-    resasc = np.abs(fx - 0.5 * kronrod[:, None]) @ _GK_WEIGHTS * half
+def _rowsum(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_j a[k, j] * w[j] for every row k.  An elementwise product and a
+    per-row sum, not a matrix-vector product: BLAS rounds a row's dot
+    product differently with the number of rows."""
+    return (a * w).sum(axis=1)
+
+
+def _gk15(fx: np.ndarray, half: np.ndarray):
+    """QUADPACK's qk15 on intervals of half-width half[k] from the integrand
+    at their 15 nodes, fx[k]: the Kronrod value and its resasc-scaled error
+    estimate (Piessens et al., QUADPACK, 1983)."""
+    kronrod, gauss = _rowsum(fx, _GK_WEIGHTS), _rowsum(fx, _GAUSS_WEIGHTS)
+    resabs = _rowsum(np.abs(fx), _GK_WEIGHTS) * half  # a < b, so half > 0
+    resasc = _rowsum(np.abs(fx - 0.5 * kronrod[:, None]), _GK_WEIGHTS) * half
     err = np.abs((kronrod - gauss) * half)
     scale = (resasc != 0) & (err != 0)
     err[scale] = resasc[scale] * np.minimum(1.0, (200 * err[scale] / resasc[scale]) ** 1.5)
@@ -334,80 +356,138 @@ def _gk15(f_of_x, a: np.ndarray, b: np.ndarray):
     return kronrod * half, err
 
 
-def _adaptive_gk15(f_of_x, a: float, b: float):
-    """(integral, error estimate) of f_of_x over [a, b] by adaptive GK15.
+def _adaptive_gk15(integrand, a, b, mu, sigma):
+    """(integral, error estimate) over every panel [a[k], b[k]] by adaptive
+    GK15, of integrand(x, mu[k], sigma[k]).
 
-    Each round evaluates every open subinterval in one call.  A subinterval
-    is accepted when its error is within its width's share of
-    max(epsabs, epsrel * |current estimate|); the rest are bisected.  When
-    bisecting would pass the subdivision limit, the open subintervals are
-    accepted as they are and their errors count in the estimate.
+    Each round evaluates the open subintervals of all panels in one
+    integrand call, on node rows x with their panel's mu and sigma as
+    columns.  A subinterval is accepted when its error is within its
+    width's share of max(epsabs, epsrel * |its panel's current estimate|);
+    the rest are bisected.  When bisecting would pass a panel's subdivision
+    limit, that panel's open subintervals are accepted as they are and
+    their errors count in its estimate.  Each panel sums its subintervals
+    in their own order (np.bincount adds in index order), so its result
+    does not depend on which other panels share the call.
     """
-    lo, hi = np.array([a]), np.array([b])
-    total, err, count = 0.0, 0.0, 1
-    while True:
-        val, e = _gk15(f_of_x, lo, hi)
-        tol = max(_QUAD_EPSABS, _QUAD_EPSREL * abs(total + val.sum()))
-        done = e * (b - a) <= tol * (hi - lo)
-        total += val[done].sum()
-        err += e[done].sum()
-        lo, hi, val, e = lo[~done], hi[~done], val[~done], e[~done]
-        if not lo.size:
-            return total, err
-        if count + lo.size > _QUAD_LIMIT:
-            return total + val.sum(), err + e.sum()
-        count += lo.size
+    n = a.size
+    total, err, count = np.zeros(n), np.zeros(n), np.ones(n, dtype=np.intp)
+    k, lo, hi = np.arange(n), a, b
+    while k.size:
+        half = (hi - lo) / 2
+        x = ((lo + hi) / 2)[:, None] + half[:, None] * _GK_NODES
+        val, e = _gk15(integrand(x, mu[k, None], sigma[k, None]), half)
+        estimate = total + np.bincount(k, val, n)
+        tol = np.maximum(_QUAD_EPSABS, _QUAD_EPSREL * np.abs(estimate))
+        done = e * (b - a)[k] <= tol[k] * (hi - lo)
+        still_open = np.bincount(k[~done], minlength=n)
+        full = count + still_open > _QUAD_LIMIT
+        done |= full[k]
+        total += np.bincount(k[done], val[done], n)
+        err += np.bincount(k[done], e[done], n)
+        count += still_open
+        k, lo, hi = k[~done], lo[~done], hi[~done]
         mid = (lo + hi) / 2
-        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        k, lo, hi = np.concatenate((k, k)), np.concatenate((lo, mid)), np.concatenate((mid, hi))
+    return total, err
 
 
-def _integrate(f_of_x, f: PiecewiseScalarFunction, mu: float, sigma: float) -> float:
-    lo, hi = mu - _QUAD_SPAN * sigma, mu + _QUAD_SPAN * sigma
-    total, err = 0.0, 0.0
-    for a, b in _panels(f, lo, hi):
-        val, e = _adaptive_gk15(f_of_x, a, b)
-        total += val
-        err += e
-    if not err <= _QUAD_ERR_BUDGET:  # NaN fails too
+def _cases(mu, sigma):
+    """mu and sigma broadcast to one float array shape; sigma must be
+    positive (NaN is not)."""
+    mu, sigma = np.broadcast_arrays(np.asarray(mu, dtype=float),
+                                    np.asarray(sigma, dtype=float))
+    if not np.all(sigma > 0):
+        raise ValueError("sigma must be positive")
+    return mu, sigma
+
+
+def _nodes(f: PiecewiseScalarFunction, array_form, point_form, x: np.ndarray):
+    """A function on the node array x: in one call when f is elementwise,
+    otherwise one Python call per node."""
+    if f.elementwise:
+        return array_form(x)
+    return np.array([point_form(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _integrate(integrand, f: PiecewiseScalarFunction, mu: np.ndarray,
+               sigma: np.ndarray) -> np.ndarray:
+    """integrand(x, mu, sigma) integrated over mu -/+ _QUAD_SPAN * sigma
+    for every case (mu[i], sigma[i]), panels split at f's breakpoints, all
+    cases in one adaptive run.  A case whose error estimate exceeds the
+    budget raises NumericalError, the first such case by index."""
+    mus, sigmas = mu.ravel(), sigma.ravel()
+    lo, hi = mus - _QUAD_SPAN * sigmas, mus + _QUAD_SPAN * sigmas
+    case, a, b = [], [], []
+    for i, (lo_i, hi_i) in enumerate(zip(lo.tolist(), hi.tolist())):
+        for a_k, b_k in _panels(f, lo_i, hi_i):
+            case.append(i)
+            a.append(a_k)
+            b.append(b_k)
+    case = np.array(case, dtype=np.intp)
+    val, e = _adaptive_gk15(integrand, np.array(a), np.array(b), mus[case], sigmas[case])
+    total, err = np.bincount(case, val, mus.size), np.bincount(case, e, mus.size)
+    bad = np.flatnonzero(~(err <= _QUAD_ERR_BUDGET))  # NaN fails too
+    if bad.size:
+        i = int(bad[0])
+        message = f"quadrature error estimate {err[i]:.3e} exceeds {_QUAD_ERR_BUDGET:.1e}"
+        if mu.ndim == 0:
+            raise NumericalError(message, diagnostic={"error_estimate": float(err[i])})
+        index = tuple(int(j) for j in np.unravel_index(i, mu.shape))
+        index = index[0] if mu.ndim == 1 else index
         raise NumericalError(
-            f"quadrature error estimate {err:.3e} exceeds {_QUAD_ERR_BUDGET:.1e}",
-            diagnostic={"error_estimate": err},
+            f"{message} at case {index} (mu={mus[i]:.6g}, sigma={sigmas[i]:.6g})",
+            diagnostic={"error_estimate": float(err[i]), "case": index,
+                        "mu": float(mus[i]), "sigma": float(sigmas[i])},
         )
-    return total
+    return total.reshape(mu.shape)
 
 
-def stein_lhs_univariate(f: PiecewiseScalarFunction, mu: float, sigma: float) -> float:
+def _float_or_array(out: np.ndarray):
+    return float(out) if out.ndim == 0 else out
+
+
+def stein_lhs_univariate(f: PiecewiseScalarFunction, mu, sigma):
     """The covariance side: E[(X - mu) f(X)] / sigma^2 for X ~ N(mu, sigma^2),
-    by adaptive quadrature with panels split at the breakpoints."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    by adaptive quadrature with panels split at the breakpoints.
 
-    def integrand(x):
-        fx = np.array([f.evaluate(v) for v in x.tolist()])
-        return (x - mu) * fx * normal_pdf((x - mu) / sigma) / sigma
+    mu and sigma may be arrays; they broadcast, and every (mu, sigma) case
+    is integrated in one quadrature run.  Scalars give a float, arrays an
+    array of the broadcast shape.  Each case's value is the same bits
+    whichever other cases share the call.
+    """
+    mu, sigma = _cases(mu, sigma)
 
-    return _integrate(integrand, f, mu, sigma) / sigma ** 2
+    def integrand(x, m, s):
+        fx = _nodes(f, f.fn, f.evaluate, x)
+        return (x - m) * fx * normal_pdf((x - m) / s) / s
+
+    return _float_or_array(_integrate(integrand, f, mu, sigma) / sigma ** 2)
 
 
-def stein_rhs_univariate(f: PiecewiseScalarFunction, mu: float, sigma: float) -> float:
+def stein_rhs_univariate(f: PiecewiseScalarFunction, mu, sigma):
     """The derivative-plus-jumps side: E[f'(X)] plus the normal density at
-    each breakpoint times its jump."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    each breakpoint times its jump.
 
-    def integrand(x):
-        dfx = np.array([f.derivative(v) for v in x.tolist()])
-        return dfx * normal_pdf((x - mu) / sigma) / sigma
+    mu and sigma broadcast as in stein_lhs_univariate, with one quadrature
+    run for all cases.
+    """
+    mu, sigma = _cases(mu, sigma)
+
+    def integrand(x, m, s):
+        dfx = _nodes(f, f.dfn, f.derivative, x)
+        return dfx * normal_pdf((x - m) / s) / s
 
     total = _integrate(integrand, f, mu, sigma)
     for rec in f.jumps():
-        total += normal_pdf((rec.location - mu) / sigma) / sigma * rec.jump
-    return total
+        total = total + normal_pdf((rec.location - mu) / sigma) / sigma * rec.jump
+    return _float_or_array(total)
 
 
-def verify_stein_univariate(f: PiecewiseScalarFunction, mu: float, sigma: float) -> float:
+def verify_stein_univariate(f: PiecewiseScalarFunction, mu, sigma):
     """Absolute difference of the two sides; small for any function that is
-    absolutely continuous between its breakpoints and normal-integrable."""
+    absolutely continuous between its breakpoints and normal-integrable.
+    mu and sigma broadcast as in stein_lhs_univariate."""
     return abs(stein_lhs_univariate(f, mu, sigma) - stein_rhs_univariate(f, mu, sigma))
 
 

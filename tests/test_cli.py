@@ -180,6 +180,31 @@ class TestSteinCheckCommand:
         residuals = np.array([float(r[3]) for r in rows])
         assert residuals.max() < 1e-8
 
+    def test_library_mode_makes_one_call_per_function_and_side(self, tmp_path, monkeypatch):
+        # each call covers every (mu, sigma) pair; its rows equal scalar calls
+        sides = {name: getattr(cli, name)
+                 for name in ("stein_lhs_univariate", "stein_rhs_univariate")}
+        calls = []
+        for name, side in sides.items():
+            def spy(f, mu, sigma, name=name, side=side):
+                calls.append((name, np.shape(mu)))
+                return side(f, mu, sigma)
+            monkeypatch.setattr(cli, name, spy)
+        cfg = _write(tmp_path / "st.txt", "mode=library\nmus=-1,0.5,4\nsigmas=0.25,3\n")
+        out = tmp_path / "run"
+        assert cli.main(["stein-check", "--config", cfg, "--out", str(out)]) == 0
+        library = dfsearch.function_library()
+        assert sorted(calls) == sorted((name, (6,)) for name in sides for _ in library)
+        expected = []
+        for label, f in library:
+            for mu in (-1.0, 0.5, 4.0):
+                for s in (0.25, 3.0):
+                    lhs = sides["stein_lhs_univariate"](f, mu, s)
+                    rhs = sides["stein_rhs_univariate"](f, mu, s)
+                    expected.append([f"{label} mu={mu:g} sigma={s:g}", "%.17g" % lhs,
+                                     "%.17g" % rhs, "%.17g" % abs(lhs - rhs)])
+        assert _read_csv(out / "stein-univariate.csv")[2] == expected
+
     def test_decompose_mode_writes_table(self, tmp_path):
         cfg = _write(
             tmp_path / "st.txt",
@@ -435,3 +460,25 @@ class TestImports:
                      curves_out / "curves-subset.csv", curves_out / "curves-lasso.csv",
                      curves_out / "curves-by-active.csv"):
             assert _read_csv(path)[2], path
+
+    def test_no_command_loads_numpy_ma(self, tmp_path):
+        # numpy imports numpy.ma lazily, on a plain np.unique among others,
+        # at a cost of 10-20 ms per process
+        configs = {
+            "simulate": "procedures=lasso,best-subset,relaxed-lasso,ridge\nn=10\np=4\n"
+                        "block_sizes=2,2\nsupport=0\nreps=20\nlambda_count=3\n",
+            "stein-check": "mode=both\nn=4\nprocedures=hard-threshold,best-subset,"
+                           "relaxed-lasso\nreps=4\n",
+            "curves": "regime=dense\np=50\nlambda_count=11\nactive_count=5\n",
+        }
+        code = ("import sys\nimport dfsearch.cli\n"
+                "assert 'numpy.ma' not in sys.modules, 'loaded by the import'\n")
+        for command, text in configs.items():
+            cfg = _write(tmp_path / f"{command}.txt", text)
+            code += (
+                f"assert dfsearch.cli.main([{command!r}, '--config', {cfg!r}, "
+                f"'--out', {str(tmp_path / command)!r}]) == 0\n"
+                f"assert 'numpy.ma' not in sys.modules, 'loaded by {command}'\n"
+            )
+        done = _run_python(code)
+        assert done.returncode == 0, done.stderr

@@ -520,29 +520,26 @@ class TestBestSubsetProperties:
     @given(
         p=st.integers(2, 6),
         reps=st.integers(2, 9),
-        per_chunk=st.integers(1, 4),
         per_block=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_chunked_path_matches_single_solves(self, p, reps, per_chunk, per_block, seed):
-        # the selected supports must agree exactly; the refit's last bits
-        # depend on how many rows share a support (BLAS picks a different
-        # kernel for one to three rows), so values agree to rounding only
+    def test_chunked_path_matches_single_solves(self, p, reps, per_block, seed):
+        # each row is refit alone through its support's pseudoinverse, so a
+        # row of the path is the same bits as its single solve
         d = _random_design(8, p, seed)
         rng = np.random.default_rng(seed + 1)
         Y = rng.standard_normal((reps, 8))
         lams = [0.05, 0.4, 1.5]
         with pytest.MonkeyPatch.context() as mp:
-            # refit chunks of per_chunk responses, scored per_block at a time
-            mp.setattr(fitters, "_MAX_TABLE", per_chunk << p)
+            # scored per_block responses at a time
             mp.setattr(fitters, "_BLOCK_FLOATS", per_block << p)
             path = fit_path("best-subset", d, Y, lams)
             for li, lam in enumerate(lams):
                 for r in range(reps):
                     solo = best_subset_solve(d, Y[r], lam)
                     npt.assert_array_equal(path[li].row(r).active_set, solo.active_set)
-                    npt.assert_allclose(path[li].beta[r], solo.beta, rtol=0, atol=1e-12)
-                    npt.assert_allclose(path[li].fitted[r], solo.fitted, rtol=0, atol=1e-12)
+                    npt.assert_array_equal(path[li].beta[r], solo.beta)
+                    npt.assert_array_equal(path[li].fitted[r], solo.fitted)
 
 
 class TestRelaxedLasso:

@@ -136,6 +136,21 @@ class TestUnivariateIdentity:
             assert set(info.value.diagnostic) == {"error_estimate"}
             assert not info.value.diagnostic["error_estimate"] <= 1e-9
 
+    def test_over_budget_case_in_an_array_call_is_named(self):
+        # only the case at mu = 15 reaches the NaN region
+        f = PiecewiseScalarFunction((), lambda x: math.nan if x > 20.0 else x,
+                                    lambda x: math.nan if x > 20.0 else 1.0)
+        mu = np.array([0.0, 0.5, 15.0, 16.0])
+        for side in (stein_lhs_univariate, stein_rhs_univariate):
+            with pytest.raises(NumericalError, match=r"case 2 \(mu=15, sigma=1\)") as info:
+                side(f, mu, 1.0)
+            diagnostic = info.value.diagnostic
+            assert set(diagnostic) == {"error_estimate", "case", "mu", "sigma"}
+            assert (diagnostic["case"], diagnostic["mu"], diagnostic["sigma"]) == (2, 15.0, 1.0)
+            assert not diagnostic["error_estimate"] <= 1e-9
+            with pytest.raises(NumericalError, match=r"case \(1, 0\)"):
+                side(f, mu[1:3, None], np.array([1.0, 0.5]))
+
     def test_covariance_side_of_step_function_matches_density(self):
         # E[(x - mu) step(x)] / sigma^2 = phi(mu/sigma)/sigma for a unit step at 0
         from dfsearch.closedform import normal_pdf
@@ -144,6 +159,59 @@ class TestUnivariateIdentity:
         mu, sigma = 0.3, 1.2
         lhs = stein_lhs_univariate(f, mu, sigma)
         assert abs(lhs - normal_pdf(mu / sigma) / sigma) < 1e-9
+
+
+def _scalar_only_function():
+    """A user function whose fn and dfn take floats only (math, not numpy)."""
+    return PiecewiseScalarFunction(
+        (0.5,), lambda x: math.sin(x) if x < 0.5 else math.cos(x) + 1.0,
+        lambda x: math.cos(x) if x < 0.5 else -math.sin(x),
+    )
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestBatchedQuadrature:
+    _FUNCTIONS = _LIBRARY + [("scalar-only", _scalar_only_function())]
+
+    @pytest.mark.parametrize("name,f", _FUNCTIONS, ids=[n for n, _ in _FUNCTIONS])
+    def test_array_call_equals_scalar_calls(self, name, f):
+        rng = np.random.default_rng(5)
+        mu, sigma = rng.uniform(-4, 4, 6), rng.uniform(0.2, 3, 6)
+        other_mu, other_sigma = rng.uniform(-4, 4, 5), rng.uniform(0.2, 3, 5)
+        for side in (stein_lhs_univariate, stein_rhs_univariate):
+            alone = [side(f, m, s) for m, s in zip(mu.tolist(), sigma.tolist())]
+            assert all(isinstance(v, float) for v in alone)
+            assert _bits(side(f, mu, sigma)) == _bits(alone)
+            # other cases sharing the call move no case's bits
+            shared = side(f, np.concatenate((other_mu, mu)), np.concatenate((other_sigma, sigma)))
+            assert _bits(shared[5:]) == _bits(alone)
+            # broadcasting: mu down the rows, sigma along the columns
+            grid = side(f, mu[:2, None], sigma[:3])
+            assert grid.shape == (2, 3)
+            assert _bits(grid) == _bits([[side(f, m, s) for s in sigma[:3].tolist()]
+                                         for m in mu[:2].tolist()])
+        assert _bits(verify_stein_univariate(f, mu, sigma)) == _bits(
+            [verify_stein_univariate(f, m, s) for m, s in zip(mu.tolist(), sigma.tolist())])
+
+    @pytest.mark.parametrize("name,f", _LIBRARY, ids=[n for n, _ in _LIBRARY])
+    def test_elementwise_forms_equal_the_point_forms(self, name, f):
+        assert f.elementwise
+        x = np.random.default_rng(6).normal(scale=3.0, size=2000)
+        bps = np.array(f.breakpoints)
+        x = np.concatenate((x, bps, np.nextafter(bps, -np.inf), np.nextafter(bps, np.inf)))
+        for array_form, point_form in ((f.fn, f.evaluate), (f.dfn, f.derivative)):
+            values = np.broadcast_to(array_form(x), x.shape)
+            assert _bits(values) == _bits([point_form(v) for v in x.tolist()])
+
+    def test_sigma_must_be_positive_in_every_case(self):
+        f = hard_threshold_function(1.0)
+        for side in (stein_lhs_univariate, stein_rhs_univariate):
+            for sigma in (0.0, -1.0, math.nan):
+                with pytest.raises(ValueError, match="sigma must be positive"):
+                    side(f, np.zeros(3), np.array([1.0, sigma, 2.0]))
 
 
 def _stub_proc(fn, n=4):
