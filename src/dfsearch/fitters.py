@@ -11,9 +11,10 @@ estimators lean on the batched path; a plain Python loop over 10^4
 replications would dominate the runtime budget otherwise.  One homotopy
 kernel moves the lasso knot to knot: down each response's path in lambda
 (once for a whole grid; the exact solve on the supports it finds is the
-fit), and along coordinate lines of the response, where the relaxed lasso
-jumps at its knots, for the Stein boundary term.  Best subset's and hard
-thresholding's jumps along those lines are worked out in closed form.
+fit), and along coordinate lines of the response, both ways from each
+replication's own fit, where the relaxed lasso jumps at its knots, for the
+Stein boundary term.  Best subset's and hard thresholding's jumps along
+those lines are worked out in closed form.
 """
 
 from __future__ import annotations
@@ -136,6 +137,12 @@ def _support_indices(S, p: int) -> tuple:
     return tuple(items)
 
 
+def _rowwise(A: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """A @ M one row of A at a time (a stack of vector-matrix products), so
+    no row's bits depend on the other rows of A."""
+    return np.matmul(A[:, None, :], M)[:, 0]
+
+
 def _on_supports(cache: _DesignCache, Y: np.ndarray, masks: np.ndarray, signs=None, lam=None):
     """Least squares of each row of Y on its active columns (masks),
     beta_S = pinv(X_S) y, or with signs (R, p) and lam the lasso on that
@@ -156,7 +163,7 @@ def _on_supports(cache: _DesignCache, Y: np.ndarray, masks: np.ndarray, signs=No
             if signs is not None:
                 y = y - lam * np.matmul(P.transpose(0, 2, 1), signs[r[:, None], S, None])
             beta[r[:, None], S] = np.matmul(P, y)[..., 0]
-    return beta, np.matmul(beta[:, None, :], cache.X.T)[:, 0], rank
+    return beta, _rowwise(beta, cache.X.T), rank
 
 
 def refit_on_active_sets(X: np.ndarray, Y: np.ndarray, masks: np.ndarray):
@@ -199,6 +206,17 @@ def least_squares_on_support(X: DesignMatrix, y: np.ndarray, S) -> FitOutput:
 # lasso by its exact path in lambda
 # ---------------------------------------------------------------------------
 
+def _kkt_residuals(beta: np.ndarray, c: np.ndarray, lam: float) -> np.ndarray:
+    """Worst violation of the lasso stationarity conditions per row, from
+    beta (R, p) and c = X'(y - X beta) (R, p): |c_j - lam sign(beta_j)| on
+    the support, |c_j| - lam off it, and 0 at best.  Infinite where beta or
+    c is not finite, so a NaN fit never passes."""
+    V = np.abs(c - lam * np.sign(beta))
+    V[beta == 0] -= lam
+    finite = np.all(np.isfinite(beta) & np.isfinite(c), axis=1)
+    return np.where(finite, V.max(axis=1, initial=0.0), np.inf)
+
+
 def lasso_kkt_residual(X: DesignMatrix, y: np.ndarray, lam: float, beta: np.ndarray) -> float:
     """Worst violation of the lasso stationarity conditions at beta.
 
@@ -206,12 +224,10 @@ def lasso_kkt_residual(X: DesignMatrix, y: np.ndarray, lam: float, beta: np.ndar
     and = lam with matching sign on it.  Infinite when beta or the gradient
     is not finite, so a NaN fit never passes.
     """
-    Xv, beta = X.values, np.asarray(beta, dtype=float)
-    if not np.all(np.isfinite(beta)):
-        return float("inf")
-    g = Xv.T @ (np.asarray(y, dtype=float) - Xv @ beta)
-    viol = np.where(beta != 0, np.abs(g - lam * np.sign(beta)), np.abs(g) - lam)
-    return max(float(viol.max(initial=0.0)), 0.0) if np.all(np.isfinite(g)) else float("inf")
+    Xv, beta = X.values, np.asarray(beta, dtype=float)[None, :]
+    with np.errstate(invalid="ignore", over="ignore"):  # inf gives inf or NaN: both fail
+        c = (np.asarray(y, dtype=float) - _rowwise(beta, Xv.T)) @ Xv
+    return float(_kkt_residuals(beta, c, lam)[0])
 
 
 def _homotopy(X, G, b, lam, z, db, dlam, live, visit):
@@ -351,11 +367,9 @@ def _lasso_path(X: np.ndarray, Y: np.ndarray, lams) -> list[BatchFit]:
     for lam in dict.fromkeys(lams):
         beta = B[np.searchsorted(-grid, -lam)] if lam else _on_supports(
             cache, Y, np.ones((R, p), bool))[0]
-        fitted = np.matmul(beta[:, None, :], X.T)[:, 0]  # row by row, as in _on_supports
+        fitted = _rowwise(beta, X.T)
         E = Y - fitted
-        V = np.abs(E @ X - lam * np.sign(beta))
-        V[beta == 0] -= lam  # |c_j - lam z_j| on the support, |c_j| - lam off it
-        res, gate = V.max(axis=1), 1e-8 * max(scale, lam)
+        res, gate = _kkt_residuals(beta, E @ X, lam), 1e-8 * max(scale, lam)
         bad = np.flatnonzero(~(res <= gate)) if lam else ()
         if len(bad):
             diag = {"replication": int(bad[0]), "kkt_residual": float(res[bad].max()),
@@ -674,8 +688,8 @@ def relaxed_lasso_fit(X: DesignMatrix, y: np.ndarray, lam: float) -> FitOutput:
 def _batch_ridge(X: np.ndarray, Y: np.ndarray, lam: float) -> BatchFit:
     p = X.shape[1]
     M = np.linalg.solve(X.T @ X + lam * np.eye(p), X.T)
-    B = np.matmul(Y[:, None, :], M.T)[:, 0]  # row by row, as in _on_supports
-    fitted = np.matmul(B[:, None, :], X.T)[:, 0]
+    B = _rowwise(Y, M.T)
+    fitted = _rowwise(B, X.T)
     objective = 0.5 * np.sum((Y - fitted) ** 2, axis=1) + 0.5 * lam * np.sum(B * B, axis=1)
     active = np.ones_like(B, dtype=bool)
     return BatchFit(beta=B, fitted=fitted, active=active, objective=objective)
@@ -689,9 +703,9 @@ def ridge_fit(X: DesignMatrix, y: np.ndarray, lam: float) -> FitOutput:
 
 
 def _batch_threshold(X: np.ndarray, Y: np.ndarray, t: float, hard: bool) -> BatchFit:
-    V = Y @ X
+    V = _rowwise(Y, X)
     B = hard_threshold(V, t) if hard else soft_threshold(V, t)
-    fitted = B @ X.T
+    fitted = _rowwise(B, X.T)
     objective = 0.5 * np.sum((Y - fitted) ** 2, axis=1)
     return BatchFit(beta=B, fitted=fitted, active=B != 0, objective=objective)
 
@@ -915,57 +929,46 @@ def _hard_line_jumps(X, Y0, coord, lo, hi, t):
     return [(line, s, base + np.where(enters, 0.0, step), base + np.where(enters, step, 0.0))]
 
 
-def _relaxed_line_jumps(proc: FitProcedure, Y0, rep, coord, lo, hi):
+def _relaxed_line_jumps(proc: FitProcedure, Y, rep, coord, lo, hi):
     """Relaxed-lasso jumps along every line, by the lasso homotopy in the
-    response: the kernel with db = X[i, :] and dlam = 0, from the lasso at
-    the lower end of the line (the walk in lambda), whose KKT conditions
-    the kernel's own first solve must meet.  At each knot fitted[i] jumps
-    from (P_A y)_i to (P_A' y)_i, A and A' the active sets on either side,
-    both from one support kernel call after the walk.  Returns (line,
-    location, left, right) of every knot."""
-    lam, X = proc.lam, proc.design.values
-    m = Y0.shape[0]
-    s = lo.astype(float)
-    Ys = Y0.copy()
-    Ys[np.arange(m), coord] = s
-    try:
-        start = FitProcedure("lasso", lam, proc.design).fit_many(Ys)
-    except NumericalError as err:
-        raise _line_error(f"lasso at the lower end of the line: {err}", rep, coord,
-                          err.diagnostic["replication"], err.diagnostic) from err
-    XtY = Ys @ X
-    gate = 1e-8 * max(1.0, float(np.abs(XtY).max()), lam)
-    fresh = np.ones(m, dtype=bool)
+    response (the kernel with dlam = 0) from the gated lasso fit of the
+    line's replication at s = y_ri: up to hi with db = X[i, :] and down to
+    lo with db = -X[i, :], in one kernel call.  Only knots in [lo, hi]
+    count; a knot at y_ri is passed by one walk only, and one passed going
+    down has its sides swapped.  At each knot fitted[i] jumps from
+    (P_A y)_i to (P_A' y)_i, A and A' the active sets left and right of it,
+    from one support kernel call after the walk.  Returns (line, location,
+    left, right) of every knot."""
+    lam, X, m = proc.lam, proc.design.values, rep.size
+    z = np.sign(_lasso_path(X, Y, (lam,))[0].beta).astype(np.int8)[rep]
+    up = np.arange(2 * m) < m  # rows m.. walk the same lines down
+    s = np.tile(Y[rep, coord], 2)
+    lo, hi = np.tile(lo, 2), np.tile(hi, 2)
     knots = []
 
     def record(live, u, kind, j, zl, beta, c):
-        k = np.flatnonzero(fresh[live])
-        A = zl[k] != 0
-        bad = np.any(A & (np.sign(beta[k]) != zl[k]), axis=1)
-        bad |= np.any(~A & ~(np.abs(c[k]) <= lam + gate), axis=1)
-        if np.any(bad):
-            raise _line_error("the lasso at the lower end of the line fails the KKT "
-                              "check on its own active set", rep, coord, live[k[np.argmax(bad)]])
-        fresh[live] = False
-        t = s[live] + u
-        go = t <= hi[live]
+        t = np.where(up[live], s[live] + u, s[live] - u)
+        go = np.where(up[live], t <= hi[live], t >= lo[live])
         s[live[go]] = t[go]
-        knots.append((live[go], t[go], zl[go] != 0, kind[go], j[go]))
+        k = go & (t >= lo[live]) & (t <= hi[live])
+        knots.append((live[k], t[k], zl[k] != 0, kind[k], j[k]))
         return go
 
-    stuck = _homotopy(X, X.T @ X, XtY, np.full(m, lam), np.sign(start.beta).astype(np.int8),
-                      X[coord], 0.0, np.arange(m), record)
+    stuck = _homotopy(X, X.T @ X, np.tile(_rowwise(Y, X)[rep], (2, 1)), np.full(2 * m, lam),
+                      np.tile(z, (2, 1)), np.concatenate((X[coord], -X[coord])), 0.0,
+                      np.flatnonzero(np.where(up, s <= hi, s >= lo)), record)
     if stuck.size:
-        raise _line_error("lasso homotopy did not finish", rep, coord, stuck[0])
+        raise _line_error("lasso homotopy did not finish", rep, coord, stuck[0] % m)
     if not knots:
         return []
-    line, loc, before, kind, j = (np.concatenate(col) for col in zip(*knots))
-    K = line.size
+    row, loc, before, kind, j = (np.concatenate(col) for col in zip(*knots))
+    K, line = row.size, row % m
     after = before.copy()
     after[np.arange(K), j] = kind > 0
-    ys = Y0[line]
+    down = ~up[row, None]
+    masks = np.concatenate((np.where(down, after, before), np.where(down, before, after)))
+    ys = Y[rep[line]]
     ys[np.arange(K), coord[line]] = loc
-    masks = np.concatenate((before, after))
     _, fitted, rank = _on_supports(_design_cache(X), np.concatenate((ys, ys)), masks)
     bad = np.flatnonzero(rank < masks.sum(axis=1))
     if bad.size:
@@ -1000,7 +1003,7 @@ def _line_jumps(proc: FitProcedure, Y: np.ndarray, lo: np.ndarray, hi: np.ndarra
     elif proc.kind == "hard-threshold":
         parts = _hard_line_jumps(X, Y0, coord, lo, hi, proc.lam)
     elif proc.kind == "relaxed-lasso" and proc.lam > 0:
-        parts = _relaxed_line_jumps(proc, Y0, rep, coord, lo, hi)
+        parts = _relaxed_line_jumps(proc, Y, rep, coord, lo, hi)
     else:
         parts = []
     parts = parts or [(np.empty(0, dtype=np.intp),) + (np.empty(0),) * 3]

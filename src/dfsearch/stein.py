@@ -707,24 +707,31 @@ def _divergence_terms(proc: FitProcedure, Y0: np.ndarray, F0: np.ndarray,
     return central.sum(axis=1)
 
 
-def _scanned_jumps(proc, Y0: np.ndarray, grids: np.ndarray):
-    """The scanner's jumps of every coordinate map of every row of Y0, as
-    arrays (rep, coord, loc, left, right) in (replication, coordinate,
-    location) order: one scan per replication."""
-    coords = np.arange(Y0.shape[1])
-    scans = [_scan(proc, y, coords, grids) for y in Y0]
-    rep = np.repeat(np.arange(len(scans)), [scan[0].size for scan in scans])
-    return (rep, *(np.concatenate(parts) for parts in zip(*scans)))
+def _scanned_jumps(proc, Y: np.ndarray, lo, hi, lines=None, *, grid_points: int):
+    """The scanner's jumps, as _line_jumps takes and returns them: one scan
+    per replication, on one grid row per line."""
+    R, n = Y.shape
+    rep, coord = np.divmod(np.arange(R * n) if lines is None else lines, n)
+    found = []
+    for r, c in enumerate(np.split(coord, np.searchsorted(rep, np.arange(1, R)))):
+        if c.size:
+            scan = _scan(proc, Y[r], c, _grids(lo[c], hi[c], grid_points))
+            found.append((np.full(scan[0].size, r), *scan))
+    return tuple(np.concatenate(col) for col in zip(*found))
 
 
-def _exact_jumps(proc: FitProcedure, Y0: np.ndarray, lo, hi, lines=None):
-    """The exact jumps above 1e-4 of the coordinate maps of the rows of Y0
-    over [lo_i, hi_i] (every map, or the lines r * n + i of lines), as
-    arrays (rep, coord, loc, left, right) in (replication, coordinate,
-    location) order; smaller ones count as kinks, as in the scanner."""
-    rep, coord, loc, left, right = _line_jumps(proc, Y0, lo, hi, lines)
-    keep = np.abs(right - left) > _JUMP_THRESHOLD
-    return rep[keep], coord[keep], loc[keep], left[keep], right[keep]
+def _jumps(proc, Y: np.ndarray, signal: SignalSpec, grid_points: int, lines=None):
+    """The jumps above 1e-4 of the coordinate maps of the rows of Y over
+    mu_i +/- 8 sigma (every map, or the lines r * n + i of lines), as arrays
+    (rep, coord, loc, left, right) in (replication, coordinate, location)
+    order: exact for a built-in procedure (smaller ones count as kinks, as
+    in the scanner), scanned on grid_points points for any other."""
+    lo, hi = signal.mu - _SPAN * signal.sigma, signal.mu + _SPAN * signal.sigma
+    if not isinstance(proc, FitProcedure):
+        return _scanned_jumps(proc, Y, lo, hi, lines, grid_points=grid_points)
+    jumps = _line_jumps(proc, Y, lo, hi, lines)
+    keep = np.abs(jumps[4] - jumps[3]) > _JUMP_THRESHOLD
+    return tuple(col[keep] for col in jumps)
 
 
 def _boundary_terms(proc, Y0: np.ndarray, signal: SignalSpec,
@@ -732,11 +739,7 @@ def _boundary_terms(proc, Y0: np.ndarray, signal: SignalSpec,
     """phi-weighted jump sum over all coordinates, per replication, shape
     (R,).  Jumps of a built-in procedure are exact; any other procedure is
     scanned.  Each replication sums in (coordinate, location) order."""
-    lo, hi = signal.mu - _SPAN * signal.sigma, signal.mu + _SPAN * signal.sigma
-    if isinstance(proc, FitProcedure):
-        rep, coord, loc, left, right = _exact_jumps(proc, Y0, lo, hi)
-    else:
-        rep, coord, loc, left, right = _scanned_jumps(proc, Y0, _grids(lo, hi, grid_points))
+    rep, coord, loc, left, right = _jumps(proc, Y0, signal, grid_points)
     sigma = signal.sigma
     weight = normal_pdf((loc - signal.mu[coord]) / sigma) / sigma * (right - left)
     return np.bincount(rep, weights=weight, minlength=Y0.shape[0])
@@ -803,25 +806,18 @@ def check_jump_positivity(proc: FitProcedure, signal: SignalSpec, trials: int,
     coordinate map over mu_i +/- 8 sigma, cycling through coordinates, and
     records any jump with negative sign.  A FitProcedure's jumps are exact
     (from the same paths as the decomposition's boundary term); any other
-    procedure is scanned with scan_discontinuities on grid_points (at least
-    16, checked for every procedure) points.  An empty list is evidence
-    (not proof) that the procedure's jumps are all upward, which would make
-    the boundary term, and hence the search cost, nonnegative.
+    procedure's line is scanned as scan_discontinuities scans it, on
+    grid_points (at least 16, checked for every procedure) points.  An
+    empty list is evidence (not proof) that the procedure's jumps are all
+    upward, which would make the boundary term, and hence the search cost,
+    nonnegative.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     _check_grid_points(grid_points)
     Y = draw_responses(signal, trials, seed)
-    lo, hi = signal.mu - _SPAN * signal.sigma, signal.mu + _SPAN * signal.sigma
-    found = []
-    if isinstance(proc, FitProcedure):
-        trial = np.arange(trials)
-        jumps = _exact_jumps(proc, Y, lo, hi, trial * signal.n + trial % signal.n)
-        for k, i, s, a, b in zip(*(col.tolist() for col in jumps)):
-            found.append((k, i, JumpRecord(location=s, left=a, right=b, jump=b - a)))
-    else:
-        for k in range(trials):
-            i = k % signal.n
-            found += [(k, i, rec) for rec in scan_discontinuities(
-                proc, i, Y[k], float(lo[i]), float(hi[i]), grid_points=grid_points)]
-    return [JumpViolation(trial=k, coord=i, record=rec) for k, i, rec in found if rec.jump < 0]
+    trial = np.arange(trials)
+    jumps = _jumps(proc, Y, signal, grid_points, trial * signal.n + trial % signal.n)
+    return [JumpViolation(trial=k, coord=i, record=JumpRecord(location=s, left=a, right=b,
+                                                              jump=b - a))
+            for k, i, s, a, b in zip(*(col.tolist() for col in jumps)) if b - a < 0]

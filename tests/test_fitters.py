@@ -646,6 +646,20 @@ class TestFitProcedure:
             npt.assert_array_equal(batch.row(r).fitted, solo.fitted)
             npt.assert_array_equal(batch.row(r).active_set, solo.active_set)
 
+    @pytest.mark.parametrize("kind", ["hard-threshold", "soft-threshold"])
+    def test_threshold_rows_match_single_fits_on_a_rotated_design(self, kind):
+        # X'y and X beta are dense products here, not the coordinate picks
+        # of the design above
+        Q = np.linalg.qr(np.random.default_rng(15).standard_normal((300, 6)))[0]
+        proc = FitProcedure(kind=kind, lam=0.8, design=DesignMatrix(Q, orthogonal=True))
+        Y = np.random.default_rng(16).standard_normal((5, 300))
+        batch = proc.fit_many(Y)
+        assert 0 < batch.active.sum() < batch.active.size
+        for r in range(5):
+            solo = proc.fit(Y[r])
+            npt.assert_array_equal(batch.row(r).beta, solo.beta)
+            npt.assert_array_equal(batch.row(r).fitted, solo.fitted)
+
     def test_batch_rows_match_single_fits_general_design(self):
         d = gen_block_design(15, 6, [3, 3], 0.4, 0.8, RngSpec(seed=20, stream_id=0))
         rng = np.random.default_rng(21)

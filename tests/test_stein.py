@@ -767,7 +767,7 @@ class TestExactJumps:
         proc = FitProcedure(kind="relaxed-lasso", lam=0.3, design=design)
         Y = np.random.default_rng(0).standard_normal((2, 6))
         # only the one support lookup after the walk along the lines sees
-        # rank-deficient supports, not the lasso fits at their lower ends
+        # rank-deficient supports, not the replications' own lasso fits
         walks = []
         homotopy, lookup = fitters._homotopy, fitters._DesignCache.lookup
 
@@ -789,4 +789,79 @@ class TestExactJumps:
         diag = info.value.diagnostic
         assert set(diag) == {"replication", "coordinate"}
         assert f"replication {diag['replication']}, coordinate {diag['coordinate']}" in str(
+            info.value)
+
+    @pytest.mark.parametrize("rep,coord", [(8, 4), (14, 0)])
+    def test_windows_on_one_side_of_the_response_match_the_scanner(self, rep, coord):
+        # the walks start at y_ri, which lies above the first window and
+        # below the second: only the knots inside each window count
+        design = gen_block_design(8, 6, [3, 3], 0.4, 0.9, RngSpec(seed=7, stream_id=0))
+        proc = FitProcedure(kind="relaxed-lasso", lam=0.5, design=design)
+        y = draw_responses(SignalSpec(np.zeros(8), 1.0), rep + 1, 0)[rep]
+        full_loc, full_jump = _exact_line(proc, y, coord)
+        for lo, hi in ((-8.0, y[coord] - 0.25), (y[coord] + 0.25, 8.0)):
+            loc, jump = _exact_line(proc, y, coord, lo, hi)
+            inside = (full_loc >= lo) & (full_loc <= hi)
+            assert loc.size >= 3
+            npt.assert_allclose(loc, full_loc[inside], rtol=0, atol=1e-12)
+            npt.assert_allclose(jump, full_jump[inside], rtol=0, atol=1e-12)
+            records = scan_discontinuities(proc, coord, y, lo, hi)
+            big = np.abs(jump) > 1e-4
+            assert len(records) == big.sum()
+            npt.assert_allclose([r.location for r in records], loc[big], rtol=0, atol=1e-6)
+            npt.assert_allclose([r.jump for r in records], jump[big], rtol=0, atol=1e-5)
+
+    def test_knot_at_the_response_is_reported_once(self):
+        # an identity design: the relaxed lasso hard-thresholds y at lam, so
+        # coordinate 0 jumps by lam at -lam and at lam, which is y_0 itself
+        proc = FitProcedure(kind="relaxed-lasso", lam=0.5, design=gen_orthogonal_design(4, 4))
+        for y0 in (0.5, -0.5):
+            loc, jump = _exact_line(proc, np.array([y0, 0.1, -1.2, 2.0]), 0)
+            npt.assert_array_equal(loc, [-0.5, 0.5])
+            npt.assert_allclose(jump, [0.5, 0.5], rtol=0, atol=1e-15)
+        # a block design: each knot of a line, moved to y_ri, is still
+        # reported once, at the same place and with the same height
+        design = gen_block_design(8, 6, [3, 3], 0.4, 0.9, RngSpec(seed=7, stream_id=0))
+        proc = FitProcedure(kind="relaxed-lasso", lam=0.5, design=design)
+        y = draw_responses(SignalSpec(np.zeros(8), 1.0), 9, 0)[8]
+        want_loc, want_jump = _exact_line(proc, y, 4)
+        assert want_loc.size >= 7
+        for s in want_loc:
+            y[4] = s
+            loc, jump = _exact_line(proc, y, 4)
+            npt.assert_allclose(loc, want_loc, rtol=0, atol=1e-12)
+            npt.assert_allclose(jump, want_jump, rtol=0, atol=1e-12)
+
+    def test_one_lasso_fit_per_replication(self, monkeypatch):
+        design = gen_block_design(8, 6, [3, 3], 0.4, 0.9, RngSpec(seed=7, stream_id=0))
+        proc = FitProcedure(kind="relaxed-lasso", lam=0.5, design=design)
+        Y = draw_responses(SignalSpec(np.zeros(8), 1.0), 5, 0)
+        rows = []
+        lasso_path = fitters._lasso_path
+
+        def counting(X, Y, lams):
+            rows.append(len(Y))
+            return lasso_path(X, Y, lams)
+
+        monkeypatch.setattr(fitters, "_lasso_path", counting)
+        jumps = _line_jumps(proc, Y, np.full(8, -8.0), np.full(8, 8.0))
+        assert jumps[0].size > 0
+        assert rows == [5]  # not one fit per line, 5 * 8
+
+    @pytest.mark.parametrize("kind,lam,message", [
+        ("relaxed-lasso", 2.0, "lasso homotopy did not finish"),
+        ("best-subset", 0.5, "best-subset envelope walk did not finish"),
+    ])
+    def test_walk_that_does_not_finish_names_the_line(self, monkeypatch, kind, lam, message):
+        # at lam = 2 the lasso's own walk in lambda takes two steps here,
+        # and the walks along the lines take more
+        design = gen_block_design(8, 6, [3, 3], 0.4, 0.9, RngSpec(seed=7, stream_id=0))
+        proc = FitProcedure(kind=kind, lam=lam, design=design)
+        Y = draw_responses(SignalSpec(np.zeros(8), 1.0), 2, 0)
+        monkeypatch.setattr(fitters, "_MAX_LINE_STEPS", 2)
+        with pytest.raises(NumericalError, match=message) as info:
+            _line_jumps(proc, Y, np.full(8, -8.0), np.full(8, 8.0))
+        diag = info.value.diagnostic
+        assert set(diag) == {"replication", "coordinate"}
+        assert f"(replication {diag['replication']}, coordinate {diag['coordinate']})" in str(
             info.value)
