@@ -60,9 +60,10 @@ KINDS = (
 # support, 2^p * n floats, and must fit in this many bytes.
 SUBSET_PLAN_MAX_BYTES = 512 << 20
 
-# Floats in one best-subset working table: a slice of the plan build, or the
-# scores of all supports against _BLOCK_FLOATS // 2^p responses (at least
-# one).  8 MB stays in cache at small p.
+# Floats in one best-subset working table: one chunk of a plan level's rows
+# (per temporary of the build), or the scores of all supports against
+# _BLOCK_FLOATS // 2^p responses (at least one).  8 MB stays in cache at
+# small p.
 _BLOCK_FLOATS = 1 << 20
 
 # Bytes of pseudoinverses the support table of a design may hold; past this
@@ -405,6 +406,9 @@ def lasso_solve(X: DesignMatrix, y: np.ndarray, lam: float) -> FitOutput:
 
 _TIE_TOL = 1e-12
 _DEP_TOL = 1e-10
+# A plan row whose one-step residual keeps less than this share of its
+# column's norm is recomputed against its whole ancestor chain.
+_REORTH_RATIO = 0.1
 
 
 def check_subset_capacity(n: int, p: int) -> None:
@@ -429,6 +433,8 @@ class _SubsetPlan:
     support), and q[i] is the unit vector that column adds to the parent's
     orthonormal basis (zero when the column is dependent), so the support's
     half residual sum of squares is its parent's minus (q[i]'y)^2 / 2.
+    Every nonzero q[i] is orthogonal to the q of each ancestor of row i to
+    working precision (see _build_subset_plan).
     """
 
     q: np.ndarray
@@ -448,22 +454,28 @@ class _SubsetPlan:
             live = live[i[live] != 0]
         return out
 
-    def accumulate(self, T: np.ndarray) -> np.ndarray:
+    def accumulate(self, T: np.ndarray, scale: float | None = None) -> np.ndarray:
         """Sum T along every support's parent chain, in place: row i of
-        the result is T[i] plus the result at parent[i].  Returns T."""
+        the result is T[i] (times scale, if given; row 0 is never scaled)
+        plus the result at parent[i].  Returns T."""
         for k in range(1, self.starts.size - 1):
             blk = slice(self.starts[k], self.starts[k + 1])
+            if scale is not None:
+                T[blk] *= scale
             T[blk] += T[self.parent[blk]]
         return T
 
-    def half_rss(self, Y: np.ndarray) -> np.ndarray:
+    def half_rss(self, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Half residual sum of squares of every support (rows) against
-        every response (columns, one per row of Y)."""
-        half = self.q @ Y.T
+        every response (columns, one per row of Y), written into out (a
+        C-contiguous (2^p, len(Y)) array) when given: the scores
+        -(q'y)^2 / 2, with 0.5 |y|^2 at the empty support, summed along the
+        parent chains.  The -1/2 is applied one level at a time inside the
+        sum; as x 0.5 is exact, the bits are those of scaling first."""
+        half = np.matmul(self.q, Y.T, out=out)
         half *= half
-        half *= -0.5
         half[0] = 0.5 * np.sum(Y * Y, axis=1)
-        return self.accumulate(half)
+        return self.accumulate(half, -0.5)
 
     def block_min(self, half: np.ndarray) -> np.ndarray:
         """Columnwise minimum of half over each cardinality, shape (p+1, R)."""
@@ -498,11 +510,21 @@ def _build_subset_plan(X: np.ndarray) -> _SubsetPlan:
 
     The children of a support append each column after its last one, in
     increasing order, so the rows come out in lexicographic order within a
-    cardinality.  A child's new column is orthogonalized against the
-    parent's basis (the q of every ancestor) by Gram-Schmidt in two passes.
-    It counts as dependent when what remains is within 1e-10 of zero
-    relative to the column norm, or when the parent's basis already has
-    min(n, p) vectors.
+    cardinality.  Row S = P + {j} takes its residual from one row of the
+    level before, T = parent(P) + {j} (for P empty it is x_j), by one
+    Gram-Schmidt step:
+
+        w_S = w_T - q_P (q_P'w_T),   w_T = nu_T q_T,
+
+    nu_T being T's residual norm (0 when T is dependent).  The step is
+    exact because q_P is orthogonal to the span of parent(P).  Where the
+    column cancels heavily, |w_S| < _REORTH_RATIO |x_j|, w_S is recomputed
+    from x_j by two classical Gram-Schmidt passes against the q of every
+    ancestor of S ("twice is enough"), so the basis stays orthonormal to
+    working precision.  A column counts as dependent when what remains is
+    within _DEP_TOL of zero relative to its norm, or when the parent's
+    basis already has min(n, p) vectors.  Each level runs in chunks of at
+    most _BLOCK_FLOATS floats per temporary.
     """
     n, p = X.shape
     rank_cap = min(n, p)
@@ -511,8 +533,9 @@ def _build_subset_plan(X: np.ndarray) -> _SubsetPlan:
     q = np.zeros((1 << p, n))
     parent = np.zeros(1 << p, dtype=np.intp)
     last = np.full(1 << p, -1, dtype=np.intp)
-    path = np.zeros((1, 0), dtype=np.intp)  # ancestor rows, per row of level k-1
-    rank = np.zeros(1, dtype=np.intp)
+    rank = np.zeros(1, dtype=np.intp)  # per row of level k-1
+    nu = np.zeros(1)  # residual norm per row of level k-1, 0 where dependent
+    step = max(1, _BLOCK_FLOATS // n)
     for k in range(1, p + 1):
         first = last[starts[k - 1]:starts[k]] + 1
         par = np.repeat(np.arange(first.size), p - first)
@@ -520,22 +543,58 @@ def _build_subset_plan(X: np.ndarray) -> _SubsetPlan:
         rows = np.arange(starts[k], starts[k + 1])
         parent[rows] = starts[k - 1] + par
         last[rows] = j
+        # T = parent(P) + {j} sits j - last(P) rows after P among its siblings
+        tpar = par + j - last[parent[rows]]
         new_rank = np.empty(rows.size, dtype=np.intp)
-        step = max(1, _BLOCK_FLOATS // (k * n))
+        new_nu = np.zeros(rows.size)
         for s in range(0, rows.size, step):
-            sl = slice(s, s + step)
-            w = X[:, j[sl]].T.copy()
-            A = q[path[par[sl]]]
-            for _ in range(2):
-                w -= np.einsum("bkn,bk->bn", A, np.einsum("bkn,bn->bk", A, w))
+            r, jj = rows[s:s + step], j[s:s + step]
+            if k == 1:
+                w = X[:, jj].T.copy()
+            else:
+                t = tpar[s:s + step]
+                w = q[starts[k - 1] + t]
+                w *= nu[t, None]
+                qP = q[parent[r]]
+                c = np.einsum("bn,bn->b", qP, w)
+                w -= np.multiply(qP, c[:, None], out=qP)
+                del qP  # not alive during the next chunk's gathers
             nrm = np.sqrt(np.einsum("bn,bn->b", w, w))
-            base = rank[par[sl]]
-            indep = (nrm > _DEP_TOL * col_norms[j[sl]]) & (base < rank_cap)
-            q[rows[sl][indep]] = w[indep] / nrm[indep, None]
-            new_rank[sl] = base + indep
-        path = np.column_stack([path[par], rows])
-        rank = new_rank
+            base = rank[par[s:s + step]]
+            live = base < rank_cap
+            heavy = np.flatnonzero(live & (nrm < _REORTH_RATIO * col_norms[jj]))
+            if k > 1 and heavy.size:
+                wh = _reorthogonalize(X, q, parent, r[heavy], jj[heavy], k)
+                nrm[heavy] = np.sqrt(np.einsum("bn,bn->b", wh, wh))
+                w[heavy] = wh
+            indep = (nrm > _DEP_TOL * col_norms[jj]) & live
+            w[~indep] = 0.0
+            q[r[0]:r[-1] + 1] = np.divide(w, nrm[:, None], out=w, where=indep[:, None])
+            new_nu[s:s + step] = np.where(indep, nrm, 0.0)
+            new_rank[s:s + step] = base + indep
+        rank, nu = new_rank, new_nu
     return _SubsetPlan(q=q, parent=parent, last=last, starts=starts)
+
+
+def _reorthogonalize(X, q, parent, rows, j, k):
+    """Residuals of columns j against the bases of the parents of plan
+    rows (cardinality k): two classical Gram-Schmidt passes against the q
+    of every ancestor, levels 1..k-1 in order, in chunks of at most
+    _BLOCK_FLOATS floats."""
+    n = X.shape[0]
+    out = X[:, j].T.copy()
+    step = max(1, _BLOCK_FLOATS // ((k - 1) * n))
+    for s in range(0, rows.size, step):
+        i = parent[rows[s:s + step]]
+        chain = np.empty((i.size, k - 1), dtype=np.intp)
+        for d in range(k - 2, -1, -1):
+            chain[:, d] = i
+            i = parent[i]
+        A = q[chain]
+        w = out[s:s + step]
+        for _ in range(2):
+            w -= np.einsum("bkn,bk->bn", A, np.einsum("bkn,bn->bk", A, w))
+    return out
 
 
 def _pinv_rank(A: np.ndarray):
@@ -640,17 +699,19 @@ def _design_cache(X: np.ndarray) -> _DesignCache:
 
 def _batch_best_subset_grid(X: np.ndarray, Y: np.ndarray, lams) -> list[BatchFit]:
     """Fit best subset selection for every lambda in lams.  One plan serves
-    the design, and one residual table per block of responses serves every
-    lambda (the scores depend on lambda only through the cardinality
-    penalty).  The capacity guard and the lambdas are checked by
-    FitProcedure."""
+    the design, and one 2^p x block score table, allocated once and
+    rewritten for each block of responses, serves every lambda (the scores
+    depend on lambda only through the cardinality penalty).  The capacity
+    guard and the lambdas are checked by FitProcedure."""
     cache = _design_cache(X)
     plan = cache.plan()
-    R = Y.shape[0]
-    step = max(1, _BLOCK_FLOATS // (1 << X.shape[1]))
+    R, N = Y.shape[0], 1 << X.shape[1]
+    step = max(1, _BLOCK_FLOATS // N)
+    table = np.empty(N * min(step, R))  # every block's scores, in turn
     win = np.empty((len(lams), R), dtype=np.intp)
     for s in range(0, R, step):
-        half = plan.half_rss(Y[s:s + step])
+        Yb = Y[s:s + step]
+        half = plan.half_rss(Yb, out=table[:N * Yb.shape[0]].reshape(N, Yb.shape[0]))
         block_min = plan.block_min(half)
         for li, lam in enumerate(lams):
             win[li, s:s + step] = plan.winners(half, block_min, lam)

@@ -3,6 +3,7 @@
 import itertools
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -754,6 +755,147 @@ class TestSubsetPlanMasks:
         rows = np.array([15, 0, 3, 3, 7])
         npt.assert_array_equal(plan.masks(rows), plan.masks(np.arange(16))[rows])
         assert plan.masks(np.array([], dtype=np.intp)).shape == (0, 4)
+
+
+def _plan_design(structure, n, p, seed):
+    """An n x p design of the given structure (n < p for "wide")."""
+    if structure in ("block", "collinear"):
+        low, high = (0.4, 0.9) if structure == "block" else (0.999, 0.9999)
+        return gen_block_design(n, p, [p // 2, p - p // 2], low, high, RngSpec(seed)).values
+    X = np.random.default_rng(seed).standard_normal((n, p))
+    if structure == "duplicate":
+        X[:, p - 1] = X[:, 0]
+    return X
+
+
+def _ancestors(plan, i):
+    """Plan rows of the proper nonempty prefixes of row i's support, by level."""
+    chain = []
+    while plan.parent[i]:
+        i = plan.parent[i]
+        chain.append(i)
+    return chain[::-1]
+
+
+def _two_pass_q(X, plan):
+    """Reference unit vectors: each row's column orthogonalized against the
+    q of every ancestor by two classical Gram-Schmidt passes, with the
+    plan's dependence test and rank cap."""
+    n, p = X.shape
+    q, rank = np.zeros_like(plan.q), np.zeros(plan.q.shape[0], dtype=int)
+    for i in range(1, q.shape[0]):
+        x = X[:, plan.last[i]]
+        A = q[_ancestors(plan, i)]
+        w = x.copy()
+        for _ in range(2):
+            w -= A.T @ (A @ w)
+        nrm = np.linalg.norm(w)
+        base = rank[plan.parent[i]]
+        if nrm > fitters._DEP_TOL * np.linalg.norm(x) and base < min(n, p):
+            q[i] = w / nrm
+        rank[i] = base + q[i].any()
+    return q
+
+
+class TestSubsetPlanBuild:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        structure=st.sampled_from(["random", "block", "collinear", "duplicate", "wide"]),
+        p=st.integers(2, 8),
+        extra=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_unit_vectors_ranks_and_scores(self, structure, p, extra, seed):
+        n = max(1, p - 1 - extra % (p - 1)) if structure == "wide" else p + extra
+        X = _plan_design(structure, n, p, seed)
+        plan = fitters._build_subset_plan(X)
+        masks = plan.masks(np.arange(1 << p))
+        for i in range(1, 1 << p):
+            S, P = np.flatnonzero(masks[i]), np.flatnonzero(masks[plan.parent[i]])
+            adds = np.linalg.matrix_rank(X[:, S]) > (np.linalg.matrix_rank(X[:, P]) if P.size else 0)
+            assert plan.q[i].any() == adds, (i, S)
+            if adds:
+                assert abs(np.linalg.norm(plan.q[i]) - 1) <= 1e-12
+                anc = plan.q[_ancestors(plan, i)]
+                assert np.all(np.abs(anc @ plan.q[i]) <= 1e-12), (i, S)
+        Y = np.random.default_rng(seed + 1).standard_normal((3, n))
+        half = plan.half_rss(Y)
+        for i in range(1 << p):
+            S = np.flatnonzero(masks[i])
+            fit = X[:, S] @ np.linalg.lstsq(X[:, S], Y.T, rcond=None)[0] if S.size else 0.0
+            want = 0.5 * np.sum((Y.T - fit) ** 2, axis=0)
+            npt.assert_allclose(half[i], want, rtol=0, atol=1e-10 * (1 + np.sum(Y * Y, axis=1)).max())
+        if structure in ("random", "block"):
+            npt.assert_allclose(plan.q, _two_pass_q(X, plan), rtol=0, atol=1e-12)
+
+    def test_heavy_cancellation_is_reorthogonalized(self):
+        X = _plan_design("collinear", 30, 12, 2)
+        reorth, rows_seen = fitters._reorthogonalize, []
+
+        def counted(X, q, parent, rows, j, k):
+            rows_seen.append(rows.size)
+            return reorth(X, q, parent, rows, j, k)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fitters, "_reorthogonalize", counted)
+            plan = fitters._build_subset_plan(X)
+        assert sum(rows_seen) > (1 << 12) // 2
+        npt.assert_allclose(plan.q, _two_pass_q(X, plan), rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("structure", ["random", "collinear"])
+    def test_build_memory_stays_within_a_few_chunks(self, structure):
+        n, p, floats = 64, 12, 1 << 13
+        X = _plan_design(structure, n, p, 5)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fitters, "_BLOCK_FLOATS", floats)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                plan = fitters._build_subset_plan(X)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        own = plan.q.nbytes + plan.parent.nbytes + plan.last.nbytes + plan.starts.nbytes
+        # a chunk here is 64 KB, and one level's index arrays about 7 KB each
+        assert 0 <= peak - own < 8 * 8 * floats
+
+    def test_one_score_table_however_many_blocks(self):
+        n = p = 14
+        per_block = 8
+        X = _plan_design("random", n, p, 6)
+        table = 8 * per_block << p
+        fitters._design_cache(X).plan()
+        peaks = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fitters, "_BLOCK_FLOATS", per_block << p)
+            for blocks in (3, 30):
+                Y = np.random.default_rng(blocks).standard_normal((blocks * per_block, n))
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    # a penalty this large makes every winner the empty support
+                    fitters._batch_best_subset_grid(X, Y, [1e6])
+                    peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                finally:
+                    tracemalloc.stop()
+        # beyond the table: one level's parent rows, C(14, 7) x 8 floats, and
+        # the fits' own arrays
+        assert all(table <= peak < 1.5 * table for peak in peaks), (peaks, table)
+
+    @pytest.mark.parametrize("p,m", [(3, 5), (6, 1), (9, 4)])
+    def test_scores_into_a_buffer_are_those_of_scaling_first(self, p, m):
+        X = _plan_design("block", 2 * p, p, p)
+        plan = fitters._build_subset_plan(X)
+        Y = np.random.default_rng(m).standard_normal((m, 2 * p))
+        ref = -0.5 * (plan.q @ Y.T) ** 2
+        ref[0] = 0.5 * np.sum(Y * Y, axis=1)
+        plan.accumulate(ref)
+        # a partial last block: the front of a table sized for m + 3 responses
+        buf = np.full((m + 3) << p, np.nan)
+        half = plan.half_rss(Y, out=buf[:m << p].reshape(1 << p, m))
+        assert np.shares_memory(half, buf)
+        npt.assert_array_equal(half, ref)
+        npt.assert_array_equal(plan.half_rss(Y), ref)
 
 
 class TestRefitOnActiveSets:
