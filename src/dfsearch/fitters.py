@@ -8,10 +8,12 @@ against the same design at once.  Each single-response function is one
 `FitProcedure(...).fit(y)` call, so `FitProcedure` is the one place a fit
 request (kind, lambda, support, responses) is validated.  The Monte Carlo
 estimators lean on the batched path; a plain Python loop over 10^4
-replications would dominate the runtime budget otherwise.  One homotopy
-kernel moves the lasso knot to knot: down each response's path in lambda
-(once for a whole grid; the exact solve on the supports it finds is the
-fit), and along coordinate lines of the response, both ways from each
+replications would dominate the runtime budget otherwise.  One row-wise
+support kernel does every least-squares solve, from a per-design table of
+pseudoinverses.  One homotopy kernel moves the lasso knot to knot, each
+step one support kernel call: down each response's path in lambda (once
+for a whole grid; the exact solve on the supports it finds is the fit),
+and along coordinate lines of the response, both ways from each
 replication's own fit, where the relaxed lasso jumps at its knots, for the
 Stein boundary term.  Best subset's and hard thresholding's jumps along
 those lines are worked out in closed form.
@@ -146,11 +148,12 @@ def _rowwise(A: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 def _on_supports(cache: _DesignCache, Y: np.ndarray, masks: np.ndarray, signs=None, lam=None):
     """Least squares of each row of Y on its active columns (masks),
-    beta_S = pinv(X_S) y, or with signs (R, p) and lam the lasso on that
-    support and signs, pinv(X_S)(y - lam pinv(X_S)' z_S), exact where X_S
-    has full column rank.  Each row's pinv(X_S), gathered from one table
-    lookup per cardinality in chunks of _WALK_FLOATS floats, multiplies that
-    row alone, as X does beta, so no row's bits depend on the others.
+    beta_S = pinv(X_S) y, or with signs (R, p) and lam (R,) the lasso on
+    that support and signs at each row's lam,
+    pinv(X_S)(y - lam pinv(X_S)' z_S), exact where X_S has full column rank.
+    Each row's pinv(X_S), gathered from one table lookup per cardinality in
+    chunks of _WALK_FLOATS floats, multiplies that row alone, as X does
+    beta, so no row's bits depend on the others.
     Returns (beta (R, p), fitted (R, n), rank of X_S per row)."""
     (n, p), R = cache.X.shape, masks.shape[0]
     beta, rank = np.zeros((R, p)), np.empty(R)
@@ -162,7 +165,8 @@ def _on_supports(cache: _DesignCache, Y: np.ndarray, masks: np.ndarray, signs=No
             r, S = rows[c:c + step], cols[c:c + step]
             P, y = pinv[slot[c:c + step]], Y[r, :, None]
             if signs is not None:
-                y = y - lam * np.matmul(P.transpose(0, 2, 1), signs[r[:, None], S, None])
+                z = np.matmul(P.transpose(0, 2, 1), signs[r[:, None], S, None])
+                y = y - lam[r, None, None] * z
             beta[r[:, None], S] = np.matmul(P, y)[..., 0]
     return beta, _rowwise(beta, cache.X.T), rank
 
@@ -231,20 +235,21 @@ def lasso_kkt_residual(X: DesignMatrix, y: np.ndarray, lam: float, beta: np.ndar
     return float(_kkt_residuals(beta, c, lam)[0])
 
 
-def _homotopy(X, G, b, lam, z, db, dlam, live, visit):
-    """Move the lasso state of the rows live, b = X'y, lam and the signs z
-    (int8, 0 off the active set A), in place along the direction (db, dlam),
-    knot to knot, in blocks of _WALK_FLOATS // min(n, p)^2 rows.  On A,
-    beta_A = G_AA^-1 (b_A - lam z_A) moves by w = G_AA^-1 (db_A - dlam z_A)
-    per unit step (G_AA padded with an identity block to the largest live
-    |A|), and c = b - G beta by dc = db - G w.  At a knot some beta_j, j in
-    A, reaches 0 (j leaves, at u = -beta_j / w_j where z_j w_j < 0) or some
-    c_j, j not in A, reaches sigma lam (j enters with sign sigma, at
-    u = (lam - sigma c_j) / (sigma dc_j - dlam) where that denominator is
-    > 0).  A variable that has just entered does not leave at once, nor one
-    that has just left re-enter at once on its old side.  No column in the
-    span of the active ones (to _DEP_TOL, as in the subset plan), or any
-    once n are active, enters.
+def _homotopy(cache, y, lam, z, dy, dlam, live, visit):
+    """Move the lasso state of the rows live, the response y, lam and the
+    signs z (int8, 0 off the active set A), in place along the direction
+    (dy, dlam), knot to knot, in blocks of _WALK_FLOATS // (n + 4 p) rows.
+    On A, beta_A = pinv(X_A)(y - lam pinv(X_A)' z_A) moves by
+    w = pinv(X_A)(dy - dlam pinv(X_A)' z_A) per unit step, both from one
+    support kernel call, and c = X'(y - X beta) by dc = X'(dy - X w), each
+    row alone.  At a knot some beta_j, j in A, reaches 0 (j leaves, at
+    u = -beta_j / w_j where z_j w_j < 0) or some c_j, j not in A, reaches
+    sigma lam (j enters with sign sigma, at u = (lam - sigma c_j) /
+    (sigma dc_j - dlam) where that denominator is > 0).  A variable that
+    has just entered does not leave at once, nor one that has just left
+    re-enter at once on its old side.  No column within _DEP_TOL of its
+    projection on the span of the active ones (relative to its norm, as in
+    the subset plan), or any once n are active, enters.
 
     Each step calls visit(live, u, kind, j, zl, beta, c): the live rows,
     how far each is from its next knot (inf if none), that knot's event
@@ -252,74 +257,59 @@ def _homotopy(X, G, b, lam, z, db, dlam, live, visit):
     to it, and beta and c where the step starts.  visit returns which rows
     go through their knot.  Returns the rows still going after
     _MAX_LINE_STEPS steps."""
+    X = cache.X
     n, p = X.shape
-    Gz = np.eye(p + min(n, p))
-    Gz[:p, :p] = G
-    bar = np.full(b.shape[0], 3 * p)  # kind * p + j of the event the last knot rules out
+    bar = np.full(y.shape[0], 3 * p)  # kind * p + j of the event the last knot rules out
     sig = np.array([1.0, -1.0])[:, None]
-    block = max(1, _WALK_FLOATS // min(n, p) ** 2)
+    block = max(1, _WALK_FLOATS // (n + 4 * p))
     stuck = []
     for r0 in range(0, live.size, block):
         rows = live[r0:r0 + block]
         for _ in range(_MAX_LINE_STEPS):
             if not rows.size:
                 break
-            rc, zl = np.arange(rows.size)[:, None], z[rows]
+            m, zl = rows.size, z[rows]
             A = zl != 0
-            m = int(A.sum(axis=1).max())
-            idx = np.argsort(~A, axis=1, kind="stable")[:, :m]
-            pad = ~A[rc, idx]
-            gidx = np.where(pad, p + np.arange(m), idx)
-            Gi = np.linalg.inv(Gz[gidx[:, :, None], gidx[:, None, :]])
-            zA = zl[rc, idx]
-            rhs = np.where(pad, 0.0, b[rows[:, None], idx] - lam[rows, None] * zA)
-            drhs = np.where(pad, 0.0, db[rows[:, None], idx] - dlam * zA)
-            bw = np.zeros((rows.size, p, 2))
-            bw[rc, idx] = Gi @ np.stack([rhs, drhs], axis=2)
-            beta, w = bw.transpose(2, 0, 1)
-            Gb, Gw = (bw.transpose(2, 0, 1).reshape(-1, p) @ G).reshape(2, -1, p)
-            c, dc = b[rows] - Gb, db[rows] - Gw
+            ys = np.concatenate((y[rows], dy[rows]))
+            bw, fitted, _ = _on_supports(cache, ys, np.tile(A, (2, 1)), np.tile(zl, (2, 1)),
+                                         np.concatenate((lam[rows], np.full(m, dlam))))
+            (beta, w), (c, dc) = np.split(bw, 2), np.split(_rowwise(ys - fitted, X), 2)
             # u[row, kind, j]: how far the row moves before j leaves (kind 0)
             # or enters with sign +1 (kind 1) or -1 (kind 2); kind 3 is the
             # empty bar
-            u = np.full((rows.size, 4, p), np.inf)
+            u = np.full((m, 4, p), np.inf)
             den = sig * dc[:, None] - dlam
             np.divide(-beta, w, out=u[:, 0], where=A & (zl * w < 0))
             np.divide(lam[rows, None, None] - sig * c[:, None], den, out=u[:, 1:3],
                       where=(den > 0) & ~A[:, None])
-            u = np.maximum(u, 0.0).reshape(rows.size, 4 * p)
-            u[rc[:, 0], bar[rows]] = np.inf
-            while True:
-                e = np.argmin(u, axis=1)
-                kind, j = np.divmod(e, p)
-                t = np.flatnonzero((kind > 0) & (u.min(axis=1) < np.inf))
-                # entries the Schur complement of G_jj does not clear are projected
-                g, gjj = np.where(pad[t], 0.0, G[idx[t], j[t, None]]), G[j[t], j[t]]
-                full = A[t].sum(axis=1) >= n
-                near = full | (gjj - np.einsum("ti,tij,tj->t", g, Gi[t], g) <= 1e-4 * gjj)
-                t, full = t[near], full[near]
-                if t.size:
-                    XA = np.where(pad[t, None, :], 0.0, X[:, idx[t]].transpose(1, 0, 2))
-                    x = X[:, j[t]].T
-                    res = x - (XA @ (_pinv_rank(XA)[0] @ x[:, :, None]))[..., 0]
-                    t = t[full | (np.linalg.norm(res, axis=1) <= _DEP_TOL * np.linalg.norm(x, axis=1))]
-                if not t.size:
-                    break
-                u[t, p + j[t]] = u[t, 2 * p + j[t]] = np.inf
+            u[A.sum(axis=1) >= n, 1:3] = np.inf  # no column enters once n are active
+            u = np.maximum(u, 0.0).reshape(m, 4 * p)
+            u[np.arange(m), bar[rows]] = np.inf
+            t = np.arange(m)
+            while t.size:  # rule out entering columns in the span of the active ones
+                e = np.argmin(u[t], axis=1)
+                keep = (e >= p) & (u[t, e] < np.inf)
+                t, jt = t[keep], e[keep] % p
+                x = X[:, jt].T
+                res = x - _on_supports(cache, x, A[t])[1]
+                dep = np.linalg.norm(res, axis=1) <= _DEP_TOL * np.linalg.norm(x, axis=1)
+                t, jt = t[dep], jt[dep]
+                u[t, p + jt] = u[t, 2 * p + jt] = np.inf
+            kind, j = np.divmod(np.argmin(u, axis=1), p)
             step = u.min(axis=1)
             go = visit(rows, step, kind, j, zl, beta, c)
             rows, kind, j, step = rows[go], kind[go], j[go], step[go]
             lam[rows] += step * dlam
-            b[rows] += step[:, None] * db[rows]
+            y[rows] += step[:, None] * dy[rows]
             bar[rows] = np.where(kind > 0, j, (1 + (z[rows, j] < 0)) * p + j)
             z[rows, j] = np.array([0, 1, -1], dtype=np.int8)[kind]
         stuck.append(rows)
     return np.concatenate(stuck) if stuck else live
 
 
-def _lasso_walk(X, G, XtY, grid, signs):
+def _lasso_walk(cache, Y, XtY, grid, signs):
     """Walk each row's lasso path down from |X'y|_inf (the kernel with
-    db = 0, dlam = -1), writing its signs at each grid value (positive,
+    dy = 0, dlam = -1), writing its signs at each grid value (positive,
     descending) a step passes into signs (grid.size, rows, p).  Rows not
     done in _MAX_LINE_STEPS steps keep zero signs where they did not
     reach."""
@@ -335,7 +325,7 @@ def _lasso_walk(X, G, XtY, grid, signs):
         nxt[live] = stop
         return stop < grid.size
 
-    _homotopy(X, G, XtY, lam, np.zeros(XtY.shape, dtype=np.int8), np.zeros_like(XtY), -1.0,
+    _homotopy(cache, Y.copy(), lam, np.zeros(XtY.shape, dtype=np.int8), np.zeros_like(Y), -1.0,
               np.flatnonzero(nxt < grid.size), record)
 
 
@@ -348,17 +338,18 @@ def _lasso_path(X: np.ndarray, Y: np.ndarray, lams) -> list[BatchFit]:
     R, p = Y.shape[0], X.shape[1]
     cache = _design_cache(X)
     grid = np.array(sorted({lam for lam in lams if lam > 0}, reverse=True))
-    XtY = Y @ X
+    XtY = _rowwise(Y, X)
     scale = max(1.0, float(np.abs(XtY).max(initial=0.0)))
     signs = np.zeros((grid.size, R, p), dtype=np.int8)
     if grid.size:
-        _lasso_walk(X, X.T @ X, XtY, grid, signs)
+        _lasso_walk(cache, Y, XtY, grid, signs)
     B = np.zeros((grid.size, R, p))
     for g, Z in enumerate(signs):
         todo = np.arange(R)
         while todo.size:
             masks = Z[todo] != 0
-            B[g, todo], _, rank = _on_supports(cache, Y[todo], masks, Z[todo], grid[g])
+            B[g, todo], _, rank = _on_supports(cache, Y[todo], masks, Z[todo],
+                                               np.full(todo.size, grid[g]))
             B[g, todo[rank < masks.sum(axis=1)]] = np.nan  # fails the KKT check
             flip = (Z != 0) & np.where(Z > 0, B[g] <= 0, B[g] >= 0)
             Z[flip] = 0
@@ -872,8 +863,8 @@ _MAX_LINE_STEPS = 10_000
 
 # Floats in one working table, 1 MB: the best-subset envelope walk's (all
 # supports against _WALK_FLOATS // 2^p lines; a step holds about twenty), a
-# lasso walk block's Gram inverses, one stacked support-table SVD's input, and
-# one chunk of pseudoinverses the support kernel gathers.
+# lasso walk block's event table (4 p per row), one stacked support-table
+# SVD's input, and one chunk of pseudoinverses the support kernel gathers.
 _WALK_FLOATS = 1 << 17
 
 
@@ -973,7 +964,7 @@ def _hard_line_jumps(X, Y0, coord, lo, hi, t):
     v0 + s X[i, :], so coefficient j switches where v_j = +-t, at
     s = (+-t - v0_j) / X_ij, and fitted[i] moves by X_ij times its
     change."""
-    V0 = Y0 @ X
+    V0 = _rowwise(Y0, X)
     Xi = X[coord]
     with np.errstate(divide="ignore", invalid="ignore"):
         loc = (np.array([-t, t])[:, None, None] - V0) / Xi
@@ -993,17 +984,20 @@ def _hard_line_jumps(X, Y0, coord, lo, hi, t):
 def _relaxed_line_jumps(proc: FitProcedure, Y, rep, coord, lo, hi):
     """Relaxed-lasso jumps along every line, by the lasso homotopy in the
     response (the kernel with dlam = 0) from the gated lasso fit of the
-    line's replication at s = y_ri: up to hi with db = X[i, :] and down to
-    lo with db = -X[i, :], in one kernel call.  Only knots in [lo, hi]
-    count; a knot at y_ri is passed by one walk only, and one passed going
-    down has its sides swapped.  At each knot fitted[i] jumps from
+    line's replication at s = y_ri: up to hi with dy = e_i and down to lo
+    with dy = -e_i, in one kernel call.  Only knots in [lo, hi] count; a
+    knot at y_ri is passed by one walk only, and one passed going down has
+    its sides swapped.  At each knot fitted[i] jumps from
     (P_A y)_i to (P_A' y)_i, A and A' the active sets left and right of it,
     from one support kernel call after the walk.  Returns (line, location,
     left, right) of every knot."""
     lam, X, m = proc.lam, proc.design.values, rep.size
+    cache = _design_cache(X)
     z = np.sign(_lasso_path(X, Y, (lam,))[0].beta).astype(np.int8)[rep]
     up = np.arange(2 * m) < m  # rows m.. walk the same lines down
     s = np.tile(Y[rep, coord], 2)
+    dy = np.zeros((2 * m, X.shape[0]))
+    dy[np.arange(2 * m), np.tile(coord, 2)] = np.where(up, 1.0, -1.0)
     lo, hi = np.tile(lo, 2), np.tile(hi, 2)
     knots = []
 
@@ -1015,9 +1009,8 @@ def _relaxed_line_jumps(proc: FitProcedure, Y, rep, coord, lo, hi):
         knots.append((live[k], t[k], zl[k] != 0, kind[k], j[k]))
         return go
 
-    stuck = _homotopy(X, X.T @ X, np.tile(_rowwise(Y, X)[rep], (2, 1)), np.full(2 * m, lam),
-                      np.tile(z, (2, 1)), np.concatenate((X[coord], -X[coord])), 0.0,
-                      np.flatnonzero(np.where(up, s <= hi, s >= lo)), record)
+    stuck = _homotopy(cache, np.tile(Y[rep], (2, 1)), np.full(2 * m, lam), np.tile(z, (2, 1)),
+                      dy, 0.0, np.flatnonzero(np.where(up, s <= hi, s >= lo)), record)
     if stuck.size:
         raise _line_error("lasso homotopy did not finish", rep, coord, stuck[0] % m)
     if not knots:
@@ -1030,7 +1023,7 @@ def _relaxed_line_jumps(proc: FitProcedure, Y, rep, coord, lo, hi):
     masks = np.concatenate((np.where(down, after, before), np.where(down, before, after)))
     ys = Y[rep[line]]
     ys[np.arange(K), coord[line]] = loc
-    _, fitted, rank = _on_supports(_design_cache(X), np.concatenate((ys, ys)), masks)
+    _, fitted, rank = _on_supports(cache, np.concatenate((ys, ys)), masks)
     bad = np.flatnonzero(rank < masks.sum(axis=1))
     if bad.size:
         raise _line_error("singular lasso Gram matrix on the active set "

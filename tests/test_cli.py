@@ -377,9 +377,9 @@ class TestSimulateSharing:
 
         walk = fitters._lasso_walk
 
-        def short_at_0_3(X, G, XtY, grid, signs):
+        def short_at_0_3(cache, Y, XtY, grid, signs):
             # a walk that stops short of lambda = 0.3 leaves all-zero signs there
-            walk(X, G, XtY, grid, signs)
+            walk(cache, Y, XtY, grid, signs)
             signs[grid == 0.3] = 0
 
         monkeypatch.setattr(fitters, "_lasso_walk", short_at_0_3)
