@@ -310,15 +310,19 @@ def _homotopy(cache, y, lam, z, dy, dlam, live, visit):
 def _lasso_walk(cache, Y, XtY, grid, signs):
     """Walk each row's lasso path down from |X'y|_inf (the kernel with
     dy = 0, dlam = -1), writing its signs at each grid value (positive,
-    descending) a step passes into signs (grid.size, rows, p).  Rows not
-    done in _MAX_LINE_STEPS steps keep zero signs where they did not
-    reach."""
+    descending) a step passes into signs (grid.size, rows, p).  A grid
+    value within n eps max_j |X_j|'|y| of |X'y|_inf, twice the rounding
+    bound of a length-n dot product, keeps zero signs, so the fit there is
+    zero whichever summation order computed |X'y|_inf.  Rows not done in
+    _MAX_LINE_STEPS steps keep zero signs where they did not reach."""
     lam = np.abs(XtY).max(axis=1, initial=0.0)
-    nxt = np.searchsorted(-grid, -lam, side="right")  # the next grid value to record
+    n = Y.shape[1]
+    slack = n * np.finfo(float).eps * _rowwise(np.abs(Y), np.abs(cache.X)).max(axis=1, initial=0.0)
+    nxt = np.searchsorted(-grid, slack - lam, side="right")  # the next grid value to record
 
     def record(live, u, kind, j, zl, beta, c):
         new = lam[live] - u
-        stop = np.searchsorted(-grid, -new, side="right")
+        stop = np.maximum(nxt[live], np.searchsorted(-grid, -new, side="right"))
         for k in range(int(nxt[live].min()), int(stop.max())):
             rec = (nxt[live] <= k) & (k < stop)
             signs[k, live[rec]] = zl[rec]
