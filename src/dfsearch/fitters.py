@@ -24,7 +24,9 @@ from __future__ import annotations
 import math
 import operator
 import threading
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,8 +70,8 @@ SUBSET_PLAN_MAX_BYTES = 512 << 20
 # small p.
 _BLOCK_FLOATS = 1 << 20
 
-# Bytes of pseudoinverses the support table of a design may hold; past this
-# the table starts over empty.
+# Bytes of pseudoinverses and span rows the support table of a design may
+# hold; past this the table starts over empty.
 _SUPPORT_TABLE_BYTES = 32 << 20
 
 
@@ -141,34 +143,35 @@ def _support_indices(S, p: int) -> tuple:
 
 
 def _rowwise(A: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """A @ M one row of A at a time (a stack of vector-matrix products), so
-    no row's bits depend on the other rows of A."""
-    return np.matmul(A[:, None, :], M)[:, 0]
+    """A @ M one row of A (..., m) at a time (a stack of vector-matrix
+    products), so no row's bits depend on the other rows of A."""
+    return np.matmul(A[..., None, :], M)[..., 0, :]
 
 
 def _on_supports(cache: _DesignCache, Y: np.ndarray, masks: np.ndarray, signs=None, lam=None):
-    """Least squares of each row of Y on its active columns (masks),
-    beta_S = pinv(X_S) y, or with signs (R, p) and lam (R,) the lasso on
-    that support and signs at each row's lam,
-    pinv(X_S)(y - lam pinv(X_S)' z_S), exact where X_S has full column rank.
-    Each row's pinv(X_S), gathered from one table lookup per cardinality in
-    chunks of _WALK_FLOATS floats, multiplies that row alone, as X does
-    beta, so no row's bits depend on the others.
-    Returns (beta (R, p), fitted (R, n), rank of X_S per row)."""
+    """Least squares of each row of Y (R, n), or of a stack (s, R, n) of
+    sides, on its active columns (masks), beta_S = pinv(X_S) y, or with
+    signs (R, p) and lam ((R,) or (s, R)) the lasso on that support and
+    signs, pinv(X_S)(y - lam pinv(X_S)' z_S), exact where X_S has full
+    column rank.  Each row's pinv(X_S), gathered from one table lookup per
+    cardinality in chunks of _WALK_FLOATS floats, and pinv(X_S)' z_S serve
+    all its sides, each multiplied alone, as X does beta, so no row's bits
+    depend on the others.  Returns (beta (..., R, p), fitted (..., R, n),
+    rank of X_S and span row per row)."""
     (n, p), R = cache.X.shape, masks.shape[0]
-    beta, rank = np.zeros((R, p)), np.empty(R)
-    for k, rows, pinv, slot, rk in cache.lookup(masks):
-        rank[rows] = rk
-        cols = np.nonzero(masks[rows])[1].reshape(rows.size, k)
-        step = max(1, _WALK_FLOATS // (max(k, 1) * n))
-        for c in range(0, rows.size, step):
-            r, S = rows[c:c + step], cols[c:c + step]
-            P, y = pinv[slot[c:c + step]], Y[r, :, None]
+    beta, rank, span = np.zeros(Y.shape[:-1] + (p,)), np.empty(R), np.empty((R, p), bool)
+    for g in cache.lookup(masks):
+        rank[g.rows], span[g.rows] = g.rank, g.span
+        cols = np.nonzero(masks[g.rows])[1].reshape(g.rows.size, g.k)
+        step = max(1, _WALK_FLOATS // (max(g.k, 1) * n))
+        for c in range(0, g.rows.size, step):
+            r, S = g.rows[c:c + step], cols[c:c + step]
+            P, y = g.pinv[g.slot[c:c + step]], Y[..., r, :, None]
             if signs is not None:
                 z = np.matmul(P.transpose(0, 2, 1), signs[r[:, None], S, None])
-                y = y - lam[r, None, None] * z
-            beta[r[:, None], S] = np.matmul(P, y)[..., 0]
-    return beta, _rowwise(beta, cache.X.T), rank
+                y = y - lam[..., r, None, None] * z
+            beta[..., r[:, None], S] = np.matmul(P, y)[..., 0]
+    return beta, _rowwise(beta, cache.X.T), rank, span
 
 
 def refit_on_active_sets(X: np.ndarray, Y: np.ndarray, masks: np.ndarray):
@@ -183,8 +186,8 @@ def refit_on_active_sets(X: np.ndarray, Y: np.ndarray, masks: np.ndarray):
 def _active_ranks(X: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """rank(X restricted to each row's active columns), one float per row."""
     ranks = np.empty(masks.shape[0])
-    for _, rows, _, _, rank in _design_cache(X).lookup(masks):
-        ranks[rows] = rank
+    for g in _design_cache(X).lookup(masks):
+        ranks[g.rows] = g.rank
     return ranks
 
 
@@ -241,15 +244,15 @@ def _homotopy(cache, y, lam, z, dy, dlam, live, visit):
     (dy, dlam), knot to knot, in blocks of _WALK_FLOATS // (n + 4 p) rows.
     On A, beta_A = pinv(X_A)(y - lam pinv(X_A)' z_A) moves by
     w = pinv(X_A)(dy - dlam pinv(X_A)' z_A) per unit step, both from one
-    support kernel call, and c = X'(y - X beta) by dc = X'(dy - X w), each
-    row alone.  At a knot some beta_j, j in A, reaches 0 (j leaves, at
-    u = -beta_j / w_j where z_j w_j < 0) or some c_j, j not in A, reaches
-    sigma lam (j enters with sign sigma, at u = (lam - sigma c_j) /
-    (sigma dc_j - dlam) where that denominator is > 0).  A variable that
-    has just entered does not leave at once, nor one that has just left
-    re-enter at once on its old side.  No column within _DEP_TOL of its
-    projection on the span of the active ones (relative to its norm, as in
-    the subset plan), or any once n are active, enters.
+    support kernel call on the stack [y; dy] per step, and c = X'(y - X beta)
+    by dc = X'(dy - X w), each row alone.  At a knot some beta_j, j in A,
+    reaches 0 (j leaves, at u = -beta_j / w_j where z_j w_j < 0) or some
+    c_j, j not in A, reaches sigma lam (j enters with sign sigma, at
+    u = (lam - sigma c_j) / (sigma dc_j - dlam) where that denominator is
+    > 0).  A variable that has just entered does not leave at once, nor one
+    that has just left re-enter at once on its old side.  No column in the
+    span of the active ones (their support's span row), or any once n are
+    active, enters.
 
     Each step calls visit(live, u, kind, j, zl, beta, c): the live rows,
     how far each is from its next knot (inf if none), that knot's event
@@ -257,8 +260,7 @@ def _homotopy(cache, y, lam, z, dy, dlam, live, visit):
     to it, and beta and c where the step starts.  visit returns which rows
     go through their knot.  Returns the rows still going after
     _MAX_LINE_STEPS steps."""
-    X = cache.X
-    n, p = X.shape
+    n, p = cache.X.shape
     bar = np.full(y.shape[0], 3 * p)  # kind * p + j of the event the last knot rules out
     sig = np.array([1.0, -1.0])[:, None]
     block = max(1, _WALK_FLOATS // (n + 4 * p))
@@ -270,10 +272,10 @@ def _homotopy(cache, y, lam, z, dy, dlam, live, visit):
                 break
             m, zl = rows.size, z[rows]
             A = zl != 0
-            ys = np.concatenate((y[rows], dy[rows]))
-            bw, fitted, _ = _on_supports(cache, ys, np.tile(A, (2, 1)), np.tile(zl, (2, 1)),
-                                         np.concatenate((lam[rows], np.full(m, dlam))))
-            (beta, w), (c, dc) = np.split(bw, 2), np.split(_rowwise(ys - fitted, X), 2)
+            ys = np.stack((y[rows], dy[rows]))
+            (beta, w), fitted, _, span = _on_supports(cache, ys, A, zl,
+                                                      np.stack((lam[rows], np.full(m, dlam))))
+            c, dc = _rowwise(ys - fitted, cache.X)
             # u[row, kind, j]: how far the row moves before j leaves (kind 0)
             # or enters with sign +1 (kind 1) or -1 (kind 2); kind 3 is the
             # empty bar
@@ -281,20 +283,10 @@ def _homotopy(cache, y, lam, z, dy, dlam, live, visit):
             den = sig * dc[:, None] - dlam
             np.divide(-beta, w, out=u[:, 0], where=A & (zl * w < 0))
             np.divide(lam[rows, None, None] - sig * c[:, None], den, out=u[:, 1:3],
-                      where=(den > 0) & ~A[:, None])
+                      where=(den > 0) & ~span[:, None])
             u[A.sum(axis=1) >= n, 1:3] = np.inf  # no column enters once n are active
             u = np.maximum(u, 0.0).reshape(m, 4 * p)
             u[np.arange(m), bar[rows]] = np.inf
-            t = np.arange(m)
-            while t.size:  # rule out entering columns in the span of the active ones
-                e = np.argmin(u[t], axis=1)
-                keep = (e >= p) & (u[t, e] < np.inf)
-                t, jt = t[keep], e[keep] % p
-                x = X[:, jt].T
-                res = x - _on_supports(cache, x, A[t])[1]
-                dep = np.linalg.norm(res, axis=1) <= _DEP_TOL * np.linalg.norm(x, axis=1)
-                t, jt = t[dep], jt[dep]
-                u[t, p + jt] = u[t, 2 * p + jt] = np.inf
             kind, j = np.divmod(np.argmin(u, axis=1), p)
             step = u.min(axis=1)
             go = visit(rows, step, kind, j, zl, beta, c)
@@ -338,12 +330,12 @@ def _lasso_path(X: np.ndarray, Y: np.ndarray, lams) -> list[BatchFit]:
     each row of Y: the exact lasso on the support and signs of the row's
     walk, all rows through one support kernel, solved again without any
     coefficient that comes out zero or of the other sign (a knot, to
-    rounding).  KKT gate 1e-8 * max(1, |X'Y|_max, lam); lam = 0 gives pinv(X) y."""
+    rounding).  KKT gate 1e-8 * max(1, |X'y|_inf, lam) per row; lam = 0 gives pinv(X) y."""
     R, p = Y.shape[0], X.shape[1]
     cache = _design_cache(X)
     grid = np.array(sorted({lam for lam in lams if lam > 0}, reverse=True))
     XtY = _rowwise(Y, X)
-    scale = max(1.0, float(np.abs(XtY).max(initial=0.0)))
+    scale = np.maximum(1.0, np.abs(XtY).max(axis=1, initial=0.0))
     signs = np.zeros((grid.size, R, p), dtype=np.int8)
     if grid.size:
         _lasso_walk(cache, Y, XtY, grid, signs)
@@ -352,8 +344,8 @@ def _lasso_path(X: np.ndarray, Y: np.ndarray, lams) -> list[BatchFit]:
         todo = np.arange(R)
         while todo.size:
             masks = Z[todo] != 0
-            B[g, todo], _, rank = _on_supports(cache, Y[todo], masks, Z[todo],
-                                               np.full(todo.size, grid[g]))
+            B[g, todo], _, rank, _ = _on_supports(cache, Y[todo], masks, Z[todo],
+                                                  np.full(todo.size, grid[g]))
             B[g, todo[rank < masks.sum(axis=1)]] = np.nan  # fails the KKT check
             flip = (Z != 0) & np.where(Z > 0, B[g] <= 0, B[g] >= 0)
             Z[flip] = 0
@@ -365,15 +357,15 @@ def _lasso_path(X: np.ndarray, Y: np.ndarray, lams) -> list[BatchFit]:
             cache, Y, np.ones((R, p), bool))[0]
         fitted = _rowwise(beta, X.T)
         E = Y - fitted
-        res, gate = _kkt_residuals(beta, E @ X, lam), 1e-8 * max(scale, lam)
+        res, gate = _kkt_residuals(beta, _rowwise(E, X), lam), 1e-8 * np.maximum(scale, lam)
         bad = np.flatnonzero(~(res <= gate)) if lam else ()
         if len(bad):
-            diag = {"replication": int(bad[0]), "kkt_residual": float(res[bad].max()),
-                    "grid_index": lams.index(lam), "lam": float(lam)}
+            r = bad[0]
             raise NumericalError(
-                f"grid index {diag['grid_index']} (lambda={lam:g}): lasso stationarity check "
-                f"failed for replication {bad[0]}: KKT residual {diag['kkt_residual']:.3e} > "
-                f"{gate:.3e}", diagnostic=diag)
+                f"grid index {lams.index(lam)} (lambda={lam:g}): lasso stationarity check failed "
+                f"for replication {r}: KKT residual {res[r]:.3e} > {gate[r]:.3e}",
+                diagnostic={"replication": int(r), "kkt_residual": float(res[r]),
+                            "grid_index": lams.index(lam), "lam": float(lam)})
         objective = 0.5 * np.sum(E ** 2, axis=1) + lam * np.sum(np.abs(beta), axis=1)
         fits[lam] = BatchFit(beta=beta, fitted=fitted, active=beta != 0, objective=objective)
     return [fits[lam] for lam in lams]
@@ -459,6 +451,11 @@ class _SubsetPlan:
                 T[blk] *= scale
             T[blk] += T[self.parent[blk]]
         return T
+
+    @cached_property
+    def curvature(self) -> np.ndarray:
+        """q * q summed along each parent chain (2^p, n): the line walks' C_S."""
+        return self.accumulate(self.q * self.q)
 
     def half_rss(self, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Half residual sum of squares of every support (rows) against
@@ -592,33 +589,41 @@ def _reorthogonalize(X, q, parent, rows, j, k):
     return out
 
 
-def _pinv_rank(A: np.ndarray):
-    """(pinv, rank) of each matrix of a stack A (..., n, k) from one stacked
-    SVD: np.linalg.pinv's own computation (1e-15 relative cutoff), bit for
-    bit, and np.linalg.matrix_rank's tolerance, max(n, k) * eps * s_max."""
+def _support_factors(X: np.ndarray, cols: np.ndarray):
+    """(pinv, rank, span row) of X_S for each support S of cols (m, k), from
+    one stacked SVD as np.linalg.pinv and matrix_rank compute them, bit for
+    bit; x_j is in the span where |x_j - X_S pinv(X_S) x_j| <= _DEP_TOL |x_j|."""
+    A = np.moveaxis(X[:, cols], 0, 1)
     u, s, vt = np.linalg.svd(A, full_matrices=False)
     s_max = np.max(s, axis=-1, keepdims=True, initial=0.0)  # s >= 0; 0 only when k = 0
     rank = np.count_nonzero(s > s_max * (max(A.shape[-2:]) * np.finfo(float).eps), axis=-1)
     large = s > 1e-15 * s_max
     s = np.divide(1, s, where=large, out=s)
     s[~large] = 0
-    return np.matmul(np.swapaxes(vt, -1, -2), s[..., None] * np.swapaxes(u, -1, -2)), rank
+    pinv = np.matmul(np.swapaxes(vt, -1, -2), s[..., None] * np.swapaxes(u, -1, -2))
+    res = X - np.matmul(A, np.matmul(pinv, X))
+    span = np.linalg.norm(res, axis=1) <= _DEP_TOL * np.linalg.norm(X, axis=0)
+    span[np.arange(len(cols))[:, None], cols] = True  # S itself, whatever the rounding
+    return pinv, rank, span
+
+
+# The rows of cardinality k in a lookup: rows[i] has pinv[slot[i]], rank[i], span[i].
+_SupportGroup = namedtuple("_SupportGroup", "k rows pinv slot rank span")
 
 
 class _DesignCache:
     """Everything fits on one design share: the best-subset plan, built on
-    first use, and the support table: per cardinality k, the packed masks
-    of the supports met so far, sorted, each with its slot in a stack of
-    the pinv (k, n) and an array of the rank of X[:, S].  Past
-    _SUPPORT_TABLE_BYTES of pseudoinverses it starts over empty.  A caller
-    may fit from threads of its own: a lookup holds the cache's lock, and
-    no stack is written to once built, so what a lookup returns stays valid."""
+    first use, and the support table: per cardinality k, the sorted packed
+    masks of the supports met so far and stacks of their pinv (k, n), rank
+    and span row, the one place that says which columns may enter a lasso
+    walk at S.  Past _SUPPORT_TABLE_BYTES it starts over empty.  Threads may
+    share it: a lookup holds its lock, and no stack is written once built."""
 
     def __init__(self, X: np.ndarray):
         self.X = X
         self._plan = None
         self._lock = threading.Lock()
-        self._table: dict = {}  # k -> (sorted keys, their slots, pinv stack, ranks)
+        self._table: dict = {}  # k -> (sorted keys, their pinvs, ranks and span rows)
         self._nbytes = 0
 
     def plan(self) -> _SubsetPlan:
@@ -627,14 +632,11 @@ class _DesignCache:
             plan = self._plan = _build_subset_plan(self.X)
         return plan
 
-    def lookup(self, masks: np.ndarray) -> list:
-        """(k, rows, pinv, slot, rank) per cardinality k of the rows of the
-        boolean masks (R, p), in increasing k: those rows, in order, a stack
-        pinv (m, k, n) where pinv[slot[j]] is pinv(X[:, S]) of row rows[j],
-        and rank(X[:, S]) per row.  The misses are filled by stacked SVDs of
-        at most _WALK_FLOATS floats and go in one at a time, in packed-mask
-        order; one that finds the table over budget starts it over."""
-        n, budget = self.X.shape[0], _SUPPORT_TABLE_BYTES
+    def lookup(self, masks: np.ndarray) -> list[_SupportGroup]:
+        """One _SupportGroup per cardinality of masks (R, p), in increasing k.
+        Misses are filled _WALK_FLOATS // (n p) per stacked SVD and go in one
+        at a time, in packed-mask order; one over budget starts it over."""
+        (n, p), budget = self.X.shape, _SUPPORT_TABLE_BYTES
         packed = np.ascontiguousarray(np.packbits(masks, axis=1))
         keys = packed.view(f"V{packed.shape[1]}").ravel()
         card = masks.sum(axis=1)
@@ -644,35 +646,32 @@ class _DesignCache:
             for k in np.flatnonzero(np.bincount(card)).tolist():
                 rows = np.flatnonzero(card == k)
                 q = keys[rows]
-                tkeys, tslot, pinv, rank = self._table.get(
-                    k, (keys[:0], np.empty(0, np.intp), np.empty((0, k, n)), np.empty(0, np.intp)))
+                tkeys, pinv, rank, span = self._table.get(k, (
+                    keys[:0], np.empty((0, k, n)), np.empty(0, np.intp), np.empty((0, p), bool)))
                 at = np.minimum(np.searchsorted(tkeys, q), tkeys.size - 1)
                 miss = tkeys[at] != q if tkeys.size else np.ones(q.size, dtype=bool)
-                slot = tslot[at] if tkeys.size else np.empty(q.size, np.intp)
                 if miss.any():
-                    new, first, inv = np.unique(q[miss], return_index=True, return_inverse=True)
+                    new, first = np.unique(q[miss], return_index=True)
                     cols = np.nonzero(masks[rows[miss][first]])[1].reshape(new.size, k)
-                    step = max(1, _WALK_FLOATS // (n * max(k, 1)))
-                    fills = [_pinv_rank(np.moveaxis(self.X[:, cols[c:c + step]], 0, 1))
-                             for c in range(0, new.size, step)]
-                    m, size = rank.size, 8 * k * n
-                    slot[miss] = m + inv
-                    pinv = np.concatenate([pinv] + [f[0] for f in fills])
-                    rank = np.concatenate([rank] + [f[1] for f in fills])
+                    step = max(1, _WALK_FLOATS // (n * p))
+                    fills = (_support_factors(self.X, cols[c:c + step])
+                             for c in range(0, new.size, step))
+                    fresh = [np.concatenate(f) for f in zip(*fills)]
+                    pos, size = np.searchsorted(tkeys, new), 8 * k * n + p
+                    tkeys, pinv, rank, span = (np.insert(old, pos, add, axis=0) for old, add
+                                               in zip((tkeys, pinv, rank, span), [new] + fresh))
                     # entry i is the first to find the table over budget, then every `every`-th
-                    every = budget // max(size, 1) + 1
-                    i = 0 if self._nbytes > budget else (budget - self._nbytes) // max(size, 1) + 1
+                    every = budget // size + 1
+                    i = 0 if self._nbytes > budget else (budget - self._nbytes) // size + 1
                     if i < new.size:
                         i += (new.size - 1 - i) // every * every
-                        self._table = {k: (new[i:], np.arange(new.size - i), pinv[m + i:].copy(),
-                                           rank[m + i:])}
+                        self._table = {k: (new[i:], *(a[i:].copy() for a in fresh))}
                         self._nbytes = (new.size - i) * size
                     else:
-                        pos = np.searchsorted(tkeys, new)
-                        tslot = np.insert(tslot, pos, m + np.arange(new.size))
-                        self._table[k] = (np.insert(tkeys, pos, new), tslot, pinv, rank)
+                        self._table[k] = (tkeys, pinv, rank, span)
                         self._nbytes += new.size * size
-                out.append((k, rows, pinv, slot, rank[slot]))
+                slot = np.searchsorted(tkeys, q)
+                out.append(_SupportGroup(k, rows, pinv, slot, rank[slot], span[slot]))
         return out
 
 
@@ -712,7 +711,7 @@ def _batch_best_subset_grid(X: np.ndarray, Y: np.ndarray, lams) -> list[BatchFit
             win[li, s:s + step] = plan.winners(half, block_min, lam)
     out = []
     for lam, w in zip(lams, win):
-        beta, fitted, _ = _on_supports(cache, Y, plan.masks(w))
+        beta, fitted = _on_supports(cache, Y, plan.masks(w))[:2]
         active = beta != 0
         objective = 0.5 * np.sum((Y - fitted) ** 2, axis=1) + lam * active.sum(axis=1)
         out.append(BatchFit(beta=beta, fitted=fitted, active=active, objective=objective))
@@ -951,7 +950,7 @@ def _subset_line_jumps(plan: _SubsetPlan, Y0, rep, coord, lo, hi, lam):
     N = plan.q.shape[0]
     card = np.repeat(np.arange(plan.starts.size - 1), np.diff(plan.starts))
     pen = (lam * card)[:, None]
-    Cq = plan.accumulate(plan.q * plan.q)
+    Cq = plan.curvature
     out = []
     step = max(1, _WALK_FLOATS // N)
     for start in range(0, Y0.shape[0], step):
@@ -1027,7 +1026,7 @@ def _relaxed_line_jumps(proc: FitProcedure, Y, rep, coord, lo, hi):
     masks = np.concatenate((np.where(down, after, before), np.where(down, before, after)))
     ys = Y[rep[line]]
     ys[np.arange(K), coord[line]] = loc
-    _, fitted, rank = _on_supports(cache, np.concatenate((ys, ys)), masks)
+    _, fitted, rank, _ = _on_supports(cache, np.concatenate((ys, ys)), masks)
     bad = np.flatnonzero(rank < masks.sum(axis=1))
     if bad.size:
         raise _line_error("singular lasso Gram matrix on the active set "

@@ -225,7 +225,7 @@ class TestLassoExactFinish:
 
         def recording(self, masks):
             found = lookup(self, masks)
-            solved.extend(P for _, _, pinv, slot, _ in found for P in pinv[np.unique(slot)])
+            solved.extend(P for g in found for P in g.pinv[np.unique(g.slot)])
             return found
 
         monkeypatch.setattr(fitters._DesignCache, "lookup", recording)
@@ -459,16 +459,17 @@ def _factors(cache, supports):
     for i, S in enumerate(supports):
         masks[i, S] = True
     found = [None] * len(supports)
-    for _, rows, pinv, slot, rank in cache.lookup(masks):
-        for r, s, k in zip(rows, slot, rank):
-            found[r] = (pinv[s], k)
+    for g in cache.lookup(masks):
+        for r, s, k in zip(g.rows, g.slot, g.rank):
+            found[r] = (g.pinv[s], k)
     return found
 
 
 def _table_entries(cache):
-    """Number and bytes of the pinvs in a design's support table."""
-    stacks = [pinv for _, _, pinv, _ in cache._table.values()]
-    return sum(len(P) for P in stacks), sum(P.nbytes for P in stacks)
+    """Number of the supports in a design's support table, and the bytes of
+    their pinvs and span rows."""
+    stacks = [(pinv, span) for _, pinv, _, span in cache._table.values()]
+    return sum(len(P) for P, _ in stacks), sum(P.nbytes + S.nbytes for P, S in stacks)
 
 
 def _separated_from_ties(X, y, lam, lo=1e-13, hi=1e-6):
@@ -1115,10 +1116,10 @@ class TestSupportTable:
         X = _structured_design(n, p, seed, structure)
         supports = [np.flatnonzero([(b >> j) & 1 for j in range(p)]) for b in picks]
         for S, (P, rank) in zip(supports, _factors(fitters._DesignCache(X), supports)):
-            want, want_rank = fitters._pinv_rank(X[:, S])
-            npt.assert_array_equal(P, want)
+            want, want_rank, _ = fitters._support_factors(X, S[None])
+            npt.assert_array_equal(P, want[0])
             npt.assert_array_equal(P, np.linalg.pinv(X[:, S]))
-            assert rank == want_rank == np.linalg.matrix_rank(X[:, S])
+            assert rank == want_rank[0] == np.linalg.matrix_rank(X[:, S])
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), budget=st.integers(0, 2000),
@@ -1142,9 +1143,9 @@ class TestSupportTable:
                         if nbytes > budget:
                             table, nbytes = set(), 0
                         table.add(key)
-                        nbytes += 8 * k * n
+                        nbytes += 8 * k * n + p
                 cache.lookup(masks)
-                got = [key.tobytes() for tkeys, _, _, _ in cache._table.values() for key in tkeys]
+                got = [key.tobytes() for tkeys, *_ in cache._table.values() for key in tkeys]
                 assert sorted(got) == sorted(table)
                 assert cache._nbytes == nbytes == _table_entries(cache)[1]
 
@@ -1197,6 +1198,66 @@ class TestSupportTable:
             npt.assert_array_equal(beta, expected[i % 16][0])
             npt.assert_array_equal(fitted, expected[i % 16][1])
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from([(8, 4), (10, 6), (6, 5), (3, 5), (2, 6), (4, 8), (9, 8)]),
+        structure=st.sampled_from(["plain", "block", "duplicate"]),
+        seed=st.integers(0, 2**32 - 1),
+        picks=st.lists(st.integers(0, 255), min_size=1, max_size=20),
+    )
+    def test_span_rows_mark_the_columns_that_keep_the_rank(self, shape, structure, seed, picks):
+        # x_j is in the span of X_S exactly when adding it leaves the rank
+        # of X_S as it is; n < p and a duplicated column make many such j
+        n, p = shape
+        if structure == "block":
+            X = gen_block_design(n, p, [p // 2, p - p // 2], 0.4, 0.9, RngSpec(seed, 0)).values
+        else:
+            X = _structured_design(n, p, seed, structure)
+        masks = np.array([[(b >> j) & 1 for j in range(p)] for b in picks], dtype=bool)
+
+        def rank(cols):
+            return np.linalg.matrix_rank(X[:, cols]) if len(cols) else 0
+
+        for g in fitters._DesignCache(X).lookup(masks):
+            for r, span in zip(g.rows, g.span):
+                S = np.flatnonzero(masks[r])
+                want = [rank(np.union1d(S, [j])) == rank(S) for j in range(p)]
+                npt.assert_array_equal(span, want)
+                assert span[S].all()
+
+    @pytest.mark.parametrize("walk", ["lambda", "line"])
+    def test_one_support_lookup_per_homotopy_step(self, monkeypatch, walk):
+        # the step's fit, its rate and which columns may enter all come
+        # from one support-table lookup
+        d = gen_block_design(8, 12, [6, 6], 0.6, 0.9, RngSpec(seed=7, stream_id=0))
+        Y = np.random.default_rng(3).standard_normal((20, 8))
+        count = {"steps": 0, "lookups": 0, "walking": False}
+        homotopy, lookup = fitters._homotopy, fitters._DesignCache.lookup
+
+        def counting_walk(cache, y, lam, z, dy, dlam, live, visit):
+            def step(*args):
+                count["steps"] += 1
+                return visit(*args)
+
+            count["walking"] = True
+            try:
+                return homotopy(cache, y, lam, z, dy, dlam, live, step)
+            finally:
+                count["walking"] = False
+
+        def counting_lookup(self, masks):
+            count["lookups"] += count["walking"]
+            return lookup(self, masks)
+
+        monkeypatch.setattr(fitters, "_homotopy", counting_walk)
+        monkeypatch.setattr(fitters._DesignCache, "lookup", counting_lookup)
+        if walk == "lambda":
+            fit_path("lasso", d, Y, [0.05, 0.5, 2.0])
+        else:
+            fitters._line_jumps(FitProcedure("relaxed-lasso", 0.5, d), Y[:3], -8.0, 8.0)
+        assert count["steps"] > 20
+        assert count["lookups"] == count["steps"]
+
     def test_ranks_follow_the_active_sets(self):
         X = _structured_design(8, 5, 3, "duplicate")  # column 4 copies column 0
         masks = np.array([[1, 0, 0, 0, 1], [1, 1, 0, 0, 0], [0] * 5, [1, 0, 0, 0, 1]], dtype=bool)
@@ -1204,6 +1265,29 @@ class TestSupportTable:
 
 
 class TestGridIndexErrors:
+    def test_kkt_gate_is_each_rows_own(self, monkeypatch):
+        # rows 0 and 2 keep zero signs, so their zero fits fail their own
+        # gates (residuals 0.9 and 2.9 times |X'y|_inf); row 1's |X'y| is
+        # 1e9 times theirs, and a gate shared by the batch would pass them
+        d = _random_design(12, 6, 40)
+        y = np.random.default_rng(41).standard_normal(12)
+        Y = np.stack((y, 1e9 * y, 3.0 * y))
+        walk = fitters._lasso_walk
+
+        def unwalked(cache, Y, XtY, grid, signs):
+            walk(cache, Y, XtY, grid, signs)
+            signs[:, np.abs(XtY).max(axis=1) < 1e6] = 0
+
+        monkeypatch.setattr(fitters, "_lasso_walk", unwalked)
+        proc = FitProcedure("lasso", 0.1 * float(np.abs(y @ d.values).max()), d)
+        with pytest.raises(NumericalError, match="replication 0") as alone:
+            proc.fit_many(Y[:1])
+        with pytest.raises(NumericalError, match="replication 0") as batch:
+            proc.fit_many(Y)
+        assert batch.value.diagnostic["replication"] == 0
+        assert batch.value.diagnostic["kkt_residual"] == alone.value.diagnostic["kkt_residual"]
+        assert f"{alone.value.diagnostic['kkt_residual']:.3e} >" in str(batch.value)
+
     def test_fit_path_names_the_failing_value_and_keeps_the_diagnostic(self, monkeypatch):
         # a walk that stops short of lambda = 0.3 leaves all-zero signs
         # there, which the KKT gate rejects

@@ -765,6 +765,29 @@ class TestExactJumps:
         assert dec.boundary == pytest.approx(normal_pdf(0.25), abs=1e-6)
         assert dec.divergence == pytest.approx(3.0, abs=1e-9)
 
+    def test_subset_line_curvatures_are_built_once_per_design(self, monkeypatch):
+        # C_S, the plan's q * q summed along each parent chain, depends on
+        # the design alone
+        design = gen_block_design(8, 5, [2, 3], 0.4, 0.9, RngSpec(seed=3, stream_id=0))
+        proc = FitProcedure(kind="best-subset", lam=0.5, design=design)
+        Y = np.random.default_rng(4).standard_normal((2, 8))
+        built, accumulate = [], fitters._SubsetPlan.accumulate
+
+        def recording(self, T, scale=None):
+            if T.shape == self.q.shape:  # the line sums have 3 columns, not n = 8
+                built.append(T)
+            return accumulate(self, T, scale)
+
+        monkeypatch.setattr(fitters, "_PLAN_CACHE", None)
+        monkeypatch.setattr(fitters._SubsetPlan, "accumulate", recording)
+        lines = np.array([0, 5, 11])
+        first = _line_jumps(proc, Y, -8.0, 8.0, lines)
+        second = _line_jumps(proc, Y, -8.0, 8.0, lines)
+        assert len(built) == 1
+        assert first[0].size
+        for a, b in zip(first, second):
+            npt.assert_array_equal(a, b)
+
     def test_singular_active_gram_matrix_names_the_line(self, monkeypatch):
         design = gen_block_design(6, 4, [2, 2], 0.3, 0.8, RngSpec(seed=1, stream_id=0))
         proc = FitProcedure(kind="relaxed-lasso", lam=0.3, design=design)
@@ -784,8 +807,7 @@ class TestExactJumps:
         def deficient(self, masks):
             found = lookup(self, masks)
             if walks and walks[-1] == 0:
-                found = [(k, rows, pinv, slot, np.full(rows.size, k - 1))
-                         for k, rows, pinv, slot, _ in found]
+                found = [g._replace(rank=np.full(g.rows.size, g.k - 1)) for g in found]
             return found
 
         monkeypatch.setattr(fitters, "_homotopy", recording)
