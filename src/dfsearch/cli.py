@@ -472,7 +472,10 @@ def main(argv=None) -> int:
         print(f"dfsearch: capacity error: {err}", file=sys.stderr)
         return 3
     except NumericalError as err:
+        import json  # only on failure, so it stays off the start-up path
+
         print(f"dfsearch: numerical failure: {err}", file=sys.stderr)
+        print(json.dumps(err.diagnostic, sort_keys=True), file=sys.stderr)
         return 4
     return 0
 

@@ -25,7 +25,7 @@ import math
 import operator
 import threading
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -90,12 +90,15 @@ class FitOutput:
 @dataclass(frozen=True)
 class BatchFit:
     """Row-per-replication fits: beta (R, p), fitted (R, n), boolean active
-    mask (R, p), objective (R,)."""
+    mask (R, p), objective (R,).  A relaxed-lasso fit_many also keeps the
+    signs (R, p, int8) of the lasso fit it refits, where its exact line
+    walks start."""
 
     beta: np.ndarray
     fitted: np.ndarray
     active: np.ndarray
     objective: np.ndarray
+    signs: np.ndarray | None = None
 
     def row(self, r: int) -> FitOutput:
         return FitOutput(
@@ -148,7 +151,8 @@ def _rowwise(A: np.ndarray, M: np.ndarray) -> np.ndarray:
     return np.matmul(A[..., None, :], M)[..., 0, :]
 
 
-def _on_supports(cache: _DesignCache, Y: np.ndarray, masks: np.ndarray, signs=None, lam=None):
+def _on_supports(cache: _DesignCache, Y: np.ndarray, masks: np.ndarray, signs=None, lam=None,
+                 span: bool = False):
     """Least squares of each row of Y (R, n), or of a stack (s, R, n) of
     sides, on its active columns (masks), beta_S = pinv(X_S) y, or with
     signs (R, p) and lam ((R,) or (s, R)) the lasso on that support and
@@ -157,11 +161,14 @@ def _on_supports(cache: _DesignCache, Y: np.ndarray, masks: np.ndarray, signs=No
     cardinality in chunks of _WALK_FLOATS floats, and pinv(X_S)' z_S serve
     all its sides, each multiplied alone, as X does beta, so no row's bits
     depend on the others.  Returns (beta (..., R, p), fitted (..., R, n),
-    rank of X_S and span row per row)."""
+    rank of X_S per row, and its span row per row if span, else None)."""
     (n, p), R = cache.X.shape, masks.shape[0]
-    beta, rank, span = np.zeros(Y.shape[:-1] + (p,)), np.empty(R), np.empty((R, p), bool)
-    for g in cache.lookup(masks):
-        rank[g.rows], span[g.rows] = g.rank, g.span
+    beta, rank = np.zeros(Y.shape[:-1] + (p,)), np.empty(R)
+    rows_span = np.empty((R, p), bool) if span else None
+    for g in cache.lookup(masks, span=span):
+        rank[g.rows] = g.rank
+        if span:
+            rows_span[g.rows] = g.span
         cols = np.nonzero(masks[g.rows])[1].reshape(g.rows.size, g.k)
         step = max(1, _WALK_FLOATS // (max(g.k, 1) * n))
         for c in range(0, g.rows.size, step):
@@ -171,7 +178,7 @@ def _on_supports(cache: _DesignCache, Y: np.ndarray, masks: np.ndarray, signs=No
                 z = np.matmul(P.transpose(0, 2, 1), signs[r[:, None], S, None])
                 y = y - lam[..., r, None, None] * z
             beta[..., r[:, None], S] = np.matmul(P, y)[..., 0]
-    return beta, _rowwise(beta, cache.X.T), rank, span
+    return beta, _rowwise(beta, cache.X.T), rank, rows_span
 
 
 def refit_on_active_sets(X: np.ndarray, Y: np.ndarray, masks: np.ndarray):
@@ -186,7 +193,7 @@ def refit_on_active_sets(X: np.ndarray, Y: np.ndarray, masks: np.ndarray):
 def _active_ranks(X: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """rank(X restricted to each row's active columns), one float per row."""
     ranks = np.empty(masks.shape[0])
-    for g in _design_cache(X).lookup(masks):
+    for g in _design_cache(X).lookup(masks, span=False):
         ranks[g.rows] = g.rank
     return ranks
 
@@ -274,7 +281,8 @@ def _homotopy(cache, y, lam, z, dy, dlam, live, visit):
             A = zl != 0
             ys = np.stack((y[rows], dy[rows]))
             (beta, w), fitted, _, span = _on_supports(cache, ys, A, zl,
-                                                      np.stack((lam[rows], np.full(m, dlam))))
+                                                      np.stack((lam[rows], np.full(m, dlam))),
+                                                      span=True)
             c, dc = _rowwise(ys - fitted, cache.X)
             # u[row, kind, j]: how far the row moves before j leaves (kind 0)
             # or enters with sign +1 (kind 1) or -1 (kind 2); kind 3 is the
@@ -589,10 +597,9 @@ def _reorthogonalize(X, q, parent, rows, j, k):
     return out
 
 
-def _support_factors(X: np.ndarray, cols: np.ndarray):
-    """(pinv, rank, span row) of X_S for each support S of cols (m, k), from
-    one stacked SVD as np.linalg.pinv and matrix_rank compute them, bit for
-    bit; x_j is in the span where |x_j - X_S pinv(X_S) x_j| <= _DEP_TOL |x_j|."""
+def _svd_factors(X: np.ndarray, cols: np.ndarray):
+    """(pinv, rank) of X_S for each support S of cols (m, k), from one
+    stacked SVD as np.linalg.pinv and matrix_rank compute them, bit for bit."""
     A = np.moveaxis(X[:, cols], 0, 1)
     u, s, vt = np.linalg.svd(A, full_matrices=False)
     s_max = np.max(s, axis=-1, keepdims=True, initial=0.0)  # s >= 0; 0 only when k = 0
@@ -601,29 +608,116 @@ def _support_factors(X: np.ndarray, cols: np.ndarray):
     s = np.divide(1, s, where=large, out=s)
     s[~large] = 0
     pinv = np.matmul(np.swapaxes(vt, -1, -2), s[..., None] * np.swapaxes(u, -1, -2))
-    res = X - np.matmul(A, np.matmul(pinv, X))
-    span = np.linalg.norm(res, axis=1) <= _DEP_TOL * np.linalg.norm(X, axis=0)
-    span[np.arange(len(cols))[:, None], cols] = True  # S itself, whatever the rounding
-    return pinv, rank, span
+    return pinv, rank
 
 
-# The rows of cardinality k in a lookup: rows[i] has pinv[slot[i]], rank[i], span[i].
+# Largest |X_S|_F |pinv(X_S)|_F at which a support keeps its QR fill.  The
+# product bounds cond(X_S), so matrix_rank surely gives k, and the pinv is
+# within about _QR_COND eps (relative) of the SVD's.
+_QR_COND = 1e6
+
+
+def _support_factors(X: np.ndarray, cols: np.ndarray):
+    """(pinv, rank) of X_S for each support S of cols (m, k).  Where
+    0 < k <= n a stacked QR, X_S = QR, gives pinv = R^-1 Q' and rank k,
+    kept where certified: R's diagonal is nonzero, the pinv is finite and
+    |X_S|_F |pinv|_F <= _QR_COND.  Every other support goes to
+    _svd_factors, so which fill a support gets, and its bits, depend on X
+    and S alone."""
+    (n, _), (m, k) = X.shape, cols.shape
+    if not 0 < k <= n:
+        return _svd_factors(X, cols)
+    q, r = np.linalg.qr(np.moveaxis(X[:, cols], 0, 1))
+    fro = np.sqrt(np.sum(X * X, axis=0)[cols].sum(axis=1))
+    # |pinv|_F >= |R^-1|_2 >= 1 / min |r_ii|.  An R that fails this is
+    # replaced by I before the stacked inverse, which one singular R would
+    # fail as a whole
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2)).min(axis=1)
+    qr = (diag > 0) & (fro <= _QR_COND * diag)
+    r[~qr] = np.eye(k)
+    pinv = np.matmul(np.linalg.inv(r), np.swapaxes(q, 1, 2))
+    flat = pinv.reshape(m, -1)
+    qr &= fro * np.sqrt(np.sum(flat * flat, axis=1)) <= _QR_COND  # False if not finite
+    rank = np.full(m, k)
+    if not qr.all():
+        pinv[~qr], rank[~qr] = _svd_factors(X, cols[~qr])
+    return pinv, rank
+
+
+def _span_rows(X: np.ndarray, cols: np.ndarray, pinv: np.ndarray) -> np.ndarray:
+    """Span row of each support S of cols (m, k), from its pinv (m, k, n):
+    x_j is in span(X_S) where |x_j - X_S pinv x_j| <= _DEP_TOL |x_j|.  S's
+    own columns are marked whatever the rounding, so only the others are
+    computed."""
+    p, (m, k) = X.shape[1], cols.shape
+    rows = np.arange(m)[:, None]
+    span = np.ones((m, p), dtype=bool)
+    span[rows, cols] = False
+    rest = np.nonzero(span)[1].reshape(m, p - k)
+    B = np.moveaxis(X[:, rest], 0, 1)
+    res = B - np.matmul(np.moveaxis(X[:, cols], 0, 1), np.matmul(pinv, B))
+    span[rows, rest] = np.linalg.norm(res, axis=1) <= _DEP_TOL * np.linalg.norm(X, axis=0)[rest]
+    span[rows, cols] = True
+    return span
+
+
+# The rows of cardinality k in a lookup: rows[i] has pinv[slot[i]], rank[i]
+# and span[i] (None when the lookup asked for no span rows).
 _SupportGroup = namedtuple("_SupportGroup", "k rows pinv slot rank span")
+
+
+class _Entries:
+    """One cardinality's support-table entries, in the order they went in:
+    the first `size` rows of the stacks of pinv (k, n), rank, span row and
+    whether that span row is computed yet.  A full stack grows by half
+    into a new array, so an entry never moves within a stack, and a stack
+    a caller holds keeps its entries as they are."""
+
+    _STACKS = ("pinv", "rank", "span", "spanned")
+
+    def __init__(self, pinv, rank, span, spanned):
+        self.pinv, self.rank, self.span, self.spanned = pinv, rank, span, spanned
+        self.size = len(rank)
+
+    @classmethod
+    def empty(cls, k: int, n: int, p: int) -> _Entries:
+        return cls(np.empty((0, k, n)), np.empty(0, np.intp), np.empty((0, p), bool),
+                   np.empty(0, bool))
+
+    def append(self, pinv: np.ndarray, rank: np.ndarray) -> None:
+        """Add entries, without span rows, at the slots from size on."""
+        start, end = self.size, self.size + len(rank)
+        if end > len(self.rank):
+            cap = max(end, len(self.rank) * 3 // 2)
+            for name in self._STACKS:
+                old = getattr(self, name)
+                grown = np.empty((cap,) + old.shape[1:], old.dtype)
+                grown[:start] = old[:start]
+                setattr(self, name, grown)
+        self.pinv[start:end], self.rank[start:end], self.spanned[start:end] = pinv, rank, False
+        self.size = end
+
+    def tail(self, count: int) -> _Entries:
+        """A copy of the last count entries."""
+        return _Entries(*(getattr(self, name)[self.size - count:self.size].copy()
+                          for name in self._STACKS))
 
 
 class _DesignCache:
     """Everything fits on one design share: the best-subset plan, built on
     first use, and the support table: per cardinality k, the sorted packed
-    masks of the supports met so far and stacks of their pinv (k, n), rank
-    and span row, the one place that says which columns may enter a lasso
-    walk at S.  Past _SUPPORT_TABLE_BYTES it starts over empty.  Threads may
-    share it: a lookup holds its lock, and no stack is written once built."""
+    masks of the supports met so far, the slot of each in that
+    cardinality's _Entries, and the entries: pinv (k, n), rank and span
+    row, the one place that says which columns may enter a lasso walk at
+    S.  Past _SUPPORT_TABLE_BYTES it starts over empty.  Threads may share
+    it: a lookup holds its lock, and entries are only appended past the
+    filled ones, or given their span row, under it."""
 
     def __init__(self, X: np.ndarray):
         self.X = X
         self._plan = None
         self._lock = threading.Lock()
-        self._table: dict = {}  # k -> (sorted keys, their pinvs, ranks and span rows)
+        self._table: dict = {}  # k -> (sorted keys, their slots, _Entries)
         self._nbytes = 0
 
     def plan(self) -> _SubsetPlan:
@@ -632,10 +726,12 @@ class _DesignCache:
             plan = self._plan = _build_subset_plan(self.X)
         return plan
 
-    def lookup(self, masks: np.ndarray) -> list[_SupportGroup]:
-        """One _SupportGroup per cardinality of masks (R, p), in increasing k.
-        Misses are filled _WALK_FLOATS // (n p) per stacked SVD and go in one
-        at a time, in packed-mask order; one over budget starts it over."""
+    def lookup(self, masks: np.ndarray, span: bool = True) -> list[_SupportGroup]:
+        """One _SupportGroup per cardinality of masks (R, p), in increasing k,
+        with span rows unless span is False.  Misses are filled
+        _WALK_FLOATS // (n k) per stacked fill and go in one at a time, in
+        packed-mask order; one over budget starts it over.  A support's
+        span row is computed the first time a lookup asks for it."""
         (n, p), budget = self.X.shape, _SUPPORT_TABLE_BYTES
         packed = np.ascontiguousarray(np.packbits(masks, axis=1))
         keys = packed.view(f"V{packed.shape[1]}").ravel()
@@ -646,33 +742,54 @@ class _DesignCache:
             for k in np.flatnonzero(np.bincount(card)).tolist():
                 rows = np.flatnonzero(card == k)
                 q = keys[rows]
-                tkeys, pinv, rank, span = self._table.get(k, (
-                    keys[:0], np.empty((0, k, n)), np.empty(0, np.intp), np.empty((0, p), bool)))
-                at = np.minimum(np.searchsorted(tkeys, q), tkeys.size - 1)
-                miss = tkeys[at] != q if tkeys.size else np.ones(q.size, dtype=bool)
+                tkeys, tslot, entries = self._table.get(k) or (
+                    keys[:0], np.empty(0, np.intp), _Entries.empty(k, n, p))
+                at = np.searchsorted(tkeys, q)
+                miss = tkeys[np.minimum(at, tkeys.size - 1)] != q if tkeys.size else (
+                    np.ones(q.size, dtype=bool))
+                new = q[:0]
                 if miss.any():
                     new, first = np.unique(q[miss], return_index=True)
                     cols = np.nonzero(masks[rows[miss][first]])[1].reshape(new.size, k)
-                    step = max(1, _WALK_FLOATS // (n * p))
-                    fills = (_support_factors(self.X, cols[c:c + step])
-                             for c in range(0, new.size, step))
-                    fresh = [np.concatenate(f) for f in zip(*fills)]
-                    pos, size = np.searchsorted(tkeys, new), 8 * k * n + p
-                    tkeys, pinv, rank, span = (np.insert(old, pos, add, axis=0) for old, add
-                                               in zip((tkeys, pinv, rank, span), [new] + fresh))
+                    fill = max(1, _WALK_FLOATS // (n * max(k, 1)))
+                    for c in range(0, new.size, fill):
+                        entries.append(*_support_factors(self.X, cols[c:c + fill]))
+                    pos = np.searchsorted(tkeys, new)
+                    tkeys = np.insert(tkeys, pos, new)
+                    tslot = np.insert(tslot, pos, np.arange(entries.size - new.size, entries.size))
+                    at = np.searchsorted(tkeys, q)
+                slot = tslot[at]
+                if span:
+                    self._fill_spans(entries, slot, masks[rows])
+                if new.size:
+                    size = 8 * k * n + p
                     # entry i is the first to find the table over budget, then every `every`-th
                     every = budget // size + 1
                     i = 0 if self._nbytes > budget else (budget - self._nbytes) // size + 1
                     if i < new.size:
                         i += (new.size - 1 - i) // every * every
-                        self._table = {k: (new[i:], *(a[i:].copy() for a in fresh))}
+                        self._table = {k: (new[i:], np.arange(new.size - i),
+                                           entries.tail(new.size - i))}
                         self._nbytes = (new.size - i) * size
                     else:
-                        self._table[k] = (tkeys, pinv, rank, span)
+                        self._table[k] = (tkeys, tslot, entries)
                         self._nbytes += new.size * size
-                slot = np.searchsorted(tkeys, q)
-                out.append(_SupportGroup(k, rows, pinv, slot, rank[slot], span[slot]))
+                out.append(_SupportGroup(k, rows, entries.pinv, slot, entries.rank[slot],
+                                         entries.span[slot] if span else None))
         return out
+
+    def _fill_spans(self, entries: _Entries, slot: np.ndarray, masks: np.ndarray):
+        """Compute the span rows the entries at slot (masks their supports)
+        lack, _WALK_FLOATS // (n p) supports at a time."""
+        lack = ~entries.spanned[slot]
+        if lack.any():
+            step = max(1, _WALK_FLOATS // self.X.size)
+            need, first = np.unique(slot[lack], return_index=True)
+            cols = np.nonzero(masks[lack][first])[1].reshape(need.size, entries.pinv.shape[1])
+            for c in range(0, need.size, step):
+                s = need[c:c + step]
+                entries.span[s] = _span_rows(self.X, cols[c:c + step], entries.pinv[s])
+            entries.spanned[need] = True
 
 
 # The most recent design's cache, as one (key, _DesignCache) pair: a caller
@@ -826,7 +943,9 @@ class FitProcedure:
         if self.kind == "best-subset":
             return _batch_best_subset_grid(X, Y, [self.lam])[0]
         if self.kind == "relaxed-lasso":
-            return _batch_refit(X, Y, _batch_lasso(X, Y, self.lam).active)
+            lasso = _batch_lasso(X, Y, self.lam)
+            return replace(_batch_refit(X, Y, lasso.active),
+                           signs=np.sign(lasso.beta).astype(np.int8))
         if self.kind == "ridge":
             return _batch_ridge(X, Y, self.lam)
         return _batch_threshold(X, Y, self.lam, hard=self.kind == "hard-threshold")
@@ -867,7 +986,8 @@ _MAX_LINE_STEPS = 10_000
 # Floats in one working table, 1 MB: the best-subset envelope walk's (all
 # supports against _WALK_FLOATS // 2^p lines; a step holds about twenty), a
 # lasso walk block's event table (4 p per row), one stacked support-table
-# SVD's input, and one chunk of pseudoinverses the support kernel gathers.
+# fill's input (n k per support) or span residuals (n p per support), and
+# one chunk of pseudoinverses the support kernel gathers.
 _WALK_FLOATS = 1 << 17
 
 
@@ -984,19 +1104,21 @@ def _hard_line_jumps(X, Y0, coord, lo, hi, t):
     return [(line, s, base + np.where(enters, 0.0, step), base + np.where(enters, step, 0.0))]
 
 
-def _relaxed_line_jumps(proc: FitProcedure, Y, rep, coord, lo, hi):
+def _relaxed_line_jumps(proc: FitProcedure, Y, rep, coord, lo, hi, signs=None):
     """Relaxed-lasso jumps along every line, by the lasso homotopy in the
     response (the kernel with dlam = 0) from the gated lasso fit of the
-    line's replication at s = y_ri: up to hi with dy = e_i and down to lo
-    with dy = -e_i, in one kernel call.  Only knots in [lo, hi] count; a
-    knot at y_ri is passed by one walk only, and one passed going down has
-    its sides swapped.  At each knot fitted[i] jumps from
-    (P_A y)_i to (P_A' y)_i, A and A' the active sets left and right of it,
-    from one support kernel call after the walk.  Returns (line, location,
-    left, right) of every knot."""
+    line's replication at s = y_ri (its signs, fit here unless given): up
+    to hi with dy = e_i and down to lo with dy = -e_i, in one kernel call.
+    Only knots in [lo, hi] count; a knot at y_ri is passed by one walk
+    only, and one passed going down has its sides swapped.  At each knot
+    fitted[i] jumps from (P_A y)_i to (P_A' y)_i, A and A' the active sets
+    left and right of it, from one support kernel call after the walk.
+    Returns (line, location, left, right) of every knot."""
     lam, X, m = proc.lam, proc.design.values, rep.size
     cache = _design_cache(X)
-    z = np.sign(_lasso_path(X, Y, (lam,))[0].beta).astype(np.int8)[rep]
+    if signs is None:
+        signs = np.sign(_lasso_path(X, Y, (lam,))[0].beta).astype(np.int8)
+    z = signs[rep]
     up = np.arange(2 * m) < m  # rows m.. walk the same lines down
     s = np.tile(Y[rep, coord], 2)
     dy = np.zeros((2 * m, X.shape[0]))
@@ -1035,18 +1157,20 @@ def _relaxed_line_jumps(proc: FitProcedure, Y, rep, coord, lo, hi):
     return [(line, loc, limits[:K], limits[K:])]
 
 
-def _line_jumps(proc: FitProcedure, Y: np.ndarray, lo: np.ndarray, hi: np.ndarray, lines=None):
+def _line_jumps(proc: FitProcedure, Y: np.ndarray, lo: np.ndarray, hi: np.ndarray, lines=None,
+                signs=None):
     """Every switch of the coordinate maps of a built-in procedure, exactly.
 
     For each row y of Y (a replication) and each coordinate i, the line
     r * n + i is y with coordinate i set to s, for s in [lo[i], hi[i]], and
     its map is s -> fitted[i]; lines (increasing, default all R * n) picks
-    the lines walked.  Returns arrays (rep, coord, loc, left, right),
-    ordered by replication, coordinate and location, where left and right
-    are the one-sided limits of the map at loc.  Switches whose two sides
-    agree (to the last bits) are included.  Continuous kinds, and the
-    relaxed lasso at lam = 0 (least squares on every column), return
-    empty arrays without fitting.
+    the lines walked; signs, the relaxed lasso's BatchFit.signs of Y if the
+    caller has them, spares fitting its lasso again.  Returns arrays (rep,
+    coord, loc, left, right), ordered by replication, coordinate and
+    location, where left and right are the one-sided limits of the map at
+    loc.  Switches whose two sides agree (to the last bits) are included.
+    Continuous kinds, and the relaxed lasso at lam = 0 (least squares on
+    every column), return empty arrays without fitting.
     """
     Y = _responses(Y, proc.design.n)
     R, n = Y.shape
@@ -1060,7 +1184,7 @@ def _line_jumps(proc: FitProcedure, Y: np.ndarray, lo: np.ndarray, hi: np.ndarra
     elif proc.kind == "hard-threshold":
         parts = _hard_line_jumps(X, Y0, coord, lo, hi, proc.lam)
     elif proc.kind == "relaxed-lasso" and proc.lam > 0:
-        parts = _relaxed_line_jumps(proc, Y, rep, coord, lo, hi)
+        parts = _relaxed_line_jumps(proc, Y, rep, coord, lo, hi, signs)
     else:
         parts = []
     parts = parts or [(np.empty(0, dtype=np.intp),) + (np.empty(0),) * 3]

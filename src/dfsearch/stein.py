@@ -720,26 +720,27 @@ def _scanned_jumps(proc, Y: np.ndarray, lo, hi, lines=None, *, grid_points: int)
     return tuple(np.concatenate(col) for col in zip(*found))
 
 
-def _jumps(proc, Y: np.ndarray, signal: SignalSpec, grid_points: int, lines=None):
+def _jumps(proc, Y: np.ndarray, signal: SignalSpec, grid_points: int, lines=None, signs=None):
     """The jumps above 1e-4 of the coordinate maps of the rows of Y over
     mu_i +/- 8 sigma (every map, or the lines r * n + i of lines), as arrays
     (rep, coord, loc, left, right) in (replication, coordinate, location)
     order: exact for a built-in procedure (smaller ones count as kinks, as
-    in the scanner), scanned on grid_points points for any other."""
+    in the scanner), scanned on grid_points points for any other.  signs
+    (a relaxed-lasso BatchFit.signs of Y) spares refitting its lasso."""
     lo, hi = signal.mu - _SPAN * signal.sigma, signal.mu + _SPAN * signal.sigma
     if not isinstance(proc, FitProcedure):
         return _scanned_jumps(proc, Y, lo, hi, lines, grid_points=grid_points)
-    jumps = _line_jumps(proc, Y, lo, hi, lines)
+    jumps = _line_jumps(proc, Y, lo, hi, lines, signs)
     keep = np.abs(jumps[4] - jumps[3]) > _JUMP_THRESHOLD
     return tuple(col[keep] for col in jumps)
 
 
-def _boundary_terms(proc, Y0: np.ndarray, signal: SignalSpec,
-                    grid_points: int) -> np.ndarray:
+def _boundary_terms(proc, Y0: np.ndarray, signal: SignalSpec, grid_points: int,
+                    signs=None) -> np.ndarray:
     """phi-weighted jump sum over all coordinates, per replication, shape
     (R,).  Jumps of a built-in procedure are exact; any other procedure is
     scanned.  Each replication sums in (coordinate, location) order."""
-    rep, coord, loc, left, right = _jumps(proc, Y0, signal, grid_points)
+    rep, coord, loc, left, right = _jumps(proc, Y0, signal, grid_points, signs=signs)
     sigma = signal.sigma
     weight = normal_pdf((loc - signal.mu[coord]) / sigma) / sigma * (right - left)
     return np.bincount(rep, weights=weight, minlength=Y0.shape[0])
@@ -764,9 +765,11 @@ def stein_decompose_df(proc: FitProcedure, signal: SignalSpec, reps: int, seed: 
         raise ValueError("reps must be at least 2")
     _check_grid_points(grid_points)
     Y0 = draw_responses(signal, reps, seed)
-    F0 = proc.fit_many(Y0).fitted
-    div = _divergence_terms(proc, Y0, F0, _FD_STEP * signal.sigma)
-    bnd = _boundary_terms(proc, Y0, signal, grid_points)
+    base = proc.fit_many(Y0)
+    div = _divergence_terms(proc, Y0, base.fitted, _FD_STEP * signal.sigma)
+    # the relaxed lasso's line walks start from the base fit's lasso signs
+    signs = base.signs if isinstance(proc, FitProcedure) else None
+    bnd = _boundary_terms(proc, Y0, signal, grid_points, signs)
 
     if reps >= 8:
         centered = bnd - bnd.mean()

@@ -330,7 +330,10 @@ class TestExitCodeMapping:
         monkeypatch.setitem(cli._COMMANDS, "curves", boom)
         cfg = _write(tmp_path / "c.txt", "regime=null\n")
         assert cli.main(["curves", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert "numerical failure" in err[0]
+        assert err[1] == '{"where": "test"}'
+        assert not (tmp_path / "o").exists()
 
     def test_success_returns_zero(self, tmp_path):
         cfg = _write(tmp_path / "c.txt", "regime=null\nlambda_count=2\nactive_count=2\n")
@@ -409,6 +412,38 @@ class TestLassoBelowFullRank:
         _, _, rows = _read_csv(out / "simulate.csv")
         assert len(rows) == 10
         assert all(0.0 <= float(row[2]) <= 8.0 for row in rows)
+
+
+class TestNearCollinearSupportFill:
+    def test_svd_fallback_and_qr_fill_agree_end_to_end(self, tmp_path, monkeypatch):
+        # the CI's near-collinear lasso and relaxed-lasso config: every fit
+        # passes the KKT gate, the table sends at least one support to the
+        # SVD, and the curves agree with those of a table that sends every
+        # support there
+        from dfsearch import fitters
+
+        cfg = _write(tmp_path / "c.txt", "procedures=lasso,relaxed-lasso\nn=30\np=12\n"
+                                         "block_sizes=6,6\ncorr_low=0.999\ncorr_high=0.9999\n"
+                                         "reps=50\n")
+        sent, svd = [], fitters._svd_factors
+
+        def recording(X, cols):
+            sent.extend(cols.tolist())
+            return svd(X, cols)
+
+        monkeypatch.setattr(fitters, "_PLAN_CACHE", None)
+        monkeypatch.setattr(fitters, "_svd_factors", recording)
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "qr")]) == 0
+        assert sent
+        monkeypatch.setattr(fitters, "_PLAN_CACHE", None)
+        monkeypatch.setattr(fitters, "_QR_COND", 0.0)
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "svd")]) == 0
+        _, _, rows = _read_csv(tmp_path / "qr" / "simulate.csv")
+        _, _, want = _read_csv(tmp_path / "svd" / "simulate.csv")
+        assert [row[0] for row in rows] == [row[0] for row in want]
+        np.testing.assert_allclose(np.array([row[1:] for row in rows], dtype=float),
+                                   np.array([row[1:] for row in want], dtype=float),
+                                   rtol=1e-9, atol=0)
 
 
 def _run_python(code):

@@ -223,8 +223,8 @@ class TestLassoExactFinish:
         solved = []
         lookup = fitters._DesignCache.lookup
 
-        def recording(self, masks):
-            found = lookup(self, masks)
+        def recording(self, masks, **kwargs):
+            found = lookup(self, masks, **kwargs)
             solved.extend(P for g in found for P in g.pinv[np.unique(g.slot)])
             return found
 
@@ -441,14 +441,16 @@ class TestBestSubset:
 
 
 def _structured_design(n, p, seed, structure):
-    """Random n x p design, optionally with a duplicated column or a
-    column that is an exact combination of two others."""
+    """Random n x p design, optionally with a duplicated column, a column
+    that is an exact combination of two others, or a zero column."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, p))
     if structure == "duplicate" and p >= 2:
         X[:, p - 1] = X[:, 0]
     if structure == "collinear" and p >= 3:
         X[:, 1] = 0.5 * X[:, 0] - 2.0 * X[:, 2]
+    if structure == "zero":
+        X[:, 1] = 0.0
     return X
 
 
@@ -468,7 +470,7 @@ def _factors(cache, supports):
 def _table_entries(cache):
     """Number of the supports in a design's support table, and the bytes of
     their pinvs and span rows."""
-    stacks = [(pinv, span) for _, pinv, _, span in cache._table.values()]
+    stacks = [(e.pinv[:e.size], e.span[:e.size]) for _, _, e in cache._table.values()]
     return sum(len(P) for P, _ in stacks), sum(P.nbytes + S.nbytes for P, S in stacks)
 
 
@@ -1063,7 +1065,8 @@ class TestSupportTable:
         # every support of the design: duplicated and collinear columns,
         # and n < p, put rank deficiency in many of them; a last column
         # within `near` of the first puts a singular value between the
-        # pinv cutoff and the rank tolerance
+        # pinv cutoff and the rank tolerance.  The SVD fill is numpy's,
+        # bit for bit, and the table's rank is matrix_rank's
         n, p = shape
         X = _structured_design(n, p, seed, structure)
         if near:
@@ -1073,9 +1076,10 @@ class TestSupportTable:
         for k in range(1, p + 1):
             for S in itertools.combinations(range(p), k):
                 S = np.array(S, dtype=np.intp)
-                P, rank = _factors(cache, [S])[0]
-                npt.assert_array_equal(P, np.linalg.pinv(X[:, S]))
-                assert rank == np.linalg.matrix_rank(X[:, S])
+                P, rank = fitters._svd_factors(X, S[None])
+                npt.assert_array_equal(P[0], np.linalg.pinv(X[:, S]))
+                assert rank[0] == np.linalg.matrix_rank(X[:, S])
+                assert _factors(cache, [S])[0][1] == rank[0]
 
     def test_empty_support(self):
         (P, rank), = _factors(fitters._design_cache(_random_design(5, 3, 0).values),
@@ -1111,15 +1115,94 @@ class TestSupportTable:
     def test_stacked_fill_equals_one_svd_per_support(self, shape, structure, seed, picks):
         # many supports per cardinality in one lookup, repeats and the
         # empty support included; duplicated and collinear columns and
-        # n < p make many of them rank deficient
+        # n < p make many of them rank deficient.  The table's stacked fill
+        # is each support's own fill, and the stacked SVD numpy's, bit for
+        # bit
         n, p = shape
         X = _structured_design(n, p, seed, structure)
         supports = [np.flatnonzero([(b >> j) & 1 for j in range(p)]) for b in picks]
         for S, (P, rank) in zip(supports, _factors(fitters._DesignCache(X), supports)):
-            want, want_rank, _ = fitters._support_factors(X, S[None])
+            want, want_rank = fitters._support_factors(X, S[None])
             npt.assert_array_equal(P, want[0])
-            npt.assert_array_equal(P, np.linalg.pinv(X[:, S]))
             assert rank == want_rank[0] == np.linalg.matrix_rank(X[:, S])
+        for k in {S.size for S in supports}:
+            same = [S for S in supports if S.size == k]
+            cols = np.array(same, dtype=np.intp).reshape(len(same), k)
+            for S, P, rank in zip(cols, *fitters._svd_factors(X, cols)):
+                npt.assert_array_equal(P, np.linalg.pinv(X[:, S]))
+                assert rank == np.linalg.matrix_rank(X[:, S])
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=st.sampled_from([(8, 4), (10, 6), (6, 5), (3, 5), (2, 6), (9, 8)]),
+        structure=st.sampled_from(["plain", "block", "duplicate", "collinear", "zero"]),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1.0, 1e-6, 1e6]),
+        near=st.sampled_from([0.0, 1e-14, 1e-12, 1e-9]),
+    )
+    def test_qr_fill_matches_the_svd_reference(self, shape, structure, seed, scale, near):
+        # every support of the design, from one lookup.  A support the SVD
+        # fills keeps numpy's bits.  One the QR fills passes the
+        # certificate, has rank k, and is within 100 eps cond of numpy's
+        # pinv (relative), cond = |X_S|_F |pinv(X_S)|_F <= _QR_COND.  A
+        # support whose cond is past _QR_COND goes to the SVD
+        n, p = shape
+        if structure == "block":
+            X = gen_block_design(n, p, [p // 2, p - p // 2], 0.9, 0.999,
+                                 RngSpec(seed, 0)).values.copy()
+        else:
+            X = _structured_design(n, p, seed, structure)
+        if near:
+            X[:, p - 1] = X[:, 0] + near * np.random.default_rng(seed).standard_normal(n)
+        X = scale * X
+        supports = [np.array(S, dtype=np.intp) for k in range(1, p + 1)
+                    for S in itertools.combinations(range(p), k)]
+        sent, svd = set(), fitters._svd_factors
+
+        def recording(X, cols):
+            sent.update(map(tuple, cols.tolist()))
+            return svd(X, cols)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fitters, "_svd_factors", recording)
+            found = _factors(fitters._DesignCache(X), supports)
+        eps = np.finfo(float).eps
+        for S, (P, rank) in zip(supports, found):
+            want = np.linalg.pinv(X[:, S])
+            assert rank == np.linalg.matrix_rank(X[:, S])
+            cond = np.linalg.norm(X[:, S]) * np.linalg.norm(want)
+            if tuple(S) in sent:
+                npt.assert_array_equal(P, want)
+            else:
+                assert S.size <= n and rank == S.size
+                assert np.linalg.norm(X[:, S]) * np.linalg.norm(P) <= fitters._QR_COND
+                assert np.linalg.norm(P - want) <= 100 * eps * cond * np.linalg.norm(want)
+            if cond > 1.01 * fitters._QR_COND:
+                assert tuple(S) in sent
+
+    def test_one_singular_r_in_a_stack_goes_to_the_svd(self, monkeypatch):
+        # column 2 is zero, so the R of support {0, 2} has an exact zero on
+        # its diagonal, and inverting the whole stack would raise
+        X = _structured_design(8, 5, 12, "plain")
+        X[:, 2] = 0.0
+        cols = np.array([[0, 1], [0, 2], [1, 3], [3, 4]])
+        _, r = np.linalg.qr(np.moveaxis(X[:, cols], 0, 1))
+        assert r[1, 1, 1] == 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(r)
+        sent, svd = [], fitters._svd_factors
+
+        def recording(X, cols):
+            sent.append(cols.tolist())
+            return svd(X, cols)
+
+        monkeypatch.setattr(fitters, "_svd_factors", recording)
+        P, rank = fitters._support_factors(X, cols)
+        assert sent == [[[0, 2]]]
+        npt.assert_array_equal(P[1], np.linalg.pinv(X[:, [0, 2]]))
+        npt.assert_array_equal(rank, [2, 1, 2, 2])
+        for i in (0, 2, 3):
+            npt.assert_allclose(P[i], np.linalg.pinv(X[:, cols[i]]), rtol=0, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), budget=st.integers(0, 2000),
@@ -1155,10 +1238,13 @@ class TestSupportTable:
         # 63 pinvs of 80 bytes per column, far past 1000 bytes
         monkeypatch.setattr(fitters, "_SUPPORT_TABLE_BYTES", 1000)
         cache = fitters._DesignCache(X)
+        alone = [fitters._support_factors(X, S[None]) for S in supports]
         for _ in range(2):  # misses, then a table that started over
-            for S, (P, rank) in zip(supports, _factors(cache, supports)):
-                npt.assert_array_equal(P, np.linalg.pinv(X[:, S]))
-                assert rank == np.linalg.matrix_rank(X[:, S])
+            for S, (P, rank), (want, want_rank) in zip(supports, _factors(cache, supports), alone):
+                npt.assert_array_equal(P, want[0])
+                assert rank == want_rank[0] == np.linalg.matrix_rank(X[:, S])
+                npt.assert_array_equal(fitters._svd_factors(X, S[None])[0][0],
+                                       np.linalg.pinv(X[:, S]))
             count, nbytes = _table_entries(cache)
             assert 0 < count < len(supports)
             assert cache._nbytes == nbytes
@@ -1225,6 +1311,36 @@ class TestSupportTable:
                 npt.assert_array_equal(span, want)
                 assert span[S].all()
 
+    def test_span_rows_only_when_a_walk_asks(self, monkeypatch):
+        # refits, best-subset winners and ranks compute no span row; a
+        # walk's first lookup of those supports computes each one once,
+        # with the bits of a table that filled it at once
+        d = gen_block_design(10, 6, [3, 3], 0.4, 0.9, RngSpec(seed=5, stream_id=0))
+        X = d.values
+        rng = np.random.default_rng(6)
+        Y, masks = rng.standard_normal((40, 10)), rng.random((40, 6)) < 0.5
+        computed, span_rows = [], fitters._span_rows
+
+        def counting(X, cols, pinv):
+            computed.extend(map(tuple, cols.tolist()))
+            return span_rows(X, cols, pinv)
+
+        monkeypatch.setattr(fitters, "_PLAN_CACHE", None)
+        monkeypatch.setattr(fitters, "_span_rows", counting)
+        refit_on_active_sets(X, Y, masks)
+        fitters._active_ranks(X, masks)
+        FitProcedure("best-subset", 0.5, d).fit_many(Y)
+        assert computed == []
+        cache = fitters._design_cache(X)
+        late = cache.lookup(masks)  # as a walk step looks its supports up
+        supports = {tuple(np.flatnonzero(m).tolist()) for m in masks}
+        assert sorted(computed) == sorted(supports)
+        cache.lookup(masks)
+        assert len(computed) == len(supports)
+        for g, h in zip(late, fitters._DesignCache(X).lookup(masks)):
+            npt.assert_array_equal(g.rows, h.rows)
+            npt.assert_array_equal(g.span, h.span)
+
     @pytest.mark.parametrize("walk", ["lambda", "line"])
     def test_one_support_lookup_per_homotopy_step(self, monkeypatch, walk):
         # the step's fit, its rate and which columns may enter all come
@@ -1245,9 +1361,9 @@ class TestSupportTable:
             finally:
                 count["walking"] = False
 
-        def counting_lookup(self, masks):
+        def counting_lookup(self, masks, **kwargs):
             count["lookups"] += count["walking"]
-            return lookup(self, masks)
+            return lookup(self, masks, **kwargs)
 
         monkeypatch.setattr(fitters, "_homotopy", counting_walk)
         monkeypatch.setattr(fitters._DesignCache, "lookup", counting_lookup)

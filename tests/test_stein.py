@@ -750,6 +750,25 @@ class TestExactJumps:
         assert made == rows  # the base fit and the divergence probes, nothing else
         assert dec.boundary == 0.0
 
+    def test_relaxed_lasso_fits_its_lasso_once_per_response(self, monkeypatch):
+        # the base fit's lasso signs start the line walks of the boundary
+        # term: the base fit and the divergence probes fit the lasso, and
+        # nothing else does
+        design = gen_block_design(8, 6, [3, 3], 0.4, 0.9, RngSpec(seed=7, stream_id=0))
+        proc = FitProcedure(kind="relaxed-lasso", lam=0.5, design=design)
+        signal = SignalSpec(np.zeros(8), 1.0)
+        rows, lasso_path = [], fitters._lasso_path
+
+        def counting(X, Y, lams):
+            rows.append(len(Y))
+            return lasso_path(X, Y, lams)
+
+        monkeypatch.setattr(fitters, "_lasso_path", counting)
+        dec = stein_decompose_df(proc, signal, reps=20, seed=0)
+        assert rows == [20, 320]
+        Y0 = draw_responses(signal, 20, 0)
+        assert dec.boundary == float(stein._boundary_terms(proc, Y0, signal, 4096).mean())
+
     def test_duck_typed_procedure_is_scanned(self, monkeypatch):
         scans = []
         scan = stein._scan
@@ -804,8 +823,8 @@ class TestExactJumps:
             walks.append(signature.bind(*args, **kwargs).arguments["dlam"])
             return homotopy(*args, **kwargs)
 
-        def deficient(self, masks):
-            found = lookup(self, masks)
+        def deficient(self, masks, **kwargs):
+            found = lookup(self, masks, **kwargs)
             if walks and walks[-1] == 0:
                 found = [g._replace(rank=np.full(g.rows.size, g.k - 1)) for g in found]
             return found
