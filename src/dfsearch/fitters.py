@@ -70,8 +70,8 @@ SUBSET_PLAN_MAX_BYTES = 512 << 20
 # small p.
 _BLOCK_FLOATS = 1 << 20
 
-# Bytes of pseudoinverses and span rows the support table of a design may
-# hold; past this the table starts over empty.
+# Bytes of pseudoinverses the support table of a design may hold; past this
+# the table starts over empty.
 _SUPPORT_TABLE_BYTES = 32 << 20
 
 
@@ -151,8 +151,7 @@ def _rowwise(A: np.ndarray, M: np.ndarray) -> np.ndarray:
     return np.matmul(A[..., None, :], M)[..., 0, :]
 
 
-def _on_supports(cache: _DesignCache, Y: np.ndarray, masks: np.ndarray, signs=None, lam=None,
-                 span: bool = False):
+def _on_supports(cache: _DesignCache, Y: np.ndarray, masks: np.ndarray, signs=None, lam=None):
     """Least squares of each row of Y (R, n), or of a stack (s, R, n) of
     sides, on its active columns (masks), beta_S = pinv(X_S) y, or with
     signs (R, p) and lam ((R,) or (s, R)) the lasso on that support and
@@ -161,14 +160,11 @@ def _on_supports(cache: _DesignCache, Y: np.ndarray, masks: np.ndarray, signs=No
     cardinality in chunks of _WALK_FLOATS floats, and pinv(X_S)' z_S serve
     all its sides, each multiplied alone, as X does beta, so no row's bits
     depend on the others.  Returns (beta (..., R, p), fitted (..., R, n),
-    rank of X_S per row, and its span row per row if span, else None)."""
+    rank of X_S per row)."""
     (n, p), R = cache.X.shape, masks.shape[0]
     beta, rank = np.zeros(Y.shape[:-1] + (p,)), np.empty(R)
-    rows_span = np.empty((R, p), bool) if span else None
-    for g in cache.lookup(masks, span=span):
+    for g in cache.lookup(masks):
         rank[g.rows] = g.rank
-        if span:
-            rows_span[g.rows] = g.span
         cols = np.nonzero(masks[g.rows])[1].reshape(g.rows.size, g.k)
         step = max(1, _WALK_FLOATS // (max(g.k, 1) * n))
         for c in range(0, g.rows.size, step):
@@ -178,7 +174,7 @@ def _on_supports(cache: _DesignCache, Y: np.ndarray, masks: np.ndarray, signs=No
                 z = np.matmul(P.transpose(0, 2, 1), signs[r[:, None], S, None])
                 y = y - lam[..., r, None, None] * z
             beta[..., r[:, None], S] = np.matmul(P, y)[..., 0]
-    return beta, _rowwise(beta, cache.X.T), rank, rows_span
+    return beta, _rowwise(beta, cache.X.T), rank
 
 
 def refit_on_active_sets(X: np.ndarray, Y: np.ndarray, masks: np.ndarray):
@@ -192,10 +188,7 @@ def refit_on_active_sets(X: np.ndarray, Y: np.ndarray, masks: np.ndarray):
 
 def _active_ranks(X: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """rank(X restricted to each row's active columns), one float per row."""
-    ranks = np.empty(masks.shape[0])
-    for g in _design_cache(X).lookup(masks, span=False):
-        ranks[g.rows] = g.rank
-    return ranks
+    return _design_cache(X).ranks(masks)
 
 
 def _batch_refit(X: np.ndarray, Y: np.ndarray, masks: np.ndarray) -> BatchFit:
@@ -257,16 +250,19 @@ def _homotopy(cache, y, lam, z, dy, dlam, live, visit):
     c_j, j not in A, reaches sigma lam (j enters with sign sigma, at
     u = (lam - sigma c_j) / (sigma dc_j - dlam) where that denominator is
     > 0).  A variable that has just entered does not leave at once, nor one
-    that has just left re-enter at once on its old side.  No column in the
-    span of the active ones (their support's span row), or any once n are
-    active, enters.
+    that has just left re-enter at once on its old side.  A column enters
+    only where the support table's rank of A + {j} is above the step's rank
+    of A: a row whose pick would bring in a column that keeps the rank has
+    that event barred and picks again, one table lookup of the rows'
+    candidate supports per round, until no pick is barred.  A + {j} is the
+    support the next step looks up when j does enter.  No column enters
+    once n are active, which spares the table supports of more than n.
 
-    Each step calls visit(live, u, kind, j, zl, beta, c): the live rows,
-    how far each is from its next knot (inf if none), that knot's event
-    (kind 0: j leaves; 1 or 2: j enters with sign +1 or -1), the signs zl up
-    to it, and beta and c where the step starts.  visit returns which rows
-    go through their knot.  Returns the rows still going after
-    _MAX_LINE_STEPS steps."""
+    Each step calls visit(live, u, kind, j, zl): the live rows, how far
+    each is from its next knot (inf if none), that knot's event (kind 0: j
+    leaves; 1 or 2: j enters with sign +1 or -1) and the signs zl up to it.
+    visit returns which rows go through their knot.  Returns the rows still
+    going after _MAX_LINE_STEPS steps."""
     n, p = cache.X.shape
     bar = np.full(y.shape[0], 3 * p)  # kind * p + j of the event the last knot rules out
     sig = np.array([1.0, -1.0])[:, None]
@@ -280,9 +276,8 @@ def _homotopy(cache, y, lam, z, dy, dlam, live, visit):
             m, zl = rows.size, z[rows]
             A = zl != 0
             ys = np.stack((y[rows], dy[rows]))
-            (beta, w), fitted, _, span = _on_supports(cache, ys, A, zl,
-                                                      np.stack((lam[rows], np.full(m, dlam))),
-                                                      span=True)
+            (beta, w), fitted, rank = _on_supports(cache, ys, A, zl,
+                                                   np.stack((lam[rows], np.full(m, dlam))))
             c, dc = _rowwise(ys - fitted, cache.X)
             # u[row, kind, j]: how far the row moves before j leaves (kind 0)
             # or enters with sign +1 (kind 1) or -1 (kind 2); kind 3 is the
@@ -291,13 +286,21 @@ def _homotopy(cache, y, lam, z, dy, dlam, live, visit):
             den = sig * dc[:, None] - dlam
             np.divide(-beta, w, out=u[:, 0], where=A & (zl * w < 0))
             np.divide(lam[rows, None, None] - sig * c[:, None], den, out=u[:, 1:3],
-                      where=(den > 0) & ~span[:, None])
+                      where=(den > 0) & ~A[:, None])
             u[A.sum(axis=1) >= n, 1:3] = np.inf  # no column enters once n are active
             u = np.maximum(u, 0.0).reshape(m, 4 * p)
             u[np.arange(m), bar[rows]] = np.inf
             kind, j = np.divmod(np.argmin(u, axis=1), p)
+            pick = np.flatnonzero(kind > 0)
+            while pick.size:
+                cand = A[pick]
+                cand[np.arange(pick.size), j[pick]] = True
+                pick = pick[cache.ranks(cand) <= rank[pick]]
+                u[pick, kind[pick] * p + j[pick]] = np.inf
+                kind[pick], j[pick] = np.divmod(np.argmin(u[pick], axis=1), p)
+                pick = pick[kind[pick] > 0]
             step = u.min(axis=1)
-            go = visit(rows, step, kind, j, zl, beta, c)
+            go = visit(rows, step, kind, j, zl)
             rows, kind, j, step = rows[go], kind[go], j[go], step[go]
             lam[rows] += step * dlam
             y[rows] += step[:, None] * dy[rows]
@@ -320,7 +323,7 @@ def _lasso_walk(cache, Y, XtY, grid, signs):
     slack = n * np.finfo(float).eps * _rowwise(np.abs(Y), np.abs(cache.X)).max(axis=1, initial=0.0)
     nxt = np.searchsorted(-grid, slack - lam, side="right")  # the next grid value to record
 
-    def record(live, u, kind, j, zl, beta, c):
+    def record(live, u, kind, j, zl):
         new = lam[live] - u
         stop = np.maximum(nxt[live], np.searchsorted(-grid, -new, side="right"))
         for k in range(int(nxt[live].min()), int(stop.max())):
@@ -352,8 +355,8 @@ def _lasso_path(X: np.ndarray, Y: np.ndarray, lams) -> list[BatchFit]:
         todo = np.arange(R)
         while todo.size:
             masks = Z[todo] != 0
-            B[g, todo], _, rank, _ = _on_supports(cache, Y[todo], masks, Z[todo],
-                                                  np.full(todo.size, grid[g]))
+            B[g, todo], _, rank = _on_supports(cache, Y[todo], masks, Z[todo],
+                                               np.full(todo.size, grid[g]))
             B[g, todo[rank < masks.sum(axis=1)]] = np.nan  # fails the KKT check
             flip = (Z != 0) & np.where(Z > 0, B[g] <= 0, B[g] >= 0)
             Z[flip] = 0
@@ -644,74 +647,53 @@ def _support_factors(X: np.ndarray, cols: np.ndarray):
     return pinv, rank
 
 
-def _span_rows(X: np.ndarray, cols: np.ndarray, pinv: np.ndarray) -> np.ndarray:
-    """Span row of each support S of cols (m, k), from its pinv (m, k, n):
-    x_j is in span(X_S) where |x_j - X_S pinv x_j| <= _DEP_TOL |x_j|.  S's
-    own columns are marked whatever the rounding, so only the others are
-    computed."""
-    p, (m, k) = X.shape[1], cols.shape
-    rows = np.arange(m)[:, None]
-    span = np.ones((m, p), dtype=bool)
-    span[rows, cols] = False
-    rest = np.nonzero(span)[1].reshape(m, p - k)
-    B = np.moveaxis(X[:, rest], 0, 1)
-    res = B - np.matmul(np.moveaxis(X[:, cols], 0, 1), np.matmul(pinv, B))
-    span[rows, rest] = np.linalg.norm(res, axis=1) <= _DEP_TOL * np.linalg.norm(X, axis=0)[rest]
-    span[rows, cols] = True
-    return span
-
-
-# The rows of cardinality k in a lookup: rows[i] has pinv[slot[i]], rank[i]
-# and span[i] (None when the lookup asked for no span rows).
-_SupportGroup = namedtuple("_SupportGroup", "k rows pinv slot rank span")
+# The rows of cardinality k in a lookup: rows[i] has pinv[slot[i]] and rank[i].
+_SupportGroup = namedtuple("_SupportGroup", "k rows pinv slot rank")
 
 
 class _Entries:
     """One cardinality's support-table entries, in the order they went in:
-    the first `size` rows of the stacks of pinv (k, n), rank, span row and
-    whether that span row is computed yet.  A full stack grows by half
-    into a new array, so an entry never moves within a stack, and a stack
-    a caller holds keeps its entries as they are."""
+    the first `size` rows of the stacks of pinv (k, n) and rank.  A full
+    stack grows by half into a new array, so an entry never moves within a
+    stack, and a stack a caller holds keeps its entries as they are."""
 
-    _STACKS = ("pinv", "rank", "span", "spanned")
-
-    def __init__(self, pinv, rank, span, spanned):
-        self.pinv, self.rank, self.span, self.spanned = pinv, rank, span, spanned
+    def __init__(self, pinv, rank):
+        self.pinv, self.rank = pinv, rank
         self.size = len(rank)
 
     @classmethod
-    def empty(cls, k: int, n: int, p: int) -> _Entries:
-        return cls(np.empty((0, k, n)), np.empty(0, np.intp), np.empty((0, p), bool),
-                   np.empty(0, bool))
+    def empty(cls, k: int, n: int) -> _Entries:
+        return cls(np.empty((0, k, n)), np.empty(0, np.intp))
 
     def append(self, pinv: np.ndarray, rank: np.ndarray) -> None:
-        """Add entries, without span rows, at the slots from size on."""
+        """Add entries at the slots from size on."""
         start, end = self.size, self.size + len(rank)
         if end > len(self.rank):
             cap = max(end, len(self.rank) * 3 // 2)
-            for name in self._STACKS:
+            for name in ("pinv", "rank"):
                 old = getattr(self, name)
                 grown = np.empty((cap,) + old.shape[1:], old.dtype)
                 grown[:start] = old[:start]
                 setattr(self, name, grown)
-        self.pinv[start:end], self.rank[start:end], self.spanned[start:end] = pinv, rank, False
+        self.pinv[start:end], self.rank[start:end] = pinv, rank
         self.size = end
 
     def tail(self, count: int) -> _Entries:
         """A copy of the last count entries."""
-        return _Entries(*(getattr(self, name)[self.size - count:self.size].copy()
-                          for name in self._STACKS))
+        return _Entries(self.pinv[self.size - count:self.size].copy(),
+                        self.rank[self.size - count:self.size].copy())
 
 
 class _DesignCache:
     """Everything fits on one design share: the best-subset plan, built on
     first use, and the support table: per cardinality k, the sorted packed
     masks of the supports met so far, the slot of each in that
-    cardinality's _Entries, and the entries: pinv (k, n), rank and span
-    row, the one place that says which columns may enter a lasso walk at
-    S.  Past _SUPPORT_TABLE_BYTES it starts over empty.  Threads may share
-    it: a lookup holds its lock, and entries are only appended past the
-    filled ones, or given their span row, under it."""
+    cardinality's _Entries, and the entries, pinv (k, n) and rank.  That
+    rank is the one the search df subtracts, the lasso's solves check and
+    a lasso walk's entry rule reads (a column enters only where it raises
+    it).  Past _SUPPORT_TABLE_BYTES of pinvs it starts over empty.  Threads
+    may share it: a lookup holds its lock, and entries are only appended
+    past the filled ones under it."""
 
     def __init__(self, X: np.ndarray):
         self.X = X
@@ -726,13 +708,19 @@ class _DesignCache:
             plan = self._plan = _build_subset_plan(self.X)
         return plan
 
-    def lookup(self, masks: np.ndarray, span: bool = True) -> list[_SupportGroup]:
-        """One _SupportGroup per cardinality of masks (R, p), in increasing k,
-        with span rows unless span is False.  Misses are filled
-        _WALK_FLOATS // (n k) per stacked fill and go in one at a time, in
-        packed-mask order; one over budget starts it over.  A support's
-        span row is computed the first time a lookup asks for it."""
-        (n, p), budget = self.X.shape, _SUPPORT_TABLE_BYTES
+    def ranks(self, masks: np.ndarray) -> np.ndarray:
+        """rank(X_S) of each row's support S (masks (R, p)), one float per row."""
+        ranks = np.empty(masks.shape[0])
+        for g in self.lookup(masks):
+            ranks[g.rows] = g.rank
+        return ranks
+
+    def lookup(self, masks: np.ndarray) -> list[_SupportGroup]:
+        """One _SupportGroup per cardinality of masks (R, p), in increasing k.
+        Misses are filled _WALK_FLOATS // (n k) per stacked fill and go in
+        one at a time, in packed-mask order, each charged its pinv's 8 n k
+        bytes; one over budget starts it over."""
+        n, budget = self.X.shape[0], _SUPPORT_TABLE_BYTES
         packed = np.ascontiguousarray(np.packbits(masks, axis=1))
         keys = packed.view(f"V{packed.shape[1]}").ravel()
         card = masks.sum(axis=1)
@@ -743,11 +731,10 @@ class _DesignCache:
                 rows = np.flatnonzero(card == k)
                 q = keys[rows]
                 tkeys, tslot, entries = self._table.get(k) or (
-                    keys[:0], np.empty(0, np.intp), _Entries.empty(k, n, p))
+                    keys[:0], np.empty(0, np.intp), _Entries.empty(k, n))
                 at = np.searchsorted(tkeys, q)
                 miss = tkeys[np.minimum(at, tkeys.size - 1)] != q if tkeys.size else (
                     np.ones(q.size, dtype=bool))
-                new = q[:0]
                 if miss.any():
                     new, first = np.unique(q[miss], return_index=True)
                     cols = np.nonzero(masks[rows[miss][first]])[1].reshape(new.size, k)
@@ -758,14 +745,12 @@ class _DesignCache:
                     tkeys = np.insert(tkeys, pos, new)
                     tslot = np.insert(tslot, pos, np.arange(entries.size - new.size, entries.size))
                     at = np.searchsorted(tkeys, q)
-                slot = tslot[at]
-                if span:
-                    self._fill_spans(entries, slot, masks[rows])
-                if new.size:
-                    size = 8 * k * n + p
-                    # entry i is the first to find the table over budget, then every `every`-th
-                    every = budget // size + 1
-                    i = 0 if self._nbytes > budget else (budget - self._nbytes) // size + 1
+                    size = 8 * k * n
+                    # entry i is the first to find the table over budget, then
+                    # every `every`-th; the empty support (size 0) only if the
+                    # table already is
+                    every = budget // max(size, 1) + 1
+                    i = 0 if self._nbytes > budget else (budget - self._nbytes) // max(size, 1) + 1
                     if i < new.size:
                         i += (new.size - 1 - i) // every * every
                         self._table = {k: (new[i:], np.arange(new.size - i),
@@ -774,22 +759,9 @@ class _DesignCache:
                     else:
                         self._table[k] = (tkeys, tslot, entries)
                         self._nbytes += new.size * size
-                out.append(_SupportGroup(k, rows, entries.pinv, slot, entries.rank[slot],
-                                         entries.span[slot] if span else None))
+                slot = tslot[at]
+                out.append(_SupportGroup(k, rows, entries.pinv, slot, entries.rank[slot]))
         return out
-
-    def _fill_spans(self, entries: _Entries, slot: np.ndarray, masks: np.ndarray):
-        """Compute the span rows the entries at slot (masks their supports)
-        lack, _WALK_FLOATS // (n p) supports at a time."""
-        lack = ~entries.spanned[slot]
-        if lack.any():
-            step = max(1, _WALK_FLOATS // self.X.size)
-            need, first = np.unique(slot[lack], return_index=True)
-            cols = np.nonzero(masks[lack][first])[1].reshape(need.size, entries.pinv.shape[1])
-            for c in range(0, need.size, step):
-                s = need[c:c + step]
-                entries.span[s] = _span_rows(self.X, cols[c:c + step], entries.pinv[s])
-            entries.spanned[need] = True
 
 
 # The most recent design's cache, as one (key, _DesignCache) pair: a caller
@@ -986,8 +958,8 @@ _MAX_LINE_STEPS = 10_000
 # Floats in one working table, 1 MB: the best-subset envelope walk's (all
 # supports against _WALK_FLOATS // 2^p lines; a step holds about twenty), a
 # lasso walk block's event table (4 p per row), one stacked support-table
-# fill's input (n k per support) or span residuals (n p per support), and
-# one chunk of pseudoinverses the support kernel gathers.
+# fill's input (n k per support), and one chunk of pseudoinverses the
+# support kernel gathers.
 _WALK_FLOATS = 1 << 17
 
 
@@ -1066,7 +1038,9 @@ def _subset_line_jumps(plan: _SubsetPlan, Y0, rep, coord, lo, hi, lam):
     coordinate i set to s, support S keeps the plan's unit vectors q_a,
     so q_a'y = q_a'y0 + s q_a[i] (y0 is the response with coordinate i
     zeroed); summing over the parent chain as half_rss does gives
-    A_S = sum (q_a'y0)^2, B_S = sum (q_a'y0) q_a[i] and C_S = sum q_a[i]^2."""
+    A_S = sum (q_a'y0)^2, B_S = sum (q_a'y0) q_a[i] and C_S = sum q_a[i]^2.
+    Each line's q_a'y0 are one vector-matrix product of its own, so no
+    line's bits depend on the other lines."""
     N = plan.q.shape[0]
     card = np.repeat(np.arange(plan.starts.size - 1), np.diff(plan.starts))
     pen = (lam * card)[:, None]
@@ -1076,7 +1050,7 @@ def _subset_line_jumps(plan: _SubsetPlan, Y0, rep, coord, lo, hi, lam):
     for start in range(0, Y0.shape[0], step):
         lines = np.arange(start, min(start + step, Y0.shape[0]))
         d = plan.q[:, coord[lines]]
-        c = plan.q @ Y0[lines].T
+        c = _rowwise(Y0[lines], plan.q.T).T
         out += _envelope_walk(plan.accumulate(c * c), plan.accumulate(c * d),
                               Cq[:, coord[lines]], pen, lo[lines], hi[lines], lines, rep, coord)
     return out
@@ -1126,7 +1100,7 @@ def _relaxed_line_jumps(proc: FitProcedure, Y, rep, coord, lo, hi, signs=None):
     lo, hi = np.tile(lo, 2), np.tile(hi, 2)
     knots = []
 
-    def record(live, u, kind, j, zl, beta, c):
+    def record(live, u, kind, j, zl):
         t = np.where(up[live], s[live] + u, s[live] - u)
         go = np.where(up[live], t <= hi[live], t >= lo[live])
         s[live[go]] = t[go]
@@ -1148,7 +1122,7 @@ def _relaxed_line_jumps(proc: FitProcedure, Y, rep, coord, lo, hi, signs=None):
     masks = np.concatenate((np.where(down, after, before), np.where(down, before, after)))
     ys = Y[rep[line]]
     ys[np.arange(K), coord[line]] = loc
-    _, fitted, rank, _ = _on_supports(cache, np.concatenate((ys, ys)), masks)
+    _, fitted, rank = _on_supports(cache, np.concatenate((ys, ys)), masks)
     bad = np.flatnonzero(rank < masks.sum(axis=1))
     if bad.size:
         raise _line_error("singular lasso Gram matrix on the active set "

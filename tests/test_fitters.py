@@ -220,18 +220,18 @@ class TestLassoExactFinish:
         X[:, 4] = X[:, 0]
         d = DesignMatrix(X)
         Y = np.random.default_rng(62).standard_normal((200, 8))
-        solved = []
-        lookup = fitters._DesignCache.lookup
+        # the supports solved on, not every lookup: a walk looks up the
+        # rank of each candidate support, rank deficient or not
+        solved, on_supports = set(), fitters._on_supports
 
-        def recording(self, masks, **kwargs):
-            found = lookup(self, masks, **kwargs)
-            solved.extend(P for g in found for P in g.pinv[np.unique(g.slot)])
-            return found
+        def recording(cache, Y, masks, *args):
+            solved.update(tuple(np.flatnonzero(m)) for m in masks)
+            return on_supports(cache, Y, masks, *args)
 
-        monkeypatch.setattr(fitters._DesignCache, "lookup", recording)
+        monkeypatch.setattr(fitters, "_on_supports", recording)
         out = FitProcedure("lasso", lam, d).fit_many(Y)
         assert solved
-        assert all(np.linalg.matrix_rank(P) == P.shape[0] for P in solved)
+        assert all(np.linalg.matrix_rank(X[:, list(S)]) == len(S) for S in solved if S)
         gate = 1e-8 * max(1.0, float(np.abs(Y @ X).max()), lam)
         for r in range(Y.shape[0]):
             assert lasso_kkt_residual(d, Y[r], lam, out.beta[r]) <= gate
@@ -469,9 +469,9 @@ def _factors(cache, supports):
 
 def _table_entries(cache):
     """Number of the supports in a design's support table, and the bytes of
-    their pinvs and span rows."""
-    stacks = [(e.pinv[:e.size], e.span[:e.size]) for _, _, e in cache._table.values()]
-    return sum(len(P) for P, _ in stacks), sum(P.nbytes + S.nbytes for P, S in stacks)
+    their pinvs."""
+    stacks = [e.pinv[:e.size] for _, _, e in cache._table.values()]
+    return sum(len(P) for P in stacks), sum(P.nbytes for P in stacks)
 
 
 def _separated_from_ties(X, y, lam, lo=1e-13, hi=1e-6):
@@ -741,22 +741,8 @@ class TestBatchInvariance:
                     continue
                 assert len(one) == 5
                 sel = whole[0] * n + whole[1] == line
-                if kind == "best-subset":
-                    # the envelope scores come from one product per block
-                    # of lines, so only the count of the switches that
-                    # jump is exact: supports tied to the last bits (a
-                    # column and its duplicate) switch where rounding says.
-                    # Where n < p the scores cancel more: switches moved by
-                    # up to 3e-10 over 96 sampled designs, against 6e-13
-                    got = np.abs(one[3] - one[4]) > 1e-9
-                    sel &= np.abs(whole[3] - whole[4]) > 1e-9
-                    assert got.sum() == sel.sum()
-                    tol = 1e-12 if n >= p else 1e-9
-                    for a, b in zip(one, whole):
-                        npt.assert_allclose(a[got], b[sel], rtol=tol, atol=tol)
-                else:
-                    for got, want in zip(one, whole):
-                        npt.assert_array_equal(got, want[sel])
+                for got, want in zip(one, whole):
+                    npt.assert_array_equal(got, want[sel])
 
 
 class TestNonFiniteResponses:
@@ -1210,7 +1196,8 @@ class TestSupportTable:
     def test_budget_rule_enters_one_support_at_a_time(self, seed, budget, calls):
         # the reference: per cardinality, the supports the table lacks go in
         # one at a time, in packed-mask order, each after starting the table
-        # over if it holds more than the budget
+        # over if it holds more than the budget, and each charged its pinv's
+        # bytes (none for the empty support)
         n, p = 6, 5
         X = _structured_design(n, p, seed, "plain")
         rng = np.random.default_rng(seed)
@@ -1226,7 +1213,7 @@ class TestSupportTable:
                         if nbytes > budget:
                             table, nbytes = set(), 0
                         table.add(key)
-                        nbytes += 8 * k * n + p
+                        nbytes += 8 * k * n
                 cache.lookup(masks)
                 got = [key.tobytes() for tkeys, *_ in cache._table.values() for key in tkeys]
                 assert sorted(got) == sorted(table)
@@ -1287,68 +1274,64 @@ class TestSupportTable:
     @settings(max_examples=60, deadline=None)
     @given(
         shape=st.sampled_from([(8, 4), (10, 6), (6, 5), (3, 5), (2, 6), (4, 8), (9, 8)]),
-        structure=st.sampled_from(["plain", "block", "duplicate"]),
+        structure=st.sampled_from(["duplicate", "collinear", "zero", "plain"]),
         seed=st.integers(0, 2**32 - 1),
-        picks=st.lists(st.integers(0, 255), min_size=1, max_size=20),
+        lam=st.sampled_from([0.05, 0.3, 1.0]),
     )
-    def test_span_rows_mark_the_columns_that_keep_the_rank(self, shape, structure, seed, picks):
-        # x_j is in the span of X_S exactly when adding it leaves the rank
-        # of X_S as it is; n < p and a duplicated column make many such j
+    def test_walks_enter_only_columns_that_raise_the_rank(self, shape, structure, seed, lam):
+        # duplicated, collinear and zero columns, and n < p (every column
+        # keeps the rank once n are active): every support a lambda or line
+        # walk solves on has full column rank, and no step's pick brings in
+        # a column that leaves the rank of the active set as it is
         n, p = shape
-        if structure == "block":
-            X = gen_block_design(n, p, [p // 2, p - p // 2], 0.4, 0.9, RngSpec(seed, 0)).values
-        else:
-            X = _structured_design(n, p, seed, structure)
-        masks = np.array([[(b >> j) & 1 for j in range(p)] for b in picks], dtype=bool)
+        X = _structured_design(n, p, seed, structure)
+        d = DesignMatrix(X)
+        Y = 2.0 * np.random.default_rng(seed).standard_normal((4, n))
+        homotopy, on_supports = fitters._homotopy, fitters._on_supports
+        solved, picks = set(), []
 
-        def rank(cols):
-            return np.linalg.matrix_rank(X[:, cols]) if len(cols) else 0
+        def rank(S):
+            return np.linalg.matrix_rank(X[:, list(S)]) if len(S) else 0
 
-        for g in fitters._DesignCache(X).lookup(masks):
-            for r, span in zip(g.rows, g.span):
-                S = np.flatnonzero(masks[r])
-                want = [rank(np.union1d(S, [j])) == rank(S) for j in range(p)]
-                npt.assert_array_equal(span, want)
-                assert span[S].all()
+        def watching(cache, y, lam, z, dy, dlam, live, visit):
+            def step(rows, u, kind, j, zl):
+                enter = kind > 0
+                picks.extend((tuple(np.flatnonzero(a)), jj) for a, jj in zip(zl[enter], j[enter]))
+                return visit(rows, u, kind, j, zl)
 
-    def test_span_rows_only_when_a_walk_asks(self, monkeypatch):
-        # refits, best-subset winners and ranks compute no span row; a
-        # walk's first lookup of those supports computes each one once,
-        # with the bits of a table that filled it at once
-        d = gen_block_design(10, 6, [3, 3], 0.4, 0.9, RngSpec(seed=5, stream_id=0))
-        X = d.values
-        rng = np.random.default_rng(6)
-        Y, masks = rng.standard_normal((40, 10)), rng.random((40, 6)) < 0.5
-        computed, span_rows = [], fitters._span_rows
+            return homotopy(cache, y, lam, z, dy, dlam, live, step)
 
-        def counting(X, cols, pinv):
-            computed.extend(map(tuple, cols.tolist()))
-            return span_rows(X, cols, pinv)
+        def recording(cache, Y, masks, *args):
+            solved.update(tuple(np.flatnonzero(m)) for m in masks)
+            return on_supports(cache, Y, masks, *args)
 
-        monkeypatch.setattr(fitters, "_PLAN_CACHE", None)
-        monkeypatch.setattr(fitters, "_span_rows", counting)
-        refit_on_active_sets(X, Y, masks)
-        fitters._active_ranks(X, masks)
-        FitProcedure("best-subset", 0.5, d).fit_many(Y)
-        assert computed == []
-        cache = fitters._design_cache(X)
-        late = cache.lookup(masks)  # as a walk step looks its supports up
-        supports = {tuple(np.flatnonzero(m).tolist()) for m in masks}
-        assert sorted(computed) == sorted(supports)
-        cache.lookup(masks)
-        assert len(computed) == len(supports)
-        for g, h in zip(late, fitters._DesignCache(X).lookup(masks)):
-            npt.assert_array_equal(g.rows, h.rows)
-            npt.assert_array_equal(g.span, h.span)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fitters, "_homotopy", watching)
+            mp.setattr(fitters, "_on_supports", recording)
+            fit_path("lasso", d, Y, [lam, 0.3 * lam])
+            fitters._line_jumps(FitProcedure("relaxed-lasso", lam, d), Y, -4.0, 4.0)
+        assert picks and solved
+        assert all(rank(S) == len(S) for S in solved)
+        for S, j in picks:
+            assert j not in S and rank(S + (j,)) == len(S) + 1
 
-    @pytest.mark.parametrize("walk", ["lambda", "line"])
+    @pytest.mark.parametrize("walk", ["lambda", "line", "lambda-duplicate", "line-duplicate"])
     def test_one_support_lookup_per_homotopy_step(self, monkeypatch, walk):
-        # the step's fit, its rate and which columns may enter all come
-        # from one support-table lookup
+        # the step's fit, its rate and the rank of its active set come from
+        # one support-table lookup; which columns may enter costs one lookup
+        # of the candidate supports per bar round, and with a duplicated
+        # column some picks are barred
         d = gen_block_design(8, 12, [6, 6], 0.6, 0.9, RngSpec(seed=7, stream_id=0))
+        duplicate = walk.endswith("-duplicate")
+        if duplicate:
+            X = d.values.copy()
+            X[:, 11] = X[:, 0]
+            d = DesignMatrix(X)
         Y = np.random.default_rng(3).standard_normal((20, 8))
-        count = {"steps": 0, "lookups": 0, "walking": False}
-        homotopy, lookup = fitters._homotopy, fitters._DesignCache.lookup
+        count = {"steps": 0, "rounds": 0, "barred": 0, "kernel": 0, "candidate": 0,
+                 "walking": False, "bar": False}
+        homotopy = fitters._homotopy
+        lookup, ranks = fitters._DesignCache.lookup, fitters._DesignCache.ranks
 
         def counting_walk(cache, y, lam, z, dy, dlam, live, visit):
             def step(*args):
@@ -1361,18 +1344,35 @@ class TestSupportTable:
             finally:
                 count["walking"] = False
 
-        def counting_lookup(self, masks, **kwargs):
-            count["lookups"] += count["walking"]
-            return lookup(self, masks, **kwargs)
+        def counting_ranks(self, masks):
+            count["rounds"] += count["walking"]
+            count["bar"] = True
+            try:
+                got = ranks(self, masks)
+            finally:
+                count["bar"] = False
+            count["barred"] += int(np.sum(got < masks.sum(axis=1))) * count["walking"]
+            return got
 
+        def counting_lookup(self, masks):
+            if count["walking"]:
+                count["candidate" if count["bar"] else "kernel"] += 1
+            return lookup(self, masks)
+
+        monkeypatch.setattr(fitters, "_PLAN_CACHE", None)
         monkeypatch.setattr(fitters, "_homotopy", counting_walk)
+        monkeypatch.setattr(fitters._DesignCache, "ranks", counting_ranks)
         monkeypatch.setattr(fitters._DesignCache, "lookup", counting_lookup)
-        if walk == "lambda":
+        if walk.startswith("lambda"):
             fit_path("lasso", d, Y, [0.05, 0.5, 2.0])
         else:
             fitters._line_jumps(FitProcedure("relaxed-lasso", 0.5, d), Y[:3], -8.0, 8.0)
         assert count["steps"] > 20
-        assert count["lookups"] == count["steps"]
+        assert count["kernel"] == count["steps"]
+        assert count["candidate"] == count["rounds"] > 0
+        # a round after a step's first follows a barred pick
+        assert count["rounds"] <= count["steps"] + count["barred"]
+        assert (count["barred"] > 0) == duplicate
 
     def test_ranks_follow_the_active_sets(self):
         X = _structured_design(8, 5, 3, "duplicate")  # column 4 copies column 0
