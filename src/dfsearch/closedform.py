@@ -9,6 +9,8 @@ module provides the independent check.
 
 Scalar ``lam``/``t`` arguments may also be passed as arrays, in which case
 the result has the same shape (used for curve sweeps and grid searches).
+Every function that takes the noise level sigma raises ValueError unless it
+is positive and finite.
 """
 
 from __future__ import annotations
@@ -61,6 +63,13 @@ def normal_cdf(x):
     return out if out.ndim else float(out)
 
 
+def _check_sigma(sigma):
+    """Reject a noise level that is not positive and finite (NaN included),
+    which the formulas would turn into wrong numbers without an error."""
+    if not (sigma > 0 and math.isfinite(sigma)):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+
+
 def truncated_moments(a: float, b: float, sigma: float):
     """First and second moments of z ~ N(0, sigma^2) on one-sided tails.
 
@@ -72,8 +81,7 @@ def truncated_moments(a: float, b: float, sigma: float):
         ``E[z^2 1{z<=a}] = -sigma*a*phi(a/sigma) + sigma^2*Phi(a/sigma)``,
         ``E[z^2 1{z>=b}] =  sigma*b*phi(b/sigma) + sigma^2*(1-Phi(b/sigma))``.
     """
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     pa, pb = normal_pdf(a / sigma), normal_pdf(b / sigma)
     ca, cb = normal_cdf(a / sigma), normal_cdf(b / sigma)
     return (
@@ -109,6 +117,7 @@ def expected_active_hard(mu, sigma: float, t):
     Each component survives with probability
     ``1 - Phi((t - mu_i)/sigma) + Phi((-t - mu_i)/sigma)``.
     """
+    _check_sigma(sigma)
     t, scalar = _as_grid(t)
     val = _sum_over_means(
         lambda tt, m: 1.0 - normal_cdf((tt - m) / sigma) + normal_cdf((-tt - m) / sigma), mu, t
@@ -118,6 +127,7 @@ def expected_active_hard(mu, sigma: float, t):
 
 def _sdf_hard(mu, sigma: float, t):
     """(t/sigma) * sum_i [phi((t-mu_i)/sigma) + phi((t+mu_i)/sigma)]."""
+    _check_sigma(sigma)
     t, scalar = _as_grid(t)
     val = (t / sigma) * _sum_over_means(
         lambda tt, m: normal_pdf((tt - m) / sigma) + normal_pdf((tt + m) / sigma), mu, t
@@ -236,6 +246,7 @@ def threshold_for_expected_active(xtmu, sigma: float, target):
     one pass: each entry keeps its own bracket and stopping rule, so it
     visits the same midpoints, and returns the same bits, as a scalar call.
     """
+    _check_sigma(sigma)
     xtmu = np.atleast_1d(np.asarray(xtmu, dtype=float))
     p = xtmu.shape[0]
     goal = np.asarray(target, dtype=float)

@@ -90,7 +90,7 @@ class FitOutput:
 @dataclass(frozen=True)
 class BatchFit:
     """Row-per-replication fits: beta (R, p), fitted (R, n), boolean active
-    mask (R, p), objective (R,).  A relaxed-lasso fit_many also keeps the
+    mask (R, p), objective (R,).  A relaxed-lasso fit also keeps the
     signs (R, p, int8) of the lasso fit it refits, where its exact line
     walks start."""
 
@@ -181,14 +181,13 @@ def refit_on_active_sets(X: np.ndarray, Y: np.ndarray, masks: np.ndarray):
     """Least-squares refit of every response row on its own active set.
 
     Each row is solved alone through its support's pseudoinverse, so its
-    bits do not depend on the other rows.  Returns (beta (R, p), fitted (R, n)).
+    bits do not depend on the other rows.  Y (R, n) must be finite and
+    masks a boolean array (R, p).  Returns (beta (R, p), fitted (R, n)).
     """
+    Y, masks = _responses(Y, X.shape[0]), np.asarray(masks)
+    if masks.dtype != bool or masks.shape != (Y.shape[0], X.shape[1]):
+        raise ValueError(f"masks must be a boolean array of shape {(Y.shape[0], X.shape[1])}")
     return _on_supports(_design_cache(X), Y, masks)[:2]
-
-
-def _active_ranks(X: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """rank(X restricted to each row's active columns), one float per row."""
-    return _design_cache(X).ranks(masks)
 
 
 def _batch_refit(X: np.ndarray, Y: np.ndarray, masks: np.ndarray) -> BatchFit:
@@ -199,6 +198,12 @@ def _batch_refit(X: np.ndarray, Y: np.ndarray, masks: np.ndarray) -> BatchFit:
     beta, fitted = refit_on_active_sets(X, Y, masks)
     objective = 0.5 * np.sum((Y - fitted) ** 2, axis=1)
     return BatchFit(beta=beta, fitted=fitted, active=beta != 0, objective=objective)
+
+
+def _batch_relaxed(X: np.ndarray, Y: np.ndarray, lasso: BatchFit) -> BatchFit:
+    """The relaxed lasso: the least-squares refit on the lasso fit's active
+    sets, keeping the signs of the lasso fit."""
+    return replace(_batch_refit(X, Y, lasso.active), signs=np.sign(lasso.beta).astype(np.int8))
 
 
 def least_squares_on_support(X: DesignMatrix, y: np.ndarray, S) -> FitOutput:
@@ -380,10 +385,6 @@ def _lasso_path(X: np.ndarray, Y: np.ndarray, lams) -> list[BatchFit]:
         objective = 0.5 * np.sum(E ** 2, axis=1) + lam * np.sum(np.abs(beta), axis=1)
         fits[lam] = BatchFit(beta=beta, fitted=fitted, active=beta != 0, objective=objective)
     return [fits[lam] for lam in lams]
-
-
-def _batch_lasso(X: np.ndarray, Y: np.ndarray, lam: float) -> BatchFit:
-    return _lasso_path(X, Y, (lam,))[0]
 
 
 def lasso_solve(X: DesignMatrix, y: np.ndarray, lam: float) -> FitOutput:
@@ -911,13 +912,11 @@ class FitProcedure:
             masks[:, list(self.support)] = True
             return _batch_refit(X, Y, masks)
         if self.kind == "lasso":
-            return _batch_lasso(X, Y, self.lam)
+            return _lasso_path(X, Y, (self.lam,))[0]
         if self.kind == "best-subset":
             return _batch_best_subset_grid(X, Y, [self.lam])[0]
         if self.kind == "relaxed-lasso":
-            lasso = _batch_lasso(X, Y, self.lam)
-            return replace(_batch_refit(X, Y, lasso.active),
-                           signs=np.sign(lasso.beta).astype(np.int8))
+            return _batch_relaxed(X, Y, _lasso_path(X, Y, (self.lam,))[0])
         if self.kind == "ridge":
             return _batch_ridge(X, Y, self.lam)
         return _batch_threshold(X, Y, self.lam, hard=self.kind == "hard-threshold")
@@ -943,7 +942,7 @@ def fit_path(kind: str, design: DesignMatrix, Y: np.ndarray, lam_grid, support=N
         return _batch_best_subset_grid(X, Y, lams)
     if lams and kind in ("lasso", "relaxed-lasso"):
         path = _lasso_path(X, Y, lams)
-        return path if kind == "lasso" else [_batch_refit(X, Y, fit.active) for fit in path]
+        return path if kind == "lasso" else [_batch_relaxed(X, Y, fit) for fit in path]
     return [proc.fit_many(Y) for proc in procs]
 
 

@@ -7,7 +7,7 @@ hold onto them without defensive copies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class DesignMatrix:
 
     values: np.ndarray
     orthogonal: bool = False
-    label: str = ""
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -70,14 +69,12 @@ class DesignMatrix:
 class SignalSpec:
     """True mean vector and noise level of the data generating process.
 
-    ``beta_star`` is optional bookkeeping: when the mean was built from a
-    coefficient vector (see :meth:`from_coefficients`), keeping it around
-    lets closed-form curves and reports refer to the true support.
+    A signal built from coefficients (see :meth:`from_coefficients`) keeps
+    only their image mu = X beta.
     """
 
     mu: np.ndarray
     sigma: float
-    beta_star: np.ndarray | None = None
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
@@ -88,11 +85,6 @@ class SignalSpec:
         if not (self.sigma > 0 and np.isfinite(self.sigma)):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         object.__setattr__(self, "mu", _frozen(mu))
-        if self.beta_star is not None:
-            b = np.asarray(self.beta_star, dtype=float)
-            if b.ndim != 1 or not np.all(np.isfinite(b)):
-                raise ValueError("beta_star must be a finite 1-d vector")
-            object.__setattr__(self, "beta_star", _frozen(b))
 
     @classmethod
     def from_coefficients(
@@ -102,18 +94,11 @@ class SignalSpec:
         b = np.asarray(beta_star, dtype=float)
         if b.shape != (design.p,):
             raise ValueError(f"beta_star must have length p={design.p}, got {b.shape}")
-        return cls(mu=design.values @ b, sigma=float(sigma), beta_star=b)
+        return cls(mu=design.values @ b, sigma=float(sigma))
 
     @property
     def n(self) -> int:
         return self.mu.shape[0]
-
-    @property
-    def support(self) -> np.ndarray:
-        """Indices of nonzero true coefficients (empty if beta_star unset)."""
-        if self.beta_star is None:
-            return np.array([], dtype=int)
-        return np.flatnonzero(self.beta_star)
 
 
 @dataclass(frozen=True)
@@ -212,7 +197,7 @@ def gen_block_design(
 
     chol = np.linalg.cholesky(sigma_mat)
     rows = g.standard_normal((n, p)) @ chol.T
-    return DesignMatrix(values=rows, orthogonal=False, label=f"block{tuple(sizes)}")
+    return DesignMatrix(values=rows, orthogonal=False)
 
 
 def gen_orthogonal_design(n: int, p: int) -> DesignMatrix:
@@ -220,7 +205,7 @@ def gen_orthogonal_design(n: int, p: int) -> DesignMatrix:
     n = p, otherwise the first p coordinate basis vectors of R^n)."""
     if not 1 <= p <= n:
         raise ValueError(f"need 1 <= p <= n, got n={n}, p={p}")
-    return DesignMatrix(values=np.eye(n)[:, :p], orthogonal=True, label=f"ortho{n}x{p}")
+    return DesignMatrix(values=np.eye(n)[:, :p], orthogonal=True)
 
 
 def sample_response(spec: SignalSpec, rng: RngSpec) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitters import FitProcedure, _active_ranks, _batch_refit, fit_path, refit_on_active_sets
+from .fitters import FitProcedure, _batch_refit, _design_cache, fit_path, refit_on_active_sets
 from .model import DesignMatrix, RngSpec, SignalSpec
 
 __all__ = [
@@ -175,11 +175,10 @@ def estimate_excess_df(proc: FitProcedure, signal: SignalSpec, reps: int, seed: 
 
 @dataclass(frozen=True)
 class OptimismEstimate:
-    """The pair (optimism, expected) where optimism is the estimated
-    out-of-sample minus in-sample squared error and expected = 2 sigma^2
-    times the df estimate from the same draws.  Iterates (and so unpacks)
-    as that pair; optimism_se is the jackknife standard error of the first
-    element and gap_se that of the difference of the two.
+    """optimism, the estimated out-of-sample minus in-sample squared error,
+    and expected = 2 sigma^2 times the df estimate from the same draws.
+    optimism_se is the jackknife standard error of optimism and gap_se
+    that of optimism - expected.
     """
 
     optimism: float
@@ -188,9 +187,6 @@ class OptimismEstimate:
     gap_se: float
     reps: int
 
-    def __iter__(self):
-        return iter((self.optimism, self.expected))
-
 
 def estimate_optimism(proc: FitProcedure, signal: SignalSpec, reps: int, seed: int,
                       *, center: str = "sample") -> OptimismEstimate:
@@ -198,8 +194,8 @@ def estimate_optimism(proc: FitProcedure, signal: SignalSpec, reps: int, seed: i
 
     Per replication, an independent copy y' of the response is drawn
     (streams reps..2*reps-1) and the gap ||y' - f(y)||^2 - ||y - f(y)||^2
-    is averaged.  The second element of the returned pair is 2 sigma^2
-    times the df estimate computed from the same y draws.
+    is averaged into optimism; expected is 2 sigma^2 times the df
+    estimate computed from the same y draws.
     """
     _require_reps(reps)
     _check_center(center)
@@ -306,7 +302,7 @@ class _ActiveSets:
         for entry in self._seen:
             if np.array_equal(entry[0], masks):
                 return entry
-        self._seen.append([masks, _active_ranks(self.X, masks), None])
+        self._seen.append([masks, _design_cache(self.X).ranks(masks), None])
         return self._seen[-1]
 
     def ranks(self, masks: np.ndarray) -> np.ndarray:

@@ -97,7 +97,6 @@ class PiecewiseScalarFunction:
     dfn: object
     left_values: tuple | None = None
     right_values: tuple | None = None
-    label: str = ""
     elementwise: bool = False
 
     def __post_init__(self):
@@ -162,13 +161,11 @@ class JumpRecord:
 # on a float and the quadrature on a node array, so both see the same bits.
 
 def identity_function() -> PiecewiseScalarFunction:
-    return PiecewiseScalarFunction((), lambda x: x, lambda x: 1.0, label="identity",
-                                   elementwise=True)
+    return PiecewiseScalarFunction((), lambda x: x, lambda x: 1.0, elementwise=True)
 
 
 def constant_function(c: float = 1.5) -> PiecewiseScalarFunction:
-    return PiecewiseScalarFunction((), lambda x: c, lambda x: 0.0, label="constant",
-                                   elementwise=True)
+    return PiecewiseScalarFunction((), lambda x: c, lambda x: 0.0, elementwise=True)
 
 
 def hard_threshold_function(t: float) -> PiecewiseScalarFunction:
@@ -186,8 +183,7 @@ def hard_threshold_function(t: float) -> PiecewiseScalarFunction:
 
     return PiecewiseScalarFunction(
         (-t, t), fn, dfn,
-        left_values=(-t, 0.0), right_values=(0.0, t),
-        label=f"hard-threshold t={t:g}", elementwise=True,
+        left_values=(-t, 0.0), right_values=(0.0, t), elementwise=True,
     )
 
 
@@ -205,23 +201,21 @@ def soft_threshold_function(t: float) -> PiecewiseScalarFunction:
     bps = (-t, t) if t > 0 else ()
     left = (0.0, 0.0) if t > 0 else None
     return PiecewiseScalarFunction(
-        bps, fn, dfn, left_values=left, right_values=left,
-        label=f"soft-threshold t={t:g}", elementwise=True,
+        bps, fn, dfn, left_values=left, right_values=left, elementwise=True,
     )
 
 
 def sign_function() -> PiecewiseScalarFunction:
     return PiecewiseScalarFunction(
         (0.0,), np.sign, lambda x: 0.0,
-        left_values=(-1.0,), right_values=(1.0,), label="sign", elementwise=True,
+        left_values=(-1.0,), right_values=(1.0,), elementwise=True,
     )
 
 
 def step_function(at: float = 0.0) -> PiecewiseScalarFunction:
     return PiecewiseScalarFunction(
         (at,), lambda x: np.where(x >= at, 1.0, 0.0), lambda x: 0.0,
-        left_values=(0.0,), right_values=(1.0,), label=f"step at {at:g}",
-        elementwise=True,
+        left_values=(0.0,), right_values=(1.0,), elementwise=True,
     )
 
 
@@ -235,8 +229,7 @@ def clipped_linear_function(lo: float, hi: float) -> PiecewiseScalarFunction:
 
     return PiecewiseScalarFunction(
         (lo, hi), lambda x: np.minimum(np.maximum(x, lo), hi), dfn,
-        left_values=(lo, hi), right_values=(lo, hi),
-        label=f"clip [{lo:g}, {hi:g}]", elementwise=True,
+        left_values=(lo, hi), right_values=(lo, hi), elementwise=True,
     )
 
 
@@ -253,8 +246,7 @@ def polynomial_jump_function() -> PiecewiseScalarFunction:
         return np.where(x < 1.0, 2.0 * x, 3.0 * x * x)
 
     return PiecewiseScalarFunction(
-        (1.0,), fn, dfn, left_values=(1.0,), right_values=(2.0,),
-        label="polynomial pieces with unit jump", elementwise=True,
+        (1.0,), fn, dfn, left_values=(1.0,), right_values=(2.0,), elementwise=True,
     )
 
 
@@ -266,8 +258,7 @@ def negative_jump_function() -> PiecewiseScalarFunction:
 
     return PiecewiseScalarFunction(
         (0.0,), fn, lambda x: 1.0,
-        left_values=(0.0,), right_values=(-2.0,), label="negative jump",
-        elementwise=True,
+        left_values=(0.0,), right_values=(-2.0,), elementwise=True,
     )
 
 
@@ -275,8 +266,7 @@ def removable_break_function() -> PiecewiseScalarFunction:
     """The identity with a declared breakpoint whose jump is zero."""
     return PiecewiseScalarFunction(
         (0.3,), lambda x: x, lambda x: 1.0,
-        left_values=(0.3,), right_values=(0.3,), label="removable break",
-        elementwise=True,
+        left_values=(0.3,), right_values=(0.3,), elementwise=True,
     )
 
 
@@ -648,10 +638,10 @@ def scan_discontinuities(proc: FitProcedure, coord: int, y_fixed: np.ndarray,
 
 @dataclass(frozen=True)
 class SteinDecomposition:
-    """The pair (divergence, boundary).  Their sum estimates df.  Iterates
-    (and so unpacks) as that pair; jackknife standard errors ride along:
-    divergence_se, boundary_se, and total_se (for the sum, accounting for
-    the within-replication correlation)."""
+    """The divergence and boundary terms, whose sum estimates df, with
+    their jackknife standard errors: divergence_se, boundary_se, and
+    total_se (for the sum, accounting for the within-replication
+    correlation)."""
 
     divergence: float
     boundary: float
@@ -659,9 +649,6 @@ class SteinDecomposition:
     boundary_se: float
     total_se: float
     reps: int
-
-    def __iter__(self):
-        return iter((self.divergence, self.boundary))
 
 
 _STRADDLE_TOL = 1e-3

@@ -17,35 +17,40 @@ _MARGIN_L = 64.0
 _MARGIN_R = 16.0
 _MARGIN_T = 38.0
 _MARGIN_B = 50.0
+_WIDTH = 720
+_HEIGHT = 520
 
 
-def _extent(values, pad=0.05):
+def _extent(values):
     lo = float(min(values))
     hi = float(max(values))
     if hi == lo:
         lo -= 0.5
         hi += 0.5
     span = hi - lo
-    return lo - pad * span, hi + pad * span
+    return lo - 0.05 * span, hi + 0.05 * span
 
 
-def _ticks(lo, hi, count=5):
-    return [lo + (hi - lo) * k / (count - 1) for k in range(count)]
+def _ticks(lo, hi):
+    return [lo + (hi - lo) * k / 4 for k in range(5)]
 
 
-def svg_plot(series, *, title="", xlabel="", ylabel="", diagonal=False,
-             width=720, height=520) -> str:
-    """Render series to an SVG string.
+def svg_plot(series, *, title="", xlabel="", ylabel="", diagonal=False) -> str:
+    """Render series to a 720 x 520 SVG string.
 
-    Each series is a dict with keys ``label``, ``x``, ``y`` and an optional
-    ``kind`` of "line" (default) or "points".  With diagonal=True the line
-    y=x is drawn across the shared data range for reference.
+    Each series is a dict with keys ``label``, ``x``, ``y`` (of equal
+    length) and an optional ``kind`` of "line" (default) or "points";
+    series take the palette's colours in order.  With diagonal=True the
+    line y=x is drawn across the shared data range for reference.
     """
     series = list(series)
     if not series:
         raise ValueError("need at least one series")
-    all_x = np.concatenate([np.asarray(s["x"], dtype=float) for s in series])
-    all_y = np.concatenate([np.asarray(s["y"], dtype=float) for s in series])
+    xy = [(np.asarray(s["x"], dtype=float), np.asarray(s["y"], dtype=float)) for s in series]
+    if any(xs.shape != ys.shape for xs, ys in xy):
+        raise ValueError("each series needs as many y values as x values")
+    all_x = np.concatenate([xs for xs, _ in xy])
+    all_y = np.concatenate([ys for _, ys in xy])
     if not (np.isfinite(all_x).all() and np.isfinite(all_y).all()):
         raise ValueError("series values must be finite")
     xlo, xhi = _extent(all_x)
@@ -56,8 +61,8 @@ def svg_plot(series, *, title="", xlabel="", ylabel="", diagonal=False,
         xlo = ylo = lo
         xhi = yhi = hi
 
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(x):
         return _MARGIN_L + (x - xlo) / (xhi - xlo) * plot_w
@@ -66,15 +71,15 @@ def svg_plot(series, *, title="", xlabel="", ylabel="", diagonal=False,
         return _MARGIN_T + (yhi - y) / (yhi - ylo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_L:.2f}" y="{_MARGIN_T:.2f}" width="{plot_w:.2f}" '
         f'height="{plot_h:.2f}" fill="none" stroke="#333" stroke-width="1"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2:.2f}" y="22" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.2f}" y="22" text-anchor="middle" '
             f'font-family="sans-serif" font-size="15">{title}</text>'
         )
     for tx in _ticks(xlo, xhi):
@@ -100,7 +105,7 @@ def svg_plot(series, *, title="", xlabel="", ylabel="", diagonal=False,
         )
     if xlabel:
         parts.append(
-            f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{height - 12:.2f}" '
+            f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{_HEIGHT - 12:.2f}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="13">'
             f"{xlabel}</text>"
         )
@@ -118,10 +123,8 @@ def svg_plot(series, *, title="", xlabel="", ylabel="", diagonal=False,
             f'y2="{py(xhi):.2f}" stroke="#999" stroke-width="1" '
             f'stroke-dasharray="5,4"/>'
         )
-    for k, s in enumerate(series):
-        color = s.get("color", _COLORS[k % len(_COLORS)])
-        xs = np.asarray(s["x"], dtype=float)
-        ys = np.asarray(s["y"], dtype=float)
+    for k, (s, (xs, ys)) in enumerate(zip(series, xy)):
+        color = _COLORS[k % len(_COLORS)]
         if s.get("kind", "line") == "points":
             for xv, yv in zip(xs, ys):
                 parts.append(

@@ -1,11 +1,14 @@
 """Exact df/sdf formulas checked against quadrature and frozen values."""
 
+import inspect
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.integrate import quad
 from scipy.special import erfc
 
+from dfsearch import closedform
 from dfsearch.closedform import (
     df_hard_threshold,
     df_relaxed_lasso_orthogonal,
@@ -62,6 +65,33 @@ class TestNormalHelpers:
         out = normal_cdf(x)
         assert out.shape == (3, 4) and out.dtype == np.float64
         npt.assert_array_equal(out, [[normal_cdf(v) for v in row] for row in x.tolist()])
+
+
+_SIGMA_CALLS = {
+    "truncated_moments": lambda s: truncated_moments(-1.0, 1.0, s),
+    "expected_active_hard": lambda s: expected_active_hard(np.zeros(3), s, 1.0),
+    "df_hard_threshold": lambda s: df_hard_threshold(np.zeros(3), s, 1.0),
+    "df_subset_orthogonal": lambda s: df_subset_orthogonal(np.zeros(3), s, 0.5),
+    "df_relaxed_lasso_orthogonal": lambda s: df_relaxed_lasso_orthogonal(np.zeros(3), s, 0.5),
+    "sdf_null": lambda s: sdf_null(3, s, 0.5),
+    "sdf_sparse": lambda s: sdf_sparse(np.array([2.0, 0.0, 0.0]), s, 0.5),
+    "sdf_dense": lambda s: sdf_dense(np.full(3, 0.5), s, 0.5),
+    "threshold_for_expected_active": lambda s: threshold_for_expected_active(np.zeros(3), s, 1.5),
+}
+
+
+def test_sigma_calls_cover_every_closed_form_taking_sigma():
+    takes = {name for name in closedform.__all__
+             if "sigma" in inspect.signature(getattr(closedform, name)).parameters}
+    assert takes == set(_SIGMA_CALLS)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("name", sorted(_SIGMA_CALLS))
+def test_sigma_must_be_positive_and_finite(name, sigma):
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
+        _SIGMA_CALLS[name](sigma)
+    _SIGMA_CALLS[name](1.0)
 
 
 class TestTruncatedMoments:

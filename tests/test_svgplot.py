@@ -36,6 +36,12 @@ class TestSvgPlot:
         with pytest.raises(ValueError):
             svg_plot(bad)
 
+    @pytest.mark.parametrize("kind", ["line", "points"])
+    def test_unequal_lengths_rejected(self, kind):
+        bad = [{"label": "u", "x": [0.0, 1.0, 2.0], "y": [0.0, 1.0], "kind": kind}]
+        with pytest.raises(ValueError, match="as many"):
+            svg_plot(bad)
+
     def test_degenerate_range_still_renders(self):
         flat = [{"label": "f", "x": [0.0, 1.0], "y": [2.0, 2.0]}]
         text = svg_plot(flat)
