@@ -10,7 +10,8 @@ module provides the independent check.
 Scalar ``lam``/``t`` arguments may also be passed as arrays, in which case
 the result has the same shape (used for curve sweeps and grid searches).
 Every function that takes the noise level sigma raises ValueError unless it
-is positive and finite.
+is positive and finite, and every one that takes ``t`` or ``lam`` unless
+each entry is nonnegative (NaN included).
 """
 
 from __future__ import annotations
@@ -92,9 +93,13 @@ def truncated_moments(a: float, b: float, sigma: float):
     )
 
 
-def _as_grid(t):
-    """Shape a scalar-or-array threshold for broadcasting against mu."""
+def _as_grid(t, name: str = "t"):
+    """A scalar-or-array threshold or penalty as a float array, and whether
+    it was a scalar.  Raises ValueError, naming the argument, unless every
+    entry is nonnegative (a NaN fails too)."""
     t = np.asarray(t, dtype=float)
+    if not np.all(t >= 0):
+        raise ValueError(f"{name} must be nonnegative")
     return t, t.ndim == 0
 
 
@@ -142,8 +147,6 @@ def df_hard_threshold(mu, sigma: float, t):
     ``(t/sigma) sum_i [phi((t-mu_i)/sigma) + phi((t+mu_i)/sigma)]``; the
     second term is the price of the selection events at |y_i| = t.
     """
-    if np.any(np.asarray(t) < 0):
-        raise ValueError("t must be nonnegative")
     return expected_active_hard(mu, sigma, t) + _sdf_hard(mu, sigma, t)
 
 
@@ -187,9 +190,7 @@ def df_subset_orthogonal(xtmu, sigma: float, lam: float) -> CurvePoint:
         ``df = expected_active + sdf`` holds exactly: both terms are built
         from the same floating-point subexpressions.
     """
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 0):
-        raise ValueError("lam must be nonnegative")
+    lam = _as_grid(lam, "lam")[0]
     return _threshold_curve_point(xtmu, sigma, lam, t=np.sqrt(2.0 * lam))
 
 
@@ -201,9 +202,7 @@ def df_relaxed_lasso_orthogonal(xtmu, sigma: float, lam: float) -> CurvePoint:
     soft thresholding support, and refitting on it is hard thresholding at
     the same level.
     """
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 0):
-        raise ValueError("lam must be nonnegative")
+    lam = _as_grid(lam, "lam")[0]
     return _threshold_curve_point(xtmu, sigma, lam, t=lam)
 
 
@@ -214,7 +213,7 @@ def sdf_null(p: int, sigma: float, lam):
     As a function of lam this is maximized at lam = sigma^2/2, where it
     equals 2 p phi(1) and the expected active-set size is 2 Phi(-1) p.
     """
-    return _sdf_hard(np.zeros(p), sigma, np.sqrt(2.0 * np.asarray(lam, dtype=float)))
+    return _sdf_hard(np.zeros(p), sigma, np.sqrt(2.0 * _as_grid(lam, "lam")[0]))
 
 
 def sdf_sparse(beta_star, sigma: float, lam):
@@ -225,7 +224,7 @@ def sdf_sparse(beta_star, sigma: float, lam):
     phi((t+b_i)/sigma)]`` and each null coordinate contributes
     ``2 (t/sigma) phi(t/sigma)``, with t = sqrt(2*lam).
     """
-    return _sdf_hard(beta_star, sigma, np.sqrt(2.0 * np.asarray(lam, dtype=float)))
+    return _sdf_hard(beta_star, sigma, np.sqrt(2.0 * _as_grid(lam, "lam")[0]))
 
 
 def sdf_dense(beta_star, sigma: float, lam):
@@ -233,7 +232,7 @@ def sdf_dense(beta_star, sigma: float, lam):
     coordinate treated through its own amplitude:
     ``(t/sigma) sum_i [phi((t-b_i)/sigma) + phi((t+b_i)/sigma)]``, t = sqrt(2*lam).
     """
-    return _sdf_hard(beta_star, sigma, np.sqrt(2.0 * np.asarray(lam, dtype=float)))
+    return _sdf_hard(beta_star, sigma, np.sqrt(2.0 * _as_grid(lam, "lam")[0]))
 
 
 def threshold_for_expected_active(xtmu, sigma: float, target):

@@ -92,13 +92,17 @@ class BatchFit:
     """Row-per-replication fits: beta (R, p), fitted (R, n), boolean active
     mask (R, p), objective (R,).  A relaxed-lasso fit also keeps the
     signs (R, p, int8) of the lasso fit it refits, where its exact line
-    walks start."""
+    walks start.  A fit that is least squares on given supports (best
+    subset, a refit) keeps their masks (R, p) as solved_on, so its fitted
+    values serve as the least-squares refit on them; active differs from
+    solved_on where a solved coefficient is exactly zero."""
 
     beta: np.ndarray
     fitted: np.ndarray
     active: np.ndarray
     objective: np.ndarray
     signs: np.ndarray | None = None
+    solved_on: np.ndarray | None = None
 
     def row(self, r: int) -> FitOutput:
         return FitOutput(
@@ -197,7 +201,8 @@ def _batch_refit(X: np.ndarray, Y: np.ndarray, masks: np.ndarray) -> BatchFit:
     and fixed-support refit."""
     beta, fitted = refit_on_active_sets(X, Y, masks)
     objective = 0.5 * np.sum((Y - fitted) ** 2, axis=1)
-    return BatchFit(beta=beta, fitted=fitted, active=beta != 0, objective=objective)
+    return BatchFit(beta=beta, fitted=fitted, active=beta != 0, objective=objective,
+                    solved_on=masks)
 
 
 def _batch_relaxed(X: np.ndarray, Y: np.ndarray, lasso: BatchFit) -> BatchFit:
@@ -408,6 +413,9 @@ _DEP_TOL = 1e-10
 # A plan row whose one-step residual keeps less than this share of its
 # column's norm is recomputed against its whole ancestor chain.
 _REORTH_RATIO = 0.1
+# Rows of a best-subset level laid side by side when it is reduced, so each
+# step of the reduction runs over _WIDE_ROWS * R floats instead of R.
+_WIDE_ROWS = 64
 
 
 def check_subset_capacity(n: int, p: int) -> None:
@@ -461,7 +469,7 @@ class _SubsetPlan:
             blk = slice(self.starts[k], self.starts[k + 1])
             if scale is not None:
                 T[blk] *= scale
-            T[blk] += T[self.parent[blk]]
+            T[blk] += T.take(self.parent[blk], axis=0)
         return T
 
     @cached_property
@@ -482,11 +490,23 @@ class _SubsetPlan:
         return self.accumulate(half, -0.5)
 
     def block_min(self, half: np.ndarray) -> np.ndarray:
-        """Columnwise minimum of half over each cardinality, shape (p+1, R)."""
-        return np.stack([
-            half[self.starts[k]:self.starts[k + 1]].min(axis=0)
-            for k in range(self.starts.size - 1)
-        ])
+        """Columnwise minimum of half over each cardinality, shape (p+1, R).
+
+        A level's first _WIDE_ROWS * (rows // _WIDE_ROWS) rows are reduced
+        as a wide view, _WIDE_ROWS rows side by side, then folded to
+        (_WIDE_ROWS, R) and reduced again; the other rows are reduced
+        apart.  A minimum is exact, so the bits are those of one
+        min(axis=0) over the level, and a NaN still propagates."""
+        R = half.shape[1]
+        out = np.empty((self.starts.size - 1, R))
+        for k in range(self.starts.size - 1):
+            level = half[self.starts[k]:self.starts[k + 1]]
+            m = level.shape[0] - level.shape[0] % _WIDE_ROWS
+            out[k] = level[m:].min(axis=0, initial=np.inf)
+            if m:
+                wide = level[:m].reshape(-1, _WIDE_ROWS * R).min(axis=0)
+                np.minimum(out[k], wide.reshape(_WIDE_ROWS, R).min(axis=0), out=out[k])
+        return out
 
     def winners(self, half: np.ndarray, block_min: np.ndarray, lam: float) -> np.ndarray:
         """Row of the winning support per column of half: minimal objective,
@@ -801,10 +821,12 @@ def _batch_best_subset_grid(X: np.ndarray, Y: np.ndarray, lams) -> list[BatchFit
             win[li, s:s + step] = plan.winners(half, block_min, lam)
     out = []
     for lam, w in zip(lams, win):
-        beta, fitted = _on_supports(cache, Y, plan.masks(w))[:2]
+        masks = plan.masks(w)
+        beta, fitted = _on_supports(cache, Y, masks)[:2]
         active = beta != 0
         objective = 0.5 * np.sum((Y - fitted) ** 2, axis=1) + lam * active.sum(axis=1)
-        out.append(BatchFit(beta=beta, fitted=fitted, active=active, objective=objective))
+        out.append(BatchFit(beta=beta, fitted=fitted, active=active, objective=objective,
+                            solved_on=masks))
     return out
 
 

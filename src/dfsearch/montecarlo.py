@@ -129,9 +129,11 @@ def _estimate(proc: FitProcedure, signal: SignalSpec, reps: int, seed: int,
     _require_reps(reps)
     _check_center(center)
     Y = draw_responses(signal, reps, seed)
-    mu = signal.mu if center == "signal" else None
-    return _curve_row(proc.lam, Y, proc.fit_many(Y), _ActiveSets(proc.design.values, Y),
-                      signal.sigma, mu, include_sdf)
+    sets = _ActiveSets(proc.design.values, Y, signal.sigma,
+                       signal.mu if center == "signal" else None)
+    fit = proc.fit_many(Y)
+    sets.next_value([fit])
+    return _curve_row(proc.lam, fit, sets, include_sdf)
 
 
 def estimate_df(proc: FitProcedure, signal: SignalSpec, reps: int, seed: int,
@@ -288,53 +290,95 @@ class CurveTable:
         return np.array([getattr(r, name) for r in self.rows])
 
 
+@dataclass(eq=False)
+class _Entry:
+    """One active-set mask array of _ActiveSets with what has been computed
+    on it: the ranks of its supports, the least-squares refit on them, and
+    that refit's covariance terms."""
+
+    masks: np.ndarray
+    ranks: np.ndarray | None = None
+    refit: np.ndarray | None = None
+    terms: tuple | None = None
+
+
 class _ActiveSets:
-    """Ranks and least-squares refits of the active-set masks met at one
-    tuning value, each computed once per distinct mask array.  Procedures
-    fit to the same draws often select the same masks: the relaxed lasso's
-    masks are the lasso's unless a refit coefficient is exactly zero."""
+    """Ranks, least-squares refits and covariance terms of the active-set
+    masks met along one grid of tuning values, each computed once per
+    distinct mask array (compared with array_equal).  Procedures fit to the
+    same draws often select the same masks: the relaxed lasso's masks are
+    the lasso's unless a refit coefficient is exactly zero.  A fit that is
+    least squares on its solved_on masks (best subset, the relaxed lasso's
+    refit) is recorded as their refit, so it is never refit.  An entry whose
+    masks recur at the next grid value (ridge's all-column masks, best
+    subset's empty supports at large lambda) keeps its rank, refit and
+    terms; entries unused at a grid value are dropped."""
 
-    def __init__(self, X: np.ndarray, Y: np.ndarray):
-        self.X, self.Y = X, Y
-        self._seen: list = []  # [masks, ranks, refitted values or None]
+    def __init__(self, X: np.ndarray, Y: np.ndarray, sigma: float, mu):
+        self.X, self.Y, self.sigma, self.mu = X, Y, sigma, mu
+        self._seen: list = []  # entries used at the current grid value
+        self._last: list = []  # entries used at the previous one
 
-    def _entry(self, masks: np.ndarray) -> list:
+    def next_value(self, fits):
+        """Start a grid value whose fits are fits, recording each fit that
+        is least squares on its solved_on masks as their refit."""
+        self._last, self._seen = self._seen, []
+        for fit in fits:
+            if fit.solved_on is not None:
+                entry = self._entry(fit.solved_on)
+                if entry.refit is None:
+                    entry.refit = fit.fitted
+
+    def _entry(self, masks: np.ndarray) -> _Entry:
         for entry in self._seen:
-            if np.array_equal(entry[0], masks):
+            if np.array_equal(entry.masks, masks):
                 return entry
-        self._seen.append([masks, _design_cache(self.X).ranks(masks), None])
+        for i, entry in enumerate(self._last):
+            if np.array_equal(entry.masks, masks):
+                self._seen.append(self._last.pop(i))
+                return entry
+        self._seen.append(_Entry(masks))
         return self._seen[-1]
 
     def ranks(self, masks: np.ndarray) -> np.ndarray:
-        return self._entry(masks)[1]
-
-    def refitted(self, masks: np.ndarray) -> np.ndarray:
         entry = self._entry(masks)
-        if entry[2] is None:
-            entry[2] = refit_on_active_sets(self.X, self.Y, masks)[1]
-        return entry[2]
+        if entry.ranks is None:
+            entry.ranks = _design_cache(self.X).ranks(masks)
+        return entry.ranks
 
-    def add_refit(self, masks: np.ndarray, fitted: np.ndarray):
-        """Record fitted as the refit on masks, computed elsewhere."""
-        self._entry(masks)[2] = fitted
+    def refit_terms(self, masks: np.ndarray):
+        """_cov_df_terms of the least-squares refit on masks."""
+        entry = self._entry(masks)
+        if entry.terms is None:
+            if entry.refit is None:
+                entry.refit = refit_on_active_sets(self.X, self.Y, masks)[1]
+            entry.terms = _cov_df_terms(self.Y, entry.refit, self.sigma, self.mu)
+        return entry.terms
+
+    def fit_terms(self, fit):
+        """_cov_df_terms of fit's fitted values, shared with the refit on
+        its solved_on masks when it has them."""
+        if fit.solved_on is not None:
+            return self.refit_terms(fit.solved_on)
+        return _cov_df_terms(self.Y, fit.fitted, self.sigma, self.mu)
 
 
-def _curve_row(lam: float, Y: np.ndarray, fits, sets: _ActiveSets, sigma: float,
-               mu, include_sdf: bool) -> CurveRow:
-    """Every estimate at one tuning value from the fits of the draws Y.
+def _curve_row(lam: float, fits, sets: _ActiveSets, include_sdf: bool) -> CurveRow:
+    """Every estimate at one tuning value from the fits of the draws of sets.
 
     df is the covariance estimate on the fitted values; the excess df's
     standard error pairs it with the active-set size.  The search df
     refits each active set by least squares, takes the refit's df and
     subtracts the mean rank of the active design (NaN unless include_sdf).
-    Ranks and refits come from sets, shared by every procedure at lam.
+    Ranks, refits and covariance terms come from sets, shared by every
+    procedure along the grid.
     """
-    df_value, df_loo = _cov_df_terms(Y, fits.fitted, sigma, mu)
+    df_value, df_loo = sets.fit_terms(fits)
     active_counts = fits.active.sum(axis=1).astype(float)
     ranks = sets.ranks(fits.active)
     sdf = sdf_se = float("nan")
     if include_sdf:
-        refit_value, refit_loo = _cov_df_terms(Y, sets.refitted(fits.active), sigma, mu)
+        refit_value, refit_loo = sets.refit_terms(fits.active)
         sdf = refit_value - float(ranks.mean())
         sdf_se = _jackknife_se(refit_loo - _delete_one_means(ranks))
     return CurveRow(
@@ -367,21 +411,21 @@ def _shared_setup(grids: tuple) -> ExperimentGrid:
 def _path_rows(base: str, grids: tuple, Y: np.ndarray, mu) -> dict:
     """Each grid's rows from one fit path of kind base: base's own rows,
     and for the relaxed lasso (base "lasso") the least-squares refit of the
-    lasso's active sets, which is also the lasso's sdf refit.  One lambda's
-    derived fits are alive at a time."""
+    lasso's active sets, which is also the lasso's sdf refit.  One
+    _ActiveSets serves the whole path; one lambda's derived fits are alive
+    at a time, beside the active-set entries of the lambda before."""
     first = grids[0]
     X = first.design.values
     rows = {g.kind: [] for g in grids}
+    sets = _ActiveSets(X, Y, first.signal.sigma, mu)
     path = fit_path(base, first.design, Y, first.lambda_grid)
     for lam, fit in zip(first.lambda_grid, path):
         fits = {base: fit}
-        sets = _ActiveSets(X, Y)
         if "relaxed-lasso" in rows:
             fits["relaxed-lasso"] = _batch_refit(X, Y, fit.active)
-            sets.add_refit(fit.active, fits["relaxed-lasso"].fitted)
+        sets.next_value(fits.values())
         for g in grids:
-            rows[g.kind].append(_curve_row(lam, Y, fits[g.kind], sets, first.signal.sigma,
-                                           mu, g.include_sdf))
+            rows[g.kind].append(_curve_row(lam, fits[g.kind], sets, g.include_sdf))
     return rows
 
 
@@ -398,9 +442,12 @@ def run_grid(grids):
     and every grid value shares them (common random numbers), so curves are
     smooth in lambda and differences across lambda and across procedures
     are paired.  The lasso path is fit once for the lasso and the relaxed
-    lasso, and at each grid value every distinct active-set mask array is
-    ranked and refit once.  Everything downstream of the draws is
-    deterministic, so a grid's table is bit-identical however it is run.
+    lasso.  Every distinct active-set mask array is ranked and refit once,
+    and kept while it recurs from one grid value to the next; a fit that
+    is least squares on its own supports is their refit.  Covariance terms
+    are computed once per distinct fitted array.  Everything downstream of
+    the draws is deterministic, so a grid's table is bit-identical however
+    it is run.
     """
     single = isinstance(grids, ExperimentGrid)
     grids = (grids,) if single else tuple(grids)

@@ -1,6 +1,7 @@
 """Exact df/sdf formulas checked against quadrature and frozen values."""
 
 import inspect
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -92,6 +93,42 @@ def test_sigma_must_be_positive_and_finite(name, sigma):
     with pytest.raises(ValueError, match="sigma must be positive and finite"):
         _SIGMA_CALLS[name](sigma)
     _SIGMA_CALLS[name](1.0)
+
+
+# every public closed form taking a threshold t or a penalty lam, called
+# with that argument v
+_GRID_CALLS = {
+    "expected_active_hard": ("t", lambda v: expected_active_hard(np.zeros(3), 1.0, v)),
+    "df_hard_threshold": ("t", lambda v: df_hard_threshold(np.zeros(3), 1.0, v)),
+    "df_subset_orthogonal": ("lam", lambda v: df_subset_orthogonal(np.zeros(3), 1.0, v)),
+    "df_relaxed_lasso_orthogonal": (
+        "lam", lambda v: df_relaxed_lasso_orthogonal(np.zeros(3), 1.0, v)),
+    "sdf_null": ("lam", lambda v: sdf_null(3, 1.0, v)),
+    "sdf_sparse": ("lam", lambda v: sdf_sparse(np.array([2.0, 0.0, 0.0]), 1.0, v)),
+    "sdf_dense": ("lam", lambda v: sdf_dense(np.full(3, 0.5), 1.0, v)),
+}
+
+
+def test_grid_calls_cover_every_closed_form_taking_t_or_lam():
+    takes = {name for name in closedform.__all__
+             if inspect.isfunction(getattr(closedform, name))
+             and {"t", "lam"} & set(inspect.signature(getattr(closedform, name)).parameters)}
+    assert takes == set(_GRID_CALLS)
+    for name, (arg, _) in _GRID_CALLS.items():
+        assert arg in inspect.signature(getattr(closedform, name)).parameters
+
+
+@pytest.mark.parametrize("shape", ["scalar", "array"])
+@pytest.mark.parametrize("bad", [-1.0, np.nan])
+@pytest.mark.parametrize("name", sorted(_GRID_CALLS))
+def test_t_and_lam_must_be_nonnegative(name, bad, shape):
+    arg, call = _GRID_CALLS[name]
+    value = bad if shape == "scalar" else np.array([0.5, bad, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{arg} must be nonnegative"):
+            call(value)
+    call(0.5 if shape == "scalar" else np.array([0.0, 0.5]))
 
 
 class TestTruncatedMoments:

@@ -979,6 +979,54 @@ class TestSubsetPlanBuild:
         npt.assert_array_equal(plan.half_rss(Y), ref)
 
 
+def _level_mins(plan, half):
+    return np.stack([half[a:b].min(axis=0) for a, b in zip(plan.starts[:-1], plan.starts[1:])])
+
+
+def _scores_with_infinities(rows, B, seed):
+    rng = np.random.default_rng(seed)
+    half = rng.standard_normal((rows, B))
+    half[rng.random(half.shape) < 0.05] = np.inf
+    half[rng.random(half.shape) < 0.02] = -np.inf
+    return half
+
+
+class TestSubsetPlanBlockMin:
+    @pytest.mark.parametrize("B", [1, 5, 16])
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_equals_each_levels_min_bit_for_bit(self, p, B):
+        # levels of C(p, k) rows: shorter than 64 for every p <= 6, and
+        # longer from p = 7 on (C(7, 3) = 35, C(12, 6) = 924)
+        plan = fitters._build_subset_plan(_plan_design("random", p + 2, p, p))
+        half = _scores_with_infinities(1 << p, B, 100 * p + B)
+        got = plan.block_min(half)
+        assert got.shape == (p + 1, B)
+        npt.assert_array_equal(got.view(np.int64), _level_mins(plan, half).view(np.int64))
+
+    @pytest.mark.parametrize("B", [1, 5, 16])
+    def test_levels_around_the_wide_row_count(self, B):
+        # no C(p, k) is 64 for p <= 12, so a plan's starts are laid out by
+        # hand: levels of 1, 63, 64, 65, 128 and 129 rows
+        starts = np.cumsum([0, 1, 63, 64, 65, 128, 129])
+        plan = fitters._SubsetPlan(q=None, parent=None, last=None, starts=starts)
+        half = _scores_with_infinities(starts[-1], B, B)
+        npt.assert_array_equal(plan.block_min(half).view(np.int64),
+                               _level_mins(plan, half).view(np.int64))
+
+    @pytest.mark.parametrize("row", [0, 5, 100, 160, 200])
+    def test_nan_in_a_level_raises(self, row):
+        # p = 8: rows 0 and 5 lie in levels of 1 and 8 rows, 100 in the wide
+        # part and 160 in the remainder of the 70 rows of level 4, 200 in a
+        # level of 56
+        p, B = 8, 5
+        plan = fitters._build_subset_plan(_plan_design("random", 10, p, 3))
+        half = np.abs(_scores_with_infinities(1 << p, B, row))
+        plan.winners(half, plan.block_min(half), 0.5)
+        half[row, 2] = np.nan
+        with pytest.raises(NumericalError):
+            plan.winners(half, plan.block_min(half), 0.5)
+
+
 class TestRefitOnActiveSets:
     def test_grouped_refits_match_direct(self):
         d = _random_design(10, 4, 44)

@@ -8,11 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfsearch.fitters import FitProcedure
-from dfsearch.model import RngSpec, SignalSpec, gen_block_design, gen_orthogonal_design
+from dfsearch import montecarlo
+from dfsearch.fitters import BatchFit, FitProcedure, refit_on_active_sets
+from dfsearch.model import (
+    DesignMatrix,
+    RngSpec,
+    SignalSpec,
+    gen_block_design,
+    gen_orthogonal_design,
+)
 from dfsearch.montecarlo import (
     CurveTable,
     _cov_df_terms,
+    _delete_one_means,
+    _jackknife_se,
     ExperimentGrid,
     draw_responses,
     estimate_df,
@@ -380,3 +389,106 @@ class TestSharedRun:
     def test_no_grids_rejected(self):
         with pytest.raises(ValueError):
             run_grid([])
+
+
+def _duplicated_column_grid(kind, lams, center="sample", reps=60):
+    base = gen_block_design(14, 6, [3, 3], 0.4, 0.8, RngSpec(seed=41, stream_id=0)).values
+    design = DesignMatrix(np.column_stack([base, base[:, 1]]))
+    beta = np.zeros(7)
+    beta[[0, 1, 4]] = 1.0
+    signal = SignalSpec.from_coefficients(design, beta, 1.0)
+    return ExperimentGrid(kind=kind, lambda_grid=lams, design=design, signal=signal,
+                          reps=reps, seed=42, center=center)
+
+
+_TAIL_GRIDS = {
+    # the two largest values leave every support empty
+    "best-subset": (0.1, 0.5, 2.0, 1e3, 1e4),
+    # all-column masks at every value
+    "ridge": (0.5, 1.0, 3.0),
+    "relaxed-lasso": (0.2, 0.7, 1.8, 50.0),
+}
+
+
+class TestEstimateTail:
+    """The estimates after the fits: one _ActiveSets along the grid, a fit
+    least squares on its own supports as their refit, and covariance terms
+    once per fitted array."""
+
+    @pytest.mark.parametrize("kind", sorted(_TAIL_GRIDS))
+    @pytest.mark.parametrize("center", ["sample", "signal"])
+    def test_rows_equal_one_value_grids_bit_for_bit(self, kind, center):
+        grid = _duplicated_column_grid(kind, _TAIL_GRIDS[kind], center)
+        table = run_grid(grid)
+        for lam, row in zip(grid.lambda_grid, table.rows):
+            alone = run_grid(dataclasses.replace(grid, lambda_grid=(lam,)))
+            assert _table_bits(CurveTable(kind, grid.reps, grid.seed, (row,))) == (
+                _table_bits(alone))
+        if kind == "best-subset":
+            npt.assert_array_equal(table.column("mean_active")[-2:], [0.0, 0.0])
+
+    @pytest.mark.parametrize("center", ["sample", "signal"])
+    def test_subset_sdf_is_an_explicit_refit_minus_the_mean_rank(self, center):
+        grid = _duplicated_column_grid("best-subset", _TAIL_GRIDS["best-subset"], center)
+        X, Y = grid.design.values, draw_responses(grid.signal, grid.reps, grid.seed)
+        mu = grid.signal.mu if center == "signal" else None
+        for lam, row in zip(grid.lambda_grid, run_grid(grid).rows):
+            fit = FitProcedure("best-subset", lam, grid.design).fit_many(Y)
+            value, loo = _cov_df_terms(Y, refit_on_active_sets(X, Y, fit.active)[1],
+                                       grid.signal.sigma, mu)
+            ranks = np.array([np.linalg.matrix_rank(X[:, m]) if m.any() else 0
+                              for m in fit.active], dtype=float)
+            assert row.sdf == value - ranks.mean()
+            assert row.sdf_se == _jackknife_se(loo - _delete_one_means(ranks))
+
+    def test_refits_and_terms_are_computed_once(self, monkeypatch):
+        refits, terms = [], []
+        monkeypatch.setattr(montecarlo, "refit_on_active_sets",
+                            lambda X, Y, masks: refits.append(masks) or refit_on_active_sets(
+                                X, Y, masks))
+        monkeypatch.setattr(montecarlo, "_cov_df_terms",
+                            lambda Y, F, sigma, mu: terms.append(F) or _cov_df_terms(
+                                Y, F, sigma, mu))
+        lams = _TAIL_GRIDS["relaxed-lasso"]
+        grids = [_duplicated_column_grid(k, lams) for k in ("lasso", "relaxed-lasso", "ridge")]
+        lasso, relaxed, _ = run_grid(grids)
+        npt.assert_array_equal(lasso.column("mean_active"), relaxed.column("mean_active"))
+        assert len({id(F) for F in terms}) == len(terms)
+        # per value the lasso's, the relaxed lasso's (also the lasso's sdf
+        # refit) and ridge's fitted values; ridge's all-column refit once
+        assert len(terms) == 3 * len(lams) + 1
+        assert len(refits) == 1 and refits[0].all()
+        refits.clear()
+        run_grid(_duplicated_column_grid("best-subset", _TAIL_GRIDS["best-subset"]))
+        assert refits == []
+
+    def test_a_zero_solved_coefficient_is_refit(self, monkeypatch):
+        grid = _duplicated_column_grid("ridge", (1.0,), reps=8)
+        X, Y = grid.design.values, draw_responses(grid.signal, grid.reps, grid.seed)
+        refits = []
+        monkeypatch.setattr(montecarlo, "refit_on_active_sets",
+                            lambda X, Y, masks: refits.append(masks) or refit_on_active_sets(
+                                X, Y, masks))
+        solved = np.ones((8, 7), dtype=bool)
+        active = solved.copy()
+        active[::2, 3] = False
+        own = np.full((8, 14), 7.0)  # stands for the least-squares fit on solved
+        fit = BatchFit(beta=np.zeros((8, 7)), fitted=own, active=active,
+                       objective=np.zeros(8), solved_on=solved)
+        sets = montecarlo._ActiveSets(X, Y, 1.0, None)
+        sets.next_value([fit])
+        assert sets.fit_terms(fit)[0] == _cov_df_terms(Y, own, 1.0, None)[0]
+        assert sets.refit_terms(solved)[0] == _cov_df_terms(Y, own, 1.0, None)[0]
+        assert refits == []
+        value, loo = sets.refit_terms(active)
+        expect, expect_loo = _cov_df_terms(Y, refit_on_active_sets(X, Y, active)[1], 1.0, None)
+        assert value == expect
+        npt.assert_array_equal(loo, expect_loo)
+        assert len(refits) == 1 and refits[0] is active
+        # kept while used at the next value, dropped once a value leaves it out
+        sets.next_value([])
+        sets.refit_terms(active)
+        sets.next_value([])
+        sets.next_value([])
+        sets.refit_terms(active)
+        assert len(refits) == 2
