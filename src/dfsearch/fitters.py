@@ -64,11 +64,19 @@ KINDS = (
 # support, 2^p * n floats, and must fit in this many bytes.
 SUBSET_PLAN_MAX_BYTES = 512 << 20
 
-# Floats in one best-subset working table: one chunk of a plan level's rows
-# (per temporary of the build), or the scores of all supports against
+# Floats in the best-subset score table: all supports against
 # _BLOCK_FLOATS // 2^p responses (at least one).  8 MB stays in cache at
 # small p.
 _BLOCK_FLOATS = 1 << 20
+
+# Floats in one working table, 1 MB: one chunk of a plan level's rows per
+# temporary of the build, one chunk of a level's scores gathered for the
+# winner search, the best-subset envelope walk's (all supports against
+# _WALK_FLOATS // 2^p lines; a step holds about twenty), a lasso walk
+# block's event table (4 p per row), one stacked support-table fill's input
+# (n k per support), and one chunk of pseudoinverses the support kernel
+# gathers.
+_WALK_FLOATS = 1 << 17
 
 # Bytes of pseudoinverses the support table of a design may hold; past this
 # the table starts over empty.
@@ -119,7 +127,7 @@ class BatchFit:
 
 def soft_threshold(v, t: float):
     """Componentwise sign(v) * max(|v| - t, 0); exact zeros at |v| <= t."""
-    if t < 0:
+    if not t >= 0:  # a NaN fails too
         raise ValueError("t must be nonnegative")
     v = np.asarray(v, dtype=float)
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
@@ -127,7 +135,7 @@ def soft_threshold(v, t: float):
 
 def hard_threshold(v, t: float):
     """Componentwise v * 1{|v| >= t}.  The boundary |v| = t is kept."""
-    if t < 0:
+    if not t >= 0:  # a NaN fails too
         raise ValueError("t must be nonnegative")
     v = np.asarray(v, dtype=float)
     return np.where(np.abs(v) >= t, v, 0.0)
@@ -508,24 +516,33 @@ class _SubsetPlan:
                 np.minimum(out[k], wide.reshape(_WIDE_ROWS, R).min(axis=0), out=out[k])
         return out
 
-    def winners(self, half: np.ndarray, block_min: np.ndarray, lam: float) -> np.ndarray:
-        """Row of the winning support per column of half: minimal objective,
-        ties within 1e-12 broken by cardinality then lexicographic order.
-        block_min[k] is the columnwise minimum of cardinality k's rows."""
-        pen = lam * np.arange(block_min.shape[0])
-        M = block_min + pen[:, None]
-        vmin = M.min(axis=0)
+    def winners(self, half: np.ndarray, block_min: np.ndarray, lams) -> np.ndarray:
+        """Row of the winning support per lambda in lams and column of half,
+        shape (len(lams), R): minimal objective, ties within 1e-12 broken by
+        cardinality then lexicographic order.  block_min[k] is the columnwise
+        minimum of cardinality k's rows.  Each cardinality that some
+        (lambda, column) pair chose is scanned once for all such pairs, at
+        most max(R, _WALK_FLOATS // rows) pairs per gather of its rows."""
+        R = half.shape[1]
+        pen = np.asarray(lams, dtype=float)[:, None] * np.arange(block_min.shape[0])
+        M = block_min + pen[:, :, None]
+        vmin = M.min(axis=1)
         if not np.all(np.isfinite(vmin)):
             raise NumericalError("best subset objective is not finite")
         thr = vmin + _TIE_TOL
-        card = np.argmax(M <= thr, axis=0)
-        win = np.empty(half.shape[1], dtype=np.intp)
+        card = np.argmax(M <= thr[:, None], axis=1).ravel()  # pair l R + r
+        win = np.empty(thr.shape, dtype=np.intp)
         # the cardinalities present, without np.unique, whose first call
         # imports numpy.ma (10-20 ms)
         for k in np.flatnonzero(np.bincount(card)):
-            cols = np.flatnonzero(card == k)
-            blk = half[self.starts[k]:self.starts[k + 1], cols]
-            win[cols] = self.starts[k] + np.argmax(blk + pen[k] <= thr[cols], axis=0)
+            level = half[self.starts[k]:self.starts[k + 1]]
+            pairs = np.flatnonzero(card == k)
+            step = max(R, _WALK_FLOATS // level.shape[0])
+            for s in range(0, pairs.size, step):
+                l, r = np.divmod(pairs[s:s + step], R)
+                blk = level[:, r]
+                blk += pen[l, k]
+                win[l, r] = self.starts[k] + np.argmax(blk <= thr[l, r], axis=0)
         return win
 
 
@@ -548,7 +565,8 @@ def _build_subset_plan(X: np.ndarray) -> _SubsetPlan:
     working precision.  A column counts as dependent when what remains is
     within _DEP_TOL of zero relative to its norm, or when the parent's
     basis already has min(n, p) vectors.  Each level runs in chunks of at
-    most _BLOCK_FLOATS floats per temporary.
+    most _WALK_FLOATS floats per temporary; every row is computed alone, so
+    the chunk size does not change a bit of the plan.
     """
     n, p = X.shape
     rank_cap = min(n, p)
@@ -559,7 +577,7 @@ def _build_subset_plan(X: np.ndarray) -> _SubsetPlan:
     last = np.full(1 << p, -1, dtype=np.intp)
     rank = np.zeros(1, dtype=np.intp)  # per row of level k-1
     nu = np.zeros(1)  # residual norm per row of level k-1, 0 where dependent
-    step = max(1, _BLOCK_FLOATS // n)
+    step = max(1, _WALK_FLOATS // n)
     for k in range(1, p + 1):
         first = last[starts[k - 1]:starts[k]] + 1
         par = np.repeat(np.arange(first.size), p - first)
@@ -604,10 +622,10 @@ def _reorthogonalize(X, q, parent, rows, j, k):
     """Residuals of columns j against the bases of the parents of plan
     rows (cardinality k): two classical Gram-Schmidt passes against the q
     of every ancestor, levels 1..k-1 in order, in chunks of at most
-    _BLOCK_FLOATS floats."""
+    _WALK_FLOATS floats."""
     n = X.shape[0]
     out = X[:, j].T.copy()
-    step = max(1, _BLOCK_FLOATS // ((k - 1) * n))
+    step = max(1, _WALK_FLOATS // ((k - 1) * n))
     for s in range(0, rows.size, step):
         i = parent[rows[s:s + step]]
         chain = np.empty((i.size, k - 1), dtype=np.intp)
@@ -805,8 +823,9 @@ def _batch_best_subset_grid(X: np.ndarray, Y: np.ndarray, lams) -> list[BatchFit
     """Fit best subset selection for every lambda in lams.  One plan serves
     the design, and one 2^p x block score table, allocated once and
     rewritten for each block of responses, serves every lambda (the scores
-    depend on lambda only through the cardinality penalty).  The capacity
-    guard and the lambdas are checked by FitProcedure."""
+    depend on lambda only through the cardinality penalty): each block's
+    winners for the whole grid come from one scan per chosen cardinality.
+    The capacity guard and the lambdas are checked by FitProcedure."""
     cache = _design_cache(X)
     plan = cache.plan()
     R, N = Y.shape[0], 1 << X.shape[1]
@@ -817,8 +836,7 @@ def _batch_best_subset_grid(X: np.ndarray, Y: np.ndarray, lams) -> list[BatchFit
         Yb = Y[s:s + step]
         half = plan.half_rss(Yb, out=table[:N * Yb.shape[0]].reshape(N, Yb.shape[0]))
         block_min = plan.block_min(half)
-        for li, lam in enumerate(lams):
-            win[li, s:s + step] = plan.winners(half, block_min, lam)
+        win[:, s:s + step] = plan.winners(half, block_min, lams)
     out = []
     for lam, w in zip(lams, win):
         masks = plan.masks(w)
@@ -975,13 +993,6 @@ def fit_path(kind: str, design: DesignMatrix, Y: np.ndarray, lam_grid, support=N
 # Steps of one envelope walk or homotopy: each step passes a winner switch
 # or a lasso knot, so only a degenerate line comes near this.
 _MAX_LINE_STEPS = 10_000
-
-# Floats in one working table, 1 MB: the best-subset envelope walk's (all
-# supports against _WALK_FLOATS // 2^p lines; a step holds about twenty), a
-# lasso walk block's event table (4 p per row), one stacked support-table
-# fill's input (n k per support), and one chunk of pseudoinverses the
-# support kernel gathers.
-_WALK_FLOATS = 1 << 17
 
 
 def _line_error(message: str, rep, coord, line: int, diagnostic=None) -> NumericalError:

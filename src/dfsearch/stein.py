@@ -170,7 +170,7 @@ def constant_function(c: float = 1.5) -> PiecewiseScalarFunction:
 
 def hard_threshold_function(t: float) -> PiecewiseScalarFunction:
     """x kept when |x| >= t, zeroed otherwise; jumps of +t at -t and +t."""
-    if t < 0:
+    if not t >= 0:  # a NaN fails too
         raise ValueError("t must be nonnegative")
     if t == 0:
         return identity_function()
@@ -189,7 +189,7 @@ def hard_threshold_function(t: float) -> PiecewiseScalarFunction:
 
 def soft_threshold_function(t: float) -> PiecewiseScalarFunction:
     """Shrink toward zero by t; continuous, with kinks at -t and t."""
-    if t < 0:
+    if not t >= 0:  # a NaN fails too
         raise ValueError("t must be nonnegative")
 
     def fn(x):

@@ -36,6 +36,7 @@ from dfsearch.model import (
     gen_orthogonal_design,
 )
 from dfsearch.montecarlo import draw_responses
+from dfsearch.stein import hard_threshold_function, soft_threshold_function
 
 
 def _random_design(n, p, seed):
@@ -62,6 +63,17 @@ class TestThresholdOperators:
             soft_threshold(np.ones(2), -0.1)
         with pytest.raises(ValueError):
             hard_threshold(np.ones(2), -0.1)
+
+    @pytest.mark.parametrize("t", [-1.0, float("nan")])
+    @pytest.mark.parametrize("threshold", [
+        lambda t: soft_threshold([1.0, -2.0], t),
+        lambda t: hard_threshold([1.0, -2.0], t),
+        soft_threshold_function,
+        hard_threshold_function,
+    ], ids=["soft", "hard", "soft_function", "hard_function"])
+    def test_negative_or_nan_threshold_names_t(self, threshold, t):
+        with pytest.raises(ValueError, match="^t must be nonnegative$"):
+            threshold(t)
 
 
 class TestLeastSquaresOnSupport:
@@ -923,12 +935,36 @@ class TestSubsetPlanBuild:
         assert sum(rows_seen) > (1 << 12) // 2
         npt.assert_allclose(plan.q, _two_pass_q(X, plan), rtol=0, atol=1e-11)
 
+    @pytest.mark.parametrize("structure", ["random", "block", "collinear"])
+    def test_chunk_size_changes_no_bit_of_the_plan(self, structure):
+        # default chunks hold whole levels here; 2^8 floats hold 8 rows of
+        # a level, and at most 8 rows of its re-orthogonalization
+        X = _plan_design(structure, 30, 12, 7)
+        reorth, rows_seen = fitters._reorthogonalize, []
+
+        def counted(X, q, parent, rows, j, k):
+            rows_seen.append(rows.size)
+            return reorth(X, q, parent, rows, j, k)
+
+        plans = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fitters, "_reorthogonalize", counted)
+            for floats in (fitters._WALK_FLOATS, 1 << 8):
+                mp.setattr(fitters, "_WALK_FLOATS", floats)
+                plans.append(fitters._build_subset_plan(X))
+        if structure == "collinear":
+            assert sum(rows_seen) > 0
+        a, b = plans
+        npt.assert_array_equal(a.q.view(np.int64), b.q.view(np.int64))
+        npt.assert_array_equal(a.parent, b.parent)
+        npt.assert_array_equal(a.last, b.last)
+
     @pytest.mark.parametrize("structure", ["random", "collinear"])
     def test_build_memory_stays_within_a_few_chunks(self, structure):
         n, p, floats = 64, 12, 1 << 13
         X = _plan_design(structure, n, p, 5)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fitters, "_BLOCK_FLOATS", floats)
+            mp.setattr(fitters, "_WALK_FLOATS", floats)
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
@@ -1021,10 +1057,96 @@ class TestSubsetPlanBlockMin:
         p, B = 8, 5
         plan = fitters._build_subset_plan(_plan_design("random", 10, p, 3))
         half = np.abs(_scores_with_infinities(1 << p, B, row))
-        plan.winners(half, plan.block_min(half), 0.5)
+        plan.winners(half, plan.block_min(half), [0.5])
         half[row, 2] = np.nan
         with pytest.raises(NumericalError):
-            plan.winners(half, plan.block_min(half), 0.5)
+            plan.winners(half, plan.block_min(half), [0.5])
+
+
+def _winners_per_lambda(plan, half, block_min, lam):
+    """The winner search one lambda and one column at a time: the smallest
+    cardinality whose best objective is within the tolerance of the
+    minimum, then the first of its rows within it."""
+    pen = lam * np.arange(block_min.shape[0])
+    M = block_min + pen[:, None]
+    vmin = M.min(axis=0)
+    if not np.all(np.isfinite(vmin)):
+        raise NumericalError("best subset objective is not finite")
+    thr = vmin + fitters._TIE_TOL
+    card = np.argmax(M <= thr, axis=0)
+    win = np.empty(half.shape[1], dtype=np.intp)
+    for c, k in enumerate(card):
+        level = half[plan.starts[k]:plan.starts[k + 1], c]
+        win[c] = plan.starts[k] + np.argmax(level + pen[k] <= thr[c])
+    return win
+
+
+# unsorted, with lambda = 0 and a repeated value
+_WINNER_LAMS = [0.7, 0.0, 2.5, 0.7, 0.05, 0.0, 1e6]
+
+
+class TestSubsetPlanWinners:
+    @pytest.mark.parametrize("floats", [None, 1 << 10, 1])
+    @pytest.mark.parametrize("structure", ["duplicate", "random"])
+    def test_grid_matches_one_lambda_at_a_time(self, structure, floats):
+        # a duplicated column ties supports exactly; with 1 float per
+        # gather, a level takes R pairs at a time
+        p, B = 8, 6
+        X = _plan_design(structure, 12, p, 4)
+        plan = fitters._build_subset_plan(X)
+        half = plan.half_rss(np.random.default_rng(5).standard_normal((B, 12)))
+        block_min = plan.block_min(half)
+        want = np.stack([_winners_per_lambda(plan, half, block_min, lam) for lam in _WINNER_LAMS])
+        with pytest.MonkeyPatch.context() as mp:
+            if floats is not None:
+                mp.setattr(fitters, "_WALK_FLOATS", floats)
+            got = plan.winners(half, block_min, _WINNER_LAMS)
+        npt.assert_array_equal(got, want)
+        card = np.searchsorted(plan.starts, got, side="right") - 1
+        assert np.bincount(card.ravel()).max() > B  # some level is split at 1 float
+        if structure == "duplicate":
+            # {0} and {p - 1} fit alike, so the last column is never chosen
+            assert not plan.masks(got.ravel())[:, p - 1].any()
+
+    @pytest.mark.parametrize("floats", [None, 1])
+    def test_infinite_scores_match_one_lambda_at_a_time(self, floats):
+        p, B = 8, 5
+        plan = fitters._build_subset_plan(_plan_design("random", 10, p, 3))
+        half = np.abs(_scores_with_infinities(1 << p, B, 11))
+        half[plan.starts[3]:plan.starts[4]] = np.inf  # a whole level
+        block_min = plan.block_min(half)
+        want = np.stack([_winners_per_lambda(plan, half, block_min, lam) for lam in _WINNER_LAMS])
+        with pytest.MonkeyPatch.context() as mp:
+            if floats is not None:
+                mp.setattr(fitters, "_WALK_FLOATS", floats)
+            npt.assert_array_equal(plan.winners(half, block_min, _WINNER_LAMS), want)
+        half[7, 1] = -np.inf
+        block_min = plan.block_min(half)
+        with pytest.raises(NumericalError):
+            _winners_per_lambda(plan, half, block_min, 0.5)
+        with pytest.raises(NumericalError):
+            plan.winners(half, block_min, _WINNER_LAMS)
+
+    def test_path_over_an_unsorted_grid_matches_one_lambda_at_a_time(self):
+        n, p, reps = 12, 8, 10
+        d = DesignMatrix(_plan_design("duplicate", n, p, 8), orthogonal=False)
+        Y = np.random.default_rng(9).standard_normal((reps, n))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fitters, "_WALK_FLOATS", 1)  # a level takes reps pairs at a time
+            path = fit_path("best-subset", d, Y, _WINNER_LAMS)
+        cards = np.concatenate([fit.solved_on.sum(axis=1) for fit in path])
+        assert np.bincount(cards).max() > reps
+        plan = fitters._design_cache(d.values).plan()
+        half = plan.half_rss(Y)  # one block, as in the path
+        block_min = plan.block_min(half)
+        for lam, fit in zip(_WINNER_LAMS, path):
+            want = plan.masks(_winners_per_lambda(plan, half, block_min, lam))
+            npt.assert_array_equal(fit.solved_on, want)
+            solo = fit_path("best-subset", d, Y, [lam])[0]
+            npt.assert_array_equal(fit.beta, solo.beta)
+            npt.assert_array_equal(fit.fitted, solo.fitted)
+        npt.assert_array_equal(path[0].beta, path[3].beta)
+        npt.assert_array_equal(path[1].beta, path[5].beta)
 
 
 class TestRefitOnActiveSets:
