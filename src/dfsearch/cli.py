@@ -103,6 +103,15 @@ def _parse_procedures(allowed):
     return parse
 
 
+def _check_penalty(kind: str, key: str, value: float) -> float:
+    """value, if FitProcedure takes it as kind's penalty; else a ConfigError
+    naming the config key it came from (parsed values are finite)."""
+    if value < 0 or (kind == "ridge" and value == 0):
+        sign = "positive" if kind == "ridge" else "nonnegative"
+        raise ConfigError(f"key {key!r}: {kind} needs a {sign} value, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # curves: closed-form orthogonal-design tables
 # ---------------------------------------------------------------------------
@@ -253,6 +262,9 @@ def cmd_simulate(config: dict, out_dir: str, svg: bool = False) -> list:
     """Run the Monte Carlo df/sdf grid of every requested procedure on
     shared draws."""
     resolved = resolve_options(config, _SIM_OPTIONS, "simulate")
+    for kind in resolved["procedures"]:
+        for lam in resolved["lambda_grid"] or ():
+            _check_penalty(kind, "lambda_grid", lam)
     if "best-subset" in resolved["procedures"]:
         check_subset_capacity(resolved["n"], resolved["p"])
     design = _build_design(resolved)
@@ -368,6 +380,11 @@ def cmd_stein_check(config: dict, out_dir: str) -> list:
         resolved["p"] = resolved["n"]
     if any(s <= 0 for s in resolved["sigmas"]):
         raise ConfigError("sigmas must be positive")
+    lams = {}
+    if resolved["mode"] in ("decompose", "both"):
+        for kind in resolved["procedures"]:
+            key = "threshold" if kind.endswith("threshold") else "lambda"
+            lams[kind] = _check_penalty(kind, key, resolved[key])
 
     # every table is computed before anything is written, so a failing run
     # leaves no partial output
@@ -396,7 +413,7 @@ def cmd_stein_check(config: dict, out_dir: str) -> list:
         )
         rows = []
         for kind in resolved["procedures"]:
-            lam = resolved["threshold"] if kind.endswith("threshold") else resolved["lambda"]
+            lam = lams[kind]
             proc = FitProcedure(kind=kind, lam=lam, design=design)
             dec = stein_decompose_df(
                 proc, signal, resolved["reps"], resolved["seed"],

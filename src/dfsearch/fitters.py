@@ -694,7 +694,8 @@ class _Entries:
     """One cardinality's support-table entries, in the order they went in:
     the first `size` rows of the stacks of pinv (k, n) and rank.  A full
     stack grows by half into a new array, so an entry never moves within a
-    stack, and a stack a caller holds keeps its entries as they are."""
+    stack, and a stack a caller holds keeps its entries as they are, also
+    after the table that held it starts over."""
 
     def __init__(self, pinv, rank):
         self.pinv, self.rank = pinv, rank
@@ -717,11 +718,6 @@ class _Entries:
         self.pinv[start:end], self.rank[start:end] = pinv, rank
         self.size = end
 
-    def tail(self, count: int) -> _Entries:
-        """A copy of the last count entries."""
-        return _Entries(self.pinv[self.size - count:self.size].copy(),
-                        self.rank[self.size - count:self.size].copy())
-
 
 class _DesignCache:
     """Everything fits on one design share: the best-subset plan, built on
@@ -730,9 +726,10 @@ class _DesignCache:
     cardinality's _Entries, and the entries, pinv (k, n) and rank.  That
     rank is the one the search df subtracts, the lasso's solves check and
     a lasso walk's entry rule reads (a column enters only where it raises
-    it).  Past _SUPPORT_TABLE_BYTES of pinvs it starts over empty.  Threads
-    may share it: a lookup holds its lock, and entries are only appended
-    past the filled ones under it."""
+    it).  Whenever it holds more than _SUPPORT_TABLE_BYTES of pinvs it
+    starts over empty, so after every lookup it holds at most that.
+    Threads may share it: a lookup holds its lock, and entries are only
+    appended past the filled ones under it."""
 
     def __init__(self, X: np.ndarray):
         self.X = X
@@ -756,9 +753,11 @@ class _DesignCache:
 
     def lookup(self, masks: np.ndarray) -> list[_SupportGroup]:
         """One _SupportGroup per cardinality of masks (R, p), in increasing k.
-        Misses are filled _WALK_FLOATS // (n k) per stacked fill and go in
-        one at a time, in packed-mask order, each charged its pinv's 8 n k
-        bytes; one over budget starts it over."""
+        A cardinality's misses are filled _WALK_FLOATS // (n k) per stacked
+        fill and go in together, each charged its pinv's 8 n k bytes.  If
+        the table then holds more than the budget it starts over empty: the
+        group already built keeps its own stack, and later cardinalities
+        fill the empty table."""
         n, budget = self.X.shape[0], _SUPPORT_TABLE_BYTES
         packed = np.ascontiguousarray(np.packbits(masks, axis=1))
         keys = packed.view(f"V{packed.shape[1]}").ravel()
@@ -784,20 +783,10 @@ class _DesignCache:
                     tkeys = np.insert(tkeys, pos, new)
                     tslot = np.insert(tslot, pos, np.arange(entries.size - new.size, entries.size))
                     at = np.searchsorted(tkeys, q)
-                    size = 8 * k * n
-                    # entry i is the first to find the table over budget, then
-                    # every `every`-th; the empty support (size 0) only if the
-                    # table already is
-                    every = budget // max(size, 1) + 1
-                    i = 0 if self._nbytes > budget else (budget - self._nbytes) // max(size, 1) + 1
-                    if i < new.size:
-                        i += (new.size - 1 - i) // every * every
-                        self._table = {k: (new[i:], np.arange(new.size - i),
-                                           entries.tail(new.size - i))}
-                        self._nbytes = (new.size - i) * size
-                    else:
-                        self._table[k] = (tkeys, tslot, entries)
-                        self._nbytes += new.size * size
+                    self._table[k] = (tkeys, tslot, entries)
+                    self._nbytes += 8 * k * n * new.size
+                    if self._nbytes > budget:
+                        self._table, self._nbytes = {}, 0
                 slot = tslot[at]
                 out.append(_SupportGroup(k, rows, entries.pinv, slot, entries.rank[slot]))
         return out

@@ -290,6 +290,29 @@ class TestSteinCheckCommand:
         assert not out.exists() or not any(out.iterdir())
 
 
+class TestPenaltyErrors:
+    @pytest.mark.parametrize("command,text,key", [
+        ("stein-check", "mode=both\nprocedures=hard-threshold\nthreshold=-1\n", "threshold"),
+        ("stein-check", "mode=both\nprocedures=lasso\nlambda=-0.5\n", "lambda"),
+        ("stein-check", "mode=decompose\nprocedures=relaxed-lasso,ridge\nlambda=0\n", "lambda"),
+        ("simulate", "procedures=lasso,ridge\nlambda_grid=0,1\n", "lambda_grid"),
+        ("simulate", "procedures=best-subset\nlambda_grid=-1,1\n", "lambda_grid"),
+    ])
+    def test_names_the_key_before_any_work(self, tmp_path, monkeypatch, capsys, command, text,
+                                           key):
+        def no_work(*args):
+            raise AssertionError("work started before the penalty was checked")
+
+        monkeypatch.setattr(cli, "function_library", no_work)
+        monkeypatch.setattr(cli, "_build_design", no_work)
+        cfg = _write(tmp_path / "c.txt", text + "n=4\nreps=3\n")
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"key {key!r}" in err and "lam " not in err
+        assert not out.exists()
+
+
 class TestFailingRunWritesNothing:
     @pytest.mark.parametrize("command,text", [
         ("curves", "regime=null\nlambda_count=3\nactive_count=2\n"),

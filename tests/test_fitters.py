@@ -1286,7 +1286,7 @@ class TestSupportTable:
         cache = fitters._PLAN_CACHE[1]
         count, nbytes = _table_entries(cache)
         assert count <= 8
-        assert cache._nbytes == nbytes <= 1000 + 8 * 20 * 10
+        assert cache._nbytes == nbytes <= 1000
         npt.assert_array_equal(got[0].beta, want[0].beta)
         npt.assert_array_equal(got[0].fitted, want[0].fitted)
         npt.assert_array_equal(got[1][0], want[1][0])
@@ -1394,31 +1394,38 @@ class TestSupportTable:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), budget=st.integers(0, 2000),
            calls=st.integers(1, 4))
-    def test_budget_rule_enters_one_support_at_a_time(self, seed, budget, calls):
-        # the reference: per cardinality, the supports the table lacks go in
-        # one at a time, in packed-mask order, each after starting the table
-        # over if it holds more than the budget, and each charged its pinv's
-        # bytes (none for the empty support)
+    def test_table_holds_at_most_the_budget_after_every_lookup(self, seed, budget, calls):
+        # after every lookup the table's pinvs take at most the budget, each
+        # row is served its support's lone fill, bit for bit, also where the
+        # table started over within the lookup, and a lookup of supports the
+        # table holds leaves it as it was.  Some lookups repeat the last one
         n, p = 6, 5
         X = _structured_design(n, p, seed, "plain")
         rng = np.random.default_rng(seed)
-        table, nbytes = set(), 0
+
+        def state(cache):
+            return {k: (t.tobytes(), s.tobytes(), e.size)
+                    for k, (t, s, e) in cache._table.items()}, cache._nbytes
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fitters, "_SUPPORT_TABLE_BYTES", budget)
             cache = fitters._DesignCache(X)
+            masks = rng.random((12, p)) < rng.random()
             for _ in range(calls):
-                masks = rng.random((12, p)) < rng.random()
-                for k in sorted(set(masks.sum(axis=1).tolist())):
-                    keys = {np.packbits(m).tobytes() for m in masks if m.sum() == k}
-                    for key in sorted(keys - table):
-                        if nbytes > budget:
-                            table, nbytes = set(), 0
-                        table.add(key)
-                        nbytes += 8 * k * n
-                cache.lookup(masks)
-                got = [key.tobytes() for tkeys, *_ in cache._table.values() for key in tkeys]
-                assert sorted(got) == sorted(table)
-                assert cache._nbytes == nbytes == _table_entries(cache)[1]
+                if rng.random() < 0.7:
+                    masks = rng.random((12, p)) < rng.random()
+                held = {key.tobytes() for t, *_ in cache._table.values() for key in t}
+                before = state(cache)
+                groups = cache.lookup(masks)
+                assert cache._nbytes == _table_entries(cache)[1] <= budget
+                if {np.packbits(m).tobytes() for m in masks} <= held:
+                    assert state(cache) == before
+                for g in groups:
+                    for r, s, rank in zip(g.rows, g.slot, g.rank):
+                        want, want_rank = fitters._support_factors(
+                            X, np.flatnonzero(masks[r])[None])
+                        npt.assert_array_equal(g.pinv[s], want[0])
+                        assert rank == want_rank[0]
 
     def test_fill_larger_than_the_budget(self, monkeypatch):
         X = _structured_design(10, 6, 5, "duplicate")
@@ -1435,11 +1442,7 @@ class TestSupportTable:
                                        np.linalg.pinv(X[:, S]))
             count, nbytes = _table_entries(cache)
             assert 0 < count < len(supports)
-            assert cache._nbytes == nbytes
-            # the table started over within the lookup, so it holds only
-            # entries of that lookup; they go in by cardinality, so the last
-            # one entered has the largest
-            assert cache._nbytes - 8 * 10 * max(cache._table) <= 1000
+            assert cache._nbytes == nbytes <= 1000
 
     def test_threads_sharing_a_table_that_keeps_starting_over(self, monkeypatch):
         # more threads than cores, switching often, on one design's table:
@@ -1574,6 +1577,38 @@ class TestSupportTable:
         # a round after a step's first follows a barred pick
         assert count["rounds"] <= count["steps"] + count["barred"]
         assert (count["barred"] > 0) == duplicate
+
+    @pytest.mark.parametrize("n,p", [(8, 12), (8, 8)])
+    def test_walks_through_a_table_that_keeps_starting_over(self, n, p):
+        # a budget of one one-column pinv starts the table over after almost
+        # every lookup that fills, within the lambda and line walks too; the
+        # walks refill what they need, and every bit stays the same
+        d = gen_block_design(n, p, [p // 2, p - p // 2], 0.6, 0.9, RngSpec(seed=5, stream_id=0))
+        Y = 2.0 * np.random.default_rng(6).standard_normal((4, n))
+        support_factors = fitters._support_factors
+        runs = []
+        for budget in (fitters._SUPPORT_TABLE_BYTES, 8 * n):
+            fills = []
+
+            def counting(X, cols):
+                fills.append(len(cols))
+                return support_factors(X, cols)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fitters, "_PLAN_CACHE", None)
+                mp.setattr(fitters, "_SUPPORT_TABLE_BYTES", budget)
+                mp.setattr(fitters, "_support_factors", counting)
+                jumps = fitters._line_jumps(FitProcedure("relaxed-lasso", 0.5, d), Y, -8.0, 8.0)
+                path = fit_path("lasso", d, Y, [0.05, 0.5, 2.0])
+            runs.append((jumps, path, sum(fills)))
+        (jumps, path, fills), (tiny_jumps, tiny_path, tiny_fills) = runs
+        assert tiny_fills > fills
+        for got, want in zip(tiny_jumps, jumps):
+            npt.assert_array_equal(got, want)
+        for got, want in zip(tiny_path, path):
+            for field in dataclasses.fields(want):
+                npt.assert_array_equal(getattr(got, field.name), getattr(want, field.name),
+                                       err_msg=field.name)
 
     def test_ranks_follow_the_active_sets(self):
         X = _structured_design(8, 5, 3, "duplicate")  # column 4 copies column 0
