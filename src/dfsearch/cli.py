@@ -47,18 +47,30 @@ from .svgplot import svg_plot
 __all__ = ["cmd_curves", "cmd_simulate", "cmd_stein_check", "main"]
 
 
+def _cell_format(kind: type) -> str:
+    """The %-format of a CSV cell of this type: str as is, an integer in
+    decimal, anything else as a float to 17 significant digits."""
+    if issubclass(kind, str):
+        return "%s"
+    if issubclass(kind, (int, np.integer)):
+        return "%d"
+    return "%.17g"
+
+
 def _csv_cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return "%.17g" % float(v)
+    return _cell_format(type(v)) % (v,)
 
 
 def _write_csv(path: str, schema: str, header, rows):
     lines = [f"# schema: {schema}", ",".join(header)]
+    formats = {}
     for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = ",".join(map(_cell_format, kinds))
+        lines.append(fmt % row)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -10,8 +10,9 @@ module provides the independent check.
 Scalar ``lam``/``t`` arguments may also be passed as arrays, in which case
 the result has the same shape (used for curve sweeps and grid searches).
 Every function that takes the noise level sigma raises ValueError unless it
-is positive and finite, and every one that takes ``t`` or ``lam`` unless
-each entry is nonnegative (NaN included).
+is positive and finite, every one that takes ``t`` or ``lam`` unless
+each entry is nonnegative (NaN included), and every one that takes means
+(``mu``, ``xtmu``, ``beta_star``) if an entry is NaN.
 """
 
 from __future__ import annotations
@@ -103,17 +104,43 @@ def _as_grid(t, name: str = "t"):
     return t, t.ndim == 0
 
 
+# the most bytes of expanded terms _sum_over_means holds at once
+_EXPAND_BYTES = 1 << 20
+
+
+def _means(mu, name: str) -> np.ndarray:
+    """A vector of means as a 1-d float array.  Raises ValueError, naming
+    the argument, if an entry is NaN (which every formula would pass on as
+    a NaN result); +-inf is each term's limit and stays allowed."""
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    if np.isnan(mu).any():
+        raise ValueError(f"{name} must not contain NaN")
+    return mu
+
+
 def _sum_over_means(term, mu, t) -> np.ndarray:
     """sum_i term(t, mu_i) for every entry of t (shape of t).
 
     term is evaluated once per distinct mean and expanded back before the
-    sum, so its cost and its temporaries scale with the distinct means.
-    take keeps the expansion C-ordered, so the sum adds the same p terms in
-    the same order as a sum over mu itself (fancy indexing would lay it out
+    sum, at most _EXPAND_BYTES of expanded rows at a time (or one row, if
+    a row is larger), so its cost scales with the distinct means and its
+    temporaries stay small.  take keeps the
+    expansion C-ordered, so each row's sum adds the same p terms in the
+    same order as a sum over mu itself (fancy indexing would lay it out
     column-major and change the sum's last bits).
     """
-    mu, inv = np.unique(np.atleast_1d(np.asarray(mu, dtype=float)), return_inverse=True)
-    return np.sum(term(t[..., None], mu).take(inv, axis=-1), axis=-1)
+    mu, inv = np.unique(mu, return_inverse=True)
+    flat = t.reshape(-1, 1)
+    out = np.empty(flat.shape[0])
+    rows = max(1, _EXPAND_BYTES // max(8, 8 * inv.size))
+    for a in range(0, flat.shape[0], rows):
+        out[a:a + rows] = np.sum(term(flat[a:a + rows], mu).take(inv, axis=-1), axis=-1)
+    return out.reshape(t.shape)
+
+
+def _active_terms(t, m, sigma: float):
+    """P(|y| >= t) for y ~ N(m, sigma^2), elementwise over t and m."""
+    return 1.0 - normal_cdf((t - m) / sigma) + normal_cdf((-t - m) / sigma)
 
 
 def expected_active_hard(mu, sigma: float, t):
@@ -123,15 +150,15 @@ def expected_active_hard(mu, sigma: float, t):
     ``1 - Phi((t - mu_i)/sigma) + Phi((-t - mu_i)/sigma)``.
     """
     _check_sigma(sigma)
+    mu = _means(mu, "mu")
     t, scalar = _as_grid(t)
-    val = _sum_over_means(
-        lambda tt, m: 1.0 - normal_cdf((tt - m) / sigma) + normal_cdf((-tt - m) / sigma), mu, t
-    )
+    val = _sum_over_means(lambda tt, m: _active_terms(tt, m, sigma), mu, t)
     return float(val) if scalar else val
 
 
 def _sdf_hard(mu, sigma: float, t):
-    """(t/sigma) * sum_i [phi((t-mu_i)/sigma) + phi((t+mu_i)/sigma)]."""
+    """(t/sigma) * sum_i [phi((t-mu_i)/sigma) + phi((t+mu_i)/sigma)], for
+    means already checked by _means."""
     _check_sigma(sigma)
     t, scalar = _as_grid(t)
     val = (t / sigma) * _sum_over_means(
@@ -147,6 +174,7 @@ def df_hard_threshold(mu, sigma: float, t):
     ``(t/sigma) sum_i [phi((t-mu_i)/sigma) + phi((t+mu_i)/sigma)]``; the
     second term is the price of the selection events at |y_i| = t.
     """
+    mu = _means(mu, "mu")
     return expected_active_hard(mu, sigma, t) + _sdf_hard(mu, sigma, t)
 
 
@@ -191,7 +219,7 @@ def df_subset_orthogonal(xtmu, sigma: float, lam: float) -> CurvePoint:
         from the same floating-point subexpressions.
     """
     lam = _as_grid(lam, "lam")[0]
-    return _threshold_curve_point(xtmu, sigma, lam, t=np.sqrt(2.0 * lam))
+    return _threshold_curve_point(_means(xtmu, "xtmu"), sigma, lam, t=np.sqrt(2.0 * lam))
 
 
 def df_relaxed_lasso_orthogonal(xtmu, sigma: float, lam: float) -> CurvePoint:
@@ -203,7 +231,7 @@ def df_relaxed_lasso_orthogonal(xtmu, sigma: float, lam: float) -> CurvePoint:
     the same level.
     """
     lam = _as_grid(lam, "lam")[0]
-    return _threshold_curve_point(xtmu, sigma, lam, t=lam)
+    return _threshold_curve_point(_means(xtmu, "xtmu"), sigma, lam, t=lam)
 
 
 def sdf_null(p: int, sigma: float, lam):
@@ -224,6 +252,7 @@ def sdf_sparse(beta_star, sigma: float, lam):
     phi((t+b_i)/sigma)]`` and each null coordinate contributes
     ``2 (t/sigma) phi(t/sigma)``, with t = sqrt(2*lam).
     """
+    beta_star = _means(beta_star, "beta_star")
     return _sdf_hard(beta_star, sigma, np.sqrt(2.0 * _as_grid(lam, "lam")[0]))
 
 
@@ -232,6 +261,7 @@ def sdf_dense(beta_star, sigma: float, lam):
     coordinate treated through its own amplitude:
     ``(t/sigma) sum_i [phi((t-b_i)/sigma) + phi((t+b_i)/sigma)]``, t = sqrt(2*lam).
     """
+    beta_star = _means(beta_star, "beta_star")
     return _sdf_hard(beta_star, sigma, np.sqrt(2.0 * _as_grid(lam, "lam")[0]))
 
 
@@ -244,21 +274,58 @@ def threshold_for_expected_active(xtmu, sigma: float, target):
     active-set size instead of lam.  An array of targets is inverted in
     one pass: each entry keeps its own bracket and stopping rule, so it
     visits the same midpoints, and returns the same bits, as a scalar call.
+
+    Each step evaluates every distinct mean's term once and sums the terms
+    weighted by their counts.  Where that sum is within a proven bound of
+    flipping a decision (above the target, or within 1e-10 of it), the step
+    takes the p-term sum that :func:`expected_active_hard` computes instead,
+    so every decision, midpoint and returned bit equals the scalar bisection
+    over expected_active_hard.
     """
     _check_sigma(sigma)
-    xtmu = np.atleast_1d(np.asarray(xtmu, dtype=float))
+    xtmu = _means(xtmu, "xtmu")
     p = xtmu.shape[0]
     goal = np.asarray(target, dtype=float)
     if not np.all((0.0 < goal) & (goal <= p)):
         raise ValueError(f"target expected active size must lie in (0, {p}]")
     scalar = goal.ndim == 0
     goal = goal.ravel()
+    mu, inv, counts = np.unique(xtmu, return_inverse=True, return_counts=True)
+    weights = counts.astype(float)
+    # delta bounds |weighted sum - p-term sum|.  Each term is 1 - a + b with
+    # a, b in [0, 1], so it lies in [0, 2] and the p terms add to at most 2p.
+    # numpy sums a contiguous row pairwise: blocks of at most 128 entries
+    # through 8 running sums (at most 15 additions each), 3 levels joining
+    # them and at most 7 for the leftovers, then one level per halving
+    # above 128 (at most ceil(log2 n)) and one for the reduction's start:
+    # at most ceil(log2 n) + 26 roundings on any entry's path.  The p-term
+    # sum has n = p; the weighted sum has n = d distinct means and one more
+    # rounding in count * term.  With u = eps/2 and
+    # L = ceil(log2 p) + ceil(log2 d) + 53, the two sums lie within
+    # gamma_L * 2p <= 1.01 * L * eps * p of each other, and delta is twice
+    # that.  A weighted value farther than delta from both decision edges
+    # therefore decides as the p-term sum does (the margin also covers the
+    # rounding of val - goal).
+    delta = 2.0 * (math.ceil(math.log2(p)) + math.ceil(math.log2(mu.size)) + 53) \
+        * p * np.finfo(float).eps
+
+    def expected_active(t, g):
+        """E|A_t| for each entry of t; exact p-term sums wherever the
+        weighted sum lies within delta of a decision about goal g."""
+        terms = _active_terms(t[:, None], mu, sigma)
+        val = np.sum(terms * weights, axis=-1)
+        gap = np.abs(val - g)
+        near = (gap <= delta) | (np.abs(gap - 1e-10) <= delta)
+        if near.any():
+            val[near] = np.sum(terms[near].take(inv, axis=-1), axis=-1)
+        return val
+
     t = np.zeros(goal.size)
     lo, hi = np.zeros(goal.size), np.full(goal.size, float(sigma))
     live = np.flatnonzero(goal != p)
     grow = live
     while grow.size:
-        grow = grow[expected_active_hard(xtmu, sigma, hi[grow]) > goal[grow]]
+        grow = grow[expected_active(hi[grow], goal[grow]) > goal[grow]]
         hi[grow] *= 2.0
         if np.any(hi[grow] > 1e12 * sigma):
             raise ValueError("target too small to invert at this scale")
@@ -266,7 +333,7 @@ def threshold_for_expected_active(xtmu, sigma: float, target):
         if not live.size:
             break
         mid = 0.5 * (lo[live] + hi[live])
-        val = expected_active_hard(xtmu, sigma, mid)
+        val = expected_active(mid, goal[live])
         hit = np.abs(val - goal[live]) <= 1e-10
         t[live[hit]] = mid[hit]
         above = val > goal[live]

@@ -25,6 +25,38 @@ def _read_csv(path):
     return lines[0], header, rows
 
 
+def _cell_reference(v) -> str:
+    """One CSV cell formatted on its own, as the writer's row formats must."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return "%.17g" % float(v)
+
+
+class TestCsvWriter:
+    def test_rows_match_the_per_cell_reference(self, tmp_path):
+        first = ("a", 3, True, np.int64(-7), np.bool_(True), 0.1, np.float64(1 / 3),
+                 np.float32(0.1), np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, 2**53 + 1)
+        rows = [
+            first,
+            ("b", -4, False, np.int64(2**62), np.bool_(False), -2.5, np.float64(-np.inf),
+             np.float32(-3.5), -np.nan, 1e-300, 0.0, 0.0, -5e-324, -1e308, -(2**70)),
+            # cell types unlike the first row's
+            (1.5, "x", np.float32(np.nan), 7, np.uint8(255), "", np.int32(-1), 2**53 + 1,
+             np.float64(2.0), False, "y", np.bool_(True), 0, 3, 1e308),
+            [np.int16(9), 2.0, "z"],
+            first,
+        ]
+        path = tmp_path / "t.csv"
+        cli._write_csv(str(path), "test-v1", ("c0", "c1"), rows)
+        want = ["# schema: test-v1", "c0,c1"]
+        want += [",".join(_cell_reference(v) for v in row) for row in rows]
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+        for row in rows:
+            assert [cli._csv_cell(v) for v in row] == [_cell_reference(v) for v in row]
+
+
 class TestCurvesCommand:
     def test_writes_tables_sidecar_and_svg(self, tmp_path):
         cfg = _write(tmp_path / "c.txt", "regime=null\nlambda_count=11\nactive_count=5\n")

@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfc
 
@@ -131,6 +133,42 @@ def test_t_and_lam_must_be_nonnegative(name, bad, shape):
     call(0.5 if shape == "scalar" else np.array([0.0, 0.5]))
 
 
+# every public closed form taking a vector of means, called with that
+# vector m
+_MEAN_CALLS = {
+    "expected_active_hard": ("mu", lambda m: expected_active_hard(m, 1.0, 1.0)),
+    "df_hard_threshold": ("mu", lambda m: df_hard_threshold(m, 1.0, 1.0)),
+    "df_subset_orthogonal": ("xtmu", lambda m: df_subset_orthogonal(m, 1.0, 0.5)),
+    "df_relaxed_lasso_orthogonal": ("xtmu", lambda m: df_relaxed_lasso_orthogonal(m, 1.0, 0.5)),
+    "sdf_sparse": ("beta_star", lambda m: sdf_sparse(m, 1.0, 0.5)),
+    "sdf_dense": ("beta_star", lambda m: sdf_dense(m, 1.0, 0.5)),
+    "threshold_for_expected_active": (
+        "xtmu", lambda m: threshold_for_expected_active(m, 1.0, 2.5)),
+}
+
+
+def test_mean_calls_cover_every_closed_form_taking_means():
+    takes = {name for name in closedform.__all__
+             if inspect.isfunction(getattr(closedform, name))
+             and {"mu", "xtmu", "beta_star"}
+             & set(inspect.signature(getattr(closedform, name)).parameters)}
+    assert takes == set(_MEAN_CALLS)
+    for name, (arg, _) in _MEAN_CALLS.items():
+        assert arg in inspect.signature(getattr(closedform, name)).parameters
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.array([0.5, np.nan, 1.0])], ids=["scalar", "array"])
+@pytest.mark.parametrize("name", sorted(_MEAN_CALLS))
+def test_means_must_not_be_nan(name, bad):
+    arg, call = _MEAN_CALLS[name]
+    with pytest.raises(ValueError, match=f"^{arg} must not contain NaN"):
+        call(bad)
+    # +-inf is each term's limit, so an infinite mean is allowed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call(np.array([np.inf, -np.inf, 0.5]))
+
+
 class TestTruncatedMoments:
     @pytest.mark.parametrize("seed", range(5))
     def test_all_four_match_quadrature(self, seed):
@@ -238,6 +276,10 @@ class TestSignalRegimes:
         ea = expected_active_hard(beta, 1.0, ts[k])
         assert ea == pytest.approx(29.397132, abs=1e-3)
 
+    def test_no_means_sum_to_zero(self):
+        assert sdf_null(0, 1.0, 0.5) == 0.0
+        npt.assert_array_equal(expected_active_hard(np.zeros(0), 1.0, np.array([0.0, 1.0])), 0.0)
+
     def test_sdf_never_negative(self):
         rng = np.random.default_rng(7)
         beta = rng.normal(scale=2.0, size=30)
@@ -260,6 +302,14 @@ class TestExpectedActiveInversion:
         for target in (5.0, 10.0, 40.0):
             t = threshold_for_expected_active(mu, 1.0, target)
             assert expected_active_hard(mu, 1.0, t) == pytest.approx(target, abs=1e-9)
+
+    def test_infinite_mean_makes_too_small_targets_fail(self):
+        # an infinite mean survives every threshold, so E|A_t| > 1 for all t
+        with pytest.raises(ValueError, match="target too small"):
+            threshold_for_expected_active(np.array([np.inf, 0.0]), 1.0, 0.5)
+        mu = np.array([np.inf, 0.0])
+        t = threshold_for_expected_active(mu, 1.0, 1.5)
+        assert expected_active_hard(mu, 1.0, t) == pytest.approx(1.5, abs=1e-9)
 
     def test_out_of_range_target_rejected(self):
         with pytest.raises(ValueError):
@@ -303,23 +353,57 @@ class TestArrayCalls:
     """Array arguments return the same bits as one scalar computation per
     entry, so curve tables do not depend on how they are batched."""
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_inversion_matches_scalar_bisection(self, seed):
+    # case: one, a few or all distinct means, each within one decade or
+    # spread over five
+    @pytest.mark.parametrize("case", range(6))
+    @settings(max_examples=8, deadline=None)
+    @given(
+        p=st.integers(1, 2000),
+        sigma=st.floats(0.05, 20.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_inversion_matches_scalar_bisection(self, case, p, sigma, seed):
         rng = np.random.default_rng(seed)
-        p = int(rng.integers(1, 300))
-        # repeated means exercise the one-evaluation-per-distinct-mean path
-        mu = rng.choice(rng.normal(scale=3.0, size=3), size=p) * (rng.random(p) < 0.7)
-        sigma = float(rng.uniform(0.3, 2.5))
-        targets = np.linspace(min(0.5, p / 2), p, 37)
+        distinct = ("one", "few", "all")[case // 2]
+        low, high = ((-0.5, 0.5), (-3.0, 2.0))[case % 2]
+        d = {"one": 1, "few": min(p, int(rng.integers(2, 6))), "all": p}[distinct]
+        # means of either sign, repeated when d < p
+        means = rng.choice([-1.0, 1.0], d) * 10.0 ** rng.uniform(low, high, d)
+        mu = means if d == p else means[rng.integers(0, d, p)]
+        targets = np.array([
+            p - 1e-9 * rng.random(),
+            p * rng.uniform(0.01, 1.0),
+            10.0 ** rng.uniform(-9.0, -3.0),
+            p,
+        ])
         got = threshold_for_expected_active(mu, sigma, targets)
         want = [_threshold_reference(mu, sigma, float(x)) for x in targets]
         npt.assert_array_equal(_bits(got), _bits(want))
-        assert threshold_for_expected_active(mu, sigma, float(targets[5])) == want[5]
+        assert threshold_for_expected_active(mu, sigma, float(targets[1])) == want[1]
         ts = np.concatenate(([0.0], got))
         npt.assert_array_equal(
             _bits(expected_active_hard(mu, sigma, ts)),
             _bits([_expected_active_reference(mu, sigma, float(t)) for t in ts]),
         )
+
+    def test_exact_sum_decides_where_the_weighted_sum_would_not(self):
+        # mu = 0, sigma = 1, and a target above E|A_1|: the bisection's
+        # first midpoint is t = 0.5.  There p * term and the p-term sum
+        # differ in their last bits, and the target is placed so that only
+        # the p-term sum lies within 1e-10 of it.
+        p = 1000
+        mu = np.zeros(p)
+        term = 1.0 - normal_cdf(0.5) + normal_cdf(-0.5)
+        exact = expected_active_hard(mu, 1.0, 0.5)
+        weighted = float(np.sum(np.array([term]) * float(p)))
+        assert weighted != exact
+        goal = exact + np.copysign(1e-10, exact - weighted)
+        while abs(exact - goal) > 1e-10:
+            goal = np.nextafter(goal, exact)
+        assert abs(weighted - goal) > 1e-10
+        assert _threshold_reference(mu, 1.0, goal) == 0.5
+        assert threshold_for_expected_active(mu, 1.0, goal) == 0.5
+        assert threshold_for_expected_active(mu, 1.0, np.array([goal, 3.0]))[0] == 0.5
 
     def test_curve_points_match_scalar_calls(self):
         mu = np.array([0.0, 0.0, 1.5, -0.4, 1.5, 3.0])
