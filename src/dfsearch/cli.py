@@ -71,8 +71,7 @@ def _write_csv(path: str, schema: str, header, rows):
         if fmt is None:
             fmt = formats[kinds] = ",".join(map(_cell_format, kinds))
         lines.append(fmt % row)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_text(path: str, text: str):
@@ -248,14 +247,18 @@ _SIM_OPTIONS = [
 ]
 
 
-def _build_design(resolved: dict) -> DesignMatrix:
+def _build_design(resolved: dict) -> tuple[DesignMatrix, SignalSpec]:
+    """The run's design and its signal, from the resolved config."""
     n, p = resolved["n"], resolved["p"]
     if resolved["design"] == "orthogonal":
-        return gen_orthogonal_design(n, p)
-    return gen_block_design(
-        n, p, resolved["block_sizes"], resolved["corr_low"], resolved["corr_high"],
-        RngSpec(seed=resolved["design_seed"], stream_id=0),
-    )
+        design = gen_orthogonal_design(n, p)
+    else:
+        design = gen_block_design(
+            n, p, resolved["block_sizes"], resolved["corr_low"], resolved["corr_high"],
+            RngSpec(seed=resolved["design_seed"], stream_id=0),
+        )
+    beta = _coefficients(resolved["signal"], p, resolved["rho"], resolved["support"])
+    return design, SignalSpec.from_coefficients(design, beta, resolved["sigma"])
 
 
 def _auto_lambda_grid(design: DesignMatrix, signal: SignalSpec, count: int) -> tuple:
@@ -279,11 +282,7 @@ def cmd_simulate(config: dict, out_dir: str, svg: bool = False) -> list:
             _check_penalty(kind, "lambda_grid", lam)
     if "best-subset" in resolved["procedures"]:
         check_subset_capacity(resolved["n"], resolved["p"])
-    design = _build_design(resolved)
-    signal = SignalSpec.from_coefficients(
-        design, _coefficients(resolved["signal"], design.p, resolved["rho"], resolved["support"]),
-        resolved["sigma"],
-    )
+    design, signal = _build_design(resolved)
     if resolved["lambda_grid"] is None:
         if resolved["lambda_count"] < 2:
             raise ConfigError("lambda_count must be at least 2")
@@ -374,9 +373,7 @@ def _closed_form_df(kind: str, design: DesignMatrix, signal: SignalSpec, lam: fl
     sigma = signal.sigma
     if kind == "hard-threshold":
         return cf.df_hard_threshold(xtmu, sigma, lam)
-    if kind == "soft-threshold":
-        return cf.expected_active_hard(xtmu, sigma, lam)
-    if kind == "lasso":
+    if kind in ("soft-threshold", "lasso"):
         return cf.expected_active_hard(xtmu, sigma, lam)
     if kind == "best-subset":
         return cf.df_subset_orthogonal(xtmu, sigma, lam).df
@@ -417,12 +414,7 @@ def cmd_stein_check(config: dict, out_dir: str) -> list:
     if resolved["mode"] in ("decompose", "both"):
         if resolved["design"] == "block" and not resolved["block_sizes"]:
             raise ConfigError("block design requires block_sizes")
-        design = _build_design(resolved)
-        signal = SignalSpec.from_coefficients(
-            design, _coefficients(resolved["signal"], design.p, resolved["rho"],
-                                  resolved["support"]),
-            resolved["sigma"],
-        )
+        design, signal = _build_design(resolved)
         rows = []
         for kind in resolved["procedures"]:
             lam = lams[kind]

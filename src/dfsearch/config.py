@@ -145,8 +145,6 @@ def resolve_options(raw: dict, options: list, command: str) -> dict:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(float(value))
     if isinstance(value, (tuple, list)):

@@ -888,6 +888,20 @@ def _batch_threshold(X: np.ndarray, Y: np.ndarray, t: float, hard: bool) -> Batc
 # the procedure abstraction
 # ---------------------------------------------------------------------------
 
+# Kinds whose fits along a grid share work: best subset one score table,
+# the lasso one walk down each response's path, the relaxed lasso that walk.
+_PATH_KINDS = ("best-subset", "lasso", "relaxed-lasso")
+
+
+def _path(kind: str, X: np.ndarray, Y: np.ndarray, lams: list) -> list[BatchFit]:
+    """The fits of a kind of _PATH_KINDS at every lambda of lams, one
+    BatchFit each, in order; the lambdas are checked by FitProcedure."""
+    if kind == "best-subset":
+        return _batch_best_subset_grid(X, Y, lams)
+    path = _lasso_path(X, Y, lams)
+    return path if kind == "lasso" else [_batch_relaxed(X, Y, fit) for fit in path]
+
+
 def _responses(Y, n: int) -> np.ndarray:
     """Y as a finite float array of shape (R, n): NaN or infinite responses
     would otherwise yield silently wrong fits (all-zero best subsets)."""
@@ -936,16 +950,12 @@ class FitProcedure:
         """Fit every row of Y (shape (R, n)) against the shared design."""
         Y = _responses(Y, self.design.n)
         X = self.design.values
+        if self.kind in _PATH_KINDS:
+            return _path(self.kind, X, Y, [self.lam])[0]
         if self.kind == "least-squares-on-support":
             masks = np.zeros((Y.shape[0], self.design.p), dtype=bool)
             masks[:, list(self.support)] = True
             return _batch_refit(X, Y, masks)
-        if self.kind == "lasso":
-            return _lasso_path(X, Y, (self.lam,))[0]
-        if self.kind == "best-subset":
-            return _batch_best_subset_grid(X, Y, [self.lam])[0]
-        if self.kind == "relaxed-lasso":
-            return _batch_relaxed(X, Y, _lasso_path(X, Y, (self.lam,))[0])
         if self.kind == "ridge":
             return _batch_ridge(X, Y, self.lam)
         return _batch_threshold(X, Y, self.lam, hard=self.kind == "hard-threshold")
@@ -966,12 +976,8 @@ def fit_path(kind: str, design: DesignMatrix, Y: np.ndarray, lam_grid, support=N
     Y, X = _responses(Y, design.n), design.values
     procs = [FitProcedure(kind=kind, lam=float(lam), design=design, support=support)
              for lam in lam_grid]
-    lams = [proc.lam for proc in procs]
-    if lams and kind == "best-subset":
-        return _batch_best_subset_grid(X, Y, lams)
-    if lams and kind in ("lasso", "relaxed-lasso"):
-        path = _lasso_path(X, Y, lams)
-        return path if kind == "lasso" else [_batch_relaxed(X, Y, fit) for fit in path]
+    if procs and kind in _PATH_KINDS:
+        return _path(kind, X, Y, [proc.lam for proc in procs])
     return [proc.fit_many(Y) for proc in procs]
 
 

@@ -7,6 +7,7 @@ hold onto them without defensive copies.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,15 @@ __all__ = [
 # Max allowed departure of X^T X from the identity for a design that claims
 # orthonormal columns.
 _ORTHO_TOL = 1e-10
+
+
+def _as_index(value, name: str) -> int:
+    """value as an int by operator.index, so numpy integers pass and a
+    float (even 1.0) raises ValueError naming the argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -114,10 +124,11 @@ class RngSpec:
     stream_id: int = 0
 
     def __post_init__(self):
-        if not (0 <= int(self.seed) < 2**64):
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if not (0 <= int(self.stream_id) < 2**64):
-            raise ValueError("stream_id must fit in an unsigned 64-bit integer")
+        for name in ("seed", "stream_id"):
+            value = _as_index(getattr(self, name), name)
+            if not 0 <= value < 2**64:
+                raise ValueError(f"{name} must fit in an unsigned 64-bit integer")
+            object.__setattr__(self, name, value)
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(

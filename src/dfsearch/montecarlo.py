@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitters import FitProcedure, _batch_refit, _design_cache, fit_path, refit_on_active_sets
-from .model import DesignMatrix, RngSpec, SignalSpec
+from .fitters import (KINDS, FitProcedure, _batch_relaxed, _design_cache, fit_path,
+                      refit_on_active_sets)
+from .model import DesignMatrix, RngSpec, SignalSpec, _as_index
 
 __all__ = [
     "DfEstimate",
@@ -37,10 +38,12 @@ def draw_responses(signal: SignalSpec, reps: int, seed: int, stream_offset: int 
 
     Replication r uses the counter-based stream (seed, stream_offset + r),
     so draws are reproducible independently of execution order and disjoint
-    stream blocks never collide.
+    stream blocks never collide.  seed and stream_offset must be integers
+    (numpy integers too).
     """
     if reps < 1:
         raise ValueError("reps must be positive")
+    stream_offset = _as_index(stream_offset, "stream_offset")
     RngSpec(seed=seed, stream_id=stream_offset + reps - 1)  # the range check of the last id
     g = RngSpec(seed=seed, stream_id=stream_offset).generator()
     state = g.bit_generator.state  # a fresh counter and buffer, rekeyed per replication
@@ -223,14 +226,7 @@ def estimate_optimism(proc: FitProcedure, signal: SignalSpec, reps: int, seed: i
 # grids of tuning values
 # ---------------------------------------------------------------------------
 
-_GRID_KINDS = (
-    "lasso",
-    "best-subset",
-    "relaxed-lasso",
-    "ridge",
-    "hard-threshold",
-    "soft-threshold",
-)
+_GRID_KINDS = tuple(kind for kind in KINDS if kind != "least-squares-on-support")
 
 
 @dataclass(frozen=True)
@@ -292,11 +288,10 @@ class CurveTable:
 
 @dataclass(eq=False)
 class _Entry:
-    """One active-set mask array of _ActiveSets with what has been computed
-    on it: the ranks of its supports, the least-squares refit on them, and
-    that refit's covariance terms."""
+    """What _ActiveSets has computed on one active-set mask array: the
+    ranks of its supports, the least-squares refit on them, and that
+    refit's covariance terms."""
 
-    masks: np.ndarray
     ranks: np.ndarray | None = None
     refit: np.ndarray | None = None
     terms: tuple | None = None
@@ -305,24 +300,25 @@ class _Entry:
 class _ActiveSets:
     """Ranks, least-squares refits and covariance terms of the active-set
     masks met along one grid of tuning values, each computed once per
-    distinct mask array (compared with array_equal).  Procedures fit to the
-    same draws often select the same masks: the relaxed lasso's masks are
-    the lasso's unless a refit coefficient is exactly zero.  A fit that is
-    least squares on its solved_on masks (best subset, the relaxed lasso's
-    refit) is recorded as their refit, so it is never refit.  An entry whose
-    masks recur at the next grid value (ridge's all-column masks, best
-    subset's empty supports at large lambda) keeps its rank, refit and
-    terms; entries unused at a grid value are dropped."""
+    distinct mask array.  Every mask array has shape (R, p), so its bytes
+    key its entry.  Procedures fit to the same draws often select the same
+    masks: the relaxed lasso's masks are the lasso's unless a refit
+    coefficient is exactly zero.  A fit that is least squares on its
+    solved_on masks (best subset, the relaxed lasso's refit) is recorded
+    as their refit, so it is never refit.  An entry whose masks recur at
+    the next grid value (ridge's all-column masks, best subset's empty
+    supports at large lambda) keeps its rank, refit and terms; entries
+    unused at a grid value are dropped."""
 
     def __init__(self, X: np.ndarray, Y: np.ndarray, sigma: float, mu):
         self.X, self.Y, self.sigma, self.mu = X, Y, sigma, mu
-        self._seen: list = []  # entries used at the current grid value
-        self._last: list = []  # entries used at the previous one
+        self._seen: dict = {}  # mask bytes -> entry, used at the current grid value
+        self._last: dict = {}  # the same at the previous one
 
     def next_value(self, fits):
         """Start a grid value whose fits are fits, recording each fit that
         is least squares on its solved_on masks as their refit."""
-        self._last, self._seen = self._seen, []
+        self._last, self._seen = self._seen, {}
         for fit in fits:
             if fit.solved_on is not None:
                 entry = self._entry(fit.solved_on)
@@ -330,15 +326,11 @@ class _ActiveSets:
                     entry.refit = fit.fitted
 
     def _entry(self, masks: np.ndarray) -> _Entry:
-        for entry in self._seen:
-            if np.array_equal(entry.masks, masks):
-                return entry
-        for i, entry in enumerate(self._last):
-            if np.array_equal(entry.masks, masks):
-                self._seen.append(self._last.pop(i))
-                return entry
-        self._seen.append(_Entry(masks))
-        return self._seen[-1]
+        key = masks.tobytes()
+        entry = self._seen.get(key)
+        if entry is None:
+            entry = self._seen[key] = self._last.pop(key, None) or _Entry()
+        return entry
 
     def ranks(self, masks: np.ndarray) -> np.ndarray:
         entry = self._entry(masks)
@@ -410,8 +402,8 @@ def _shared_setup(grids: tuple) -> ExperimentGrid:
 
 def _path_rows(base: str, grids: tuple, Y: np.ndarray, mu) -> dict:
     """Each grid's rows from one fit path of kind base: base's own rows,
-    and for the relaxed lasso (base "lasso") the least-squares refit of the
-    lasso's active sets, which is also the lasso's sdf refit.  One
+    and for the relaxed lasso (base "lasso") the fits fitters builds from
+    the lasso's, whose refit is also the lasso's sdf refit.  One
     _ActiveSets serves the whole path; one lambda's derived fits are alive
     at a time, beside the active-set entries of the lambda before."""
     first = grids[0]
@@ -422,7 +414,7 @@ def _path_rows(base: str, grids: tuple, Y: np.ndarray, mu) -> dict:
     for lam, fit in zip(first.lambda_grid, path):
         fits = {base: fit}
         if "relaxed-lasso" in rows:
-            fits["relaxed-lasso"] = _batch_refit(X, Y, fit.active)
+            fits["relaxed-lasso"] = _batch_relaxed(X, Y, fit)
         sets.next_value(fits.values())
         for g in grids:
             rows[g.kind].append(_curve_row(lam, fits[g.kind], sets, g.include_sdf))

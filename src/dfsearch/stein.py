@@ -30,9 +30,9 @@ import numpy as np
 
 from .closedform import normal_pdf
 from .errors import NumericalError
-from .fitters import FitProcedure, _line_jumps
-from .model import SignalSpec
-from .montecarlo import draw_responses
+from .fitters import FitProcedure, _line_jumps, hard_threshold, soft_threshold
+from .model import SignalSpec, _as_index
+from .montecarlo import _require_reps, draw_responses
 
 __all__ = [
     "PiecewiseScalarFunction",
@@ -159,6 +159,7 @@ class JumpRecord:
 #
 # Every library function is elementwise: its one form serves ``evaluate``
 # on a float and the quadrature on a node array, so both see the same bits.
+# The two thresholds evaluate through the fitters' own operators.
 
 def identity_function() -> PiecewiseScalarFunction:
     return PiecewiseScalarFunction((), lambda x: x, lambda x: 1.0, elementwise=True)
@@ -175,14 +176,11 @@ def hard_threshold_function(t: float) -> PiecewiseScalarFunction:
     if t == 0:
         return identity_function()
 
-    def fn(x):
-        return np.where(np.abs(x) >= t, x, 0.0)
-
     def dfn(x):
         return np.where(np.abs(x) > t, 1.0, 0.0)
 
     return PiecewiseScalarFunction(
-        (-t, t), fn, dfn,
+        (-t, t), lambda x: hard_threshold(x, t), dfn,
         left_values=(-t, 0.0), right_values=(0.0, t), elementwise=True,
     )
 
@@ -192,16 +190,14 @@ def soft_threshold_function(t: float) -> PiecewiseScalarFunction:
     if not t >= 0:  # a NaN fails too
         raise ValueError("t must be nonnegative")
 
-    def fn(x):
-        return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
-
     def dfn(x):
         return np.where(np.abs(x) > t, 1.0, 0.0)
 
     bps = (-t, t) if t > 0 else ()
     left = (0.0, 0.0) if t > 0 else None
     return PiecewiseScalarFunction(
-        bps, fn, dfn, left_values=left, right_values=left, elementwise=True,
+        bps, lambda x: soft_threshold(x, t), dfn,
+        left_values=left, right_values=left, elementwise=True,
     )
 
 
@@ -622,7 +618,8 @@ def scan_discontinuities(proc: FitProcedure, coord: int, y_fixed: np.ndarray,
         raise ValueError(f"y_fixed must be a vector of length {proc.design.n}")
     if not np.all(np.isfinite(y)):
         raise ValueError("y_fixed must be finite")
-    if not coord in range(proc.design.n):
+    coord = _as_index(coord, "coord")
+    if coord not in range(proc.design.n):
         raise ValueError("coord out of range")
     if not lo < hi:
         raise ValueError("need lo < hi")
@@ -748,8 +745,7 @@ def stein_decompose_df(proc: FitProcedure, signal: SignalSpec, reps: int, seed: 
     summed in a fixed order, so results do not depend on batching.
     Returns the two Monte Carlo means; their sum estimates df.
     """
-    if reps < 2:
-        raise ValueError("reps must be at least 2")
+    _require_reps(reps)
     _check_grid_points(grid_points)
     Y0 = draw_responses(signal, reps, seed)
     base = proc.fit_many(Y0)

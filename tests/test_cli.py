@@ -120,6 +120,31 @@ class TestCurvesCommand:
         assert cli.main(["curves", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "sparsity must lie in [0, 30]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,message", [
+        ("p=0\n", "p must be positive"),
+        ("sigma=0\n", "sigma must be positive"),
+        ("lambda_count=1\n", "lambda_count and active_count must be at least 2"),
+        ("lambda_min=2\nlambda_max=2\n", "need 0 <= lambda_min < lambda_max"),
+        ("p=30\nactive_max=31\n", "need 0 < active_min <= active_max <= p=30"),
+    ])
+    def test_bad_sizes_exit_2(self, tmp_path, capsys, text, message):
+        cfg = _write(tmp_path / "c.txt", "regime=null\n" + text)
+        out = tmp_path / "o"
+        assert cli.main(["curves", "--config", cfg, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dense_rows_equal_the_closed_form(self, tmp_path):
+        from dfsearch.closedform import df_subset_orthogonal
+
+        cfg = _write(tmp_path / "c.txt", "regime=dense\np=40\nrho=1.5\nsigma=2\nlambda_count=21\n")
+        out = tmp_path / "run"
+        assert cli.main(["curves", "--config", cfg, "--out", str(out)]) == 0
+        cp = df_subset_orthogonal(np.full(40, 1.5), 2.0, np.linspace(0.0, 5.0, 21))
+        want = [[cli._csv_cell(v) for v in row]
+                for row in zip(cp.lam, cp.t, cp.expected_active, cp.df, cp.sdf)]
+        assert _read_csv(out / "curves-subset.csv")[2] == want
+
 
 class TestSimulateCommand:
     def _cfg(self, tmp_path, extra=""):
@@ -162,6 +187,34 @@ class TestSimulateCommand:
         side = (out / "resolved-config.txt").read_text()
         grid_line = next(l for l in side.splitlines() if l.startswith("lambda_grid="))
         assert len(grid_line.split("=")[1].split(",")) == 10
+
+    @pytest.mark.parametrize("text,message", [
+        ("procedures=\n", "expected at least one procedure"),
+        ("procedures=lasso,lasso\n", "procedure 'lasso' listed twice"),
+        ("procedures=lasso\nlambda_count=1\n", "lambda_count must be at least 2"),
+    ])
+    def test_bad_procedures_or_grid_size_exit_2(self, tmp_path, capsys, text, message):
+        cfg = _write(tmp_path / "sim.txt", text + "n=10\np=4\nblock_sizes=2,2\nsupport=0\nreps=4\n")
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_null_signal_grid_is_set_by_the_noise(self, tmp_path):
+        # L = sigma sqrt(2 log p) max_j |x_j|, the grid geomspace(0.01 L, L)
+        from dfsearch.model import RngSpec, gen_block_design
+
+        text = ("procedures=ridge\nsignal=null\nn=10\np=4\nblock_sizes=2,2\nsigma=1.5\n"
+                "lambda_count=5\nreps=4\n")
+        cfg = _write(tmp_path / "sim.txt", text)
+        out = tmp_path / "a"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        side = (out / "resolved-config.txt").read_text()
+        line = next(l for l in side.splitlines() if l.startswith("lambda_grid="))
+        grid = [float(v) for v in line.partition("=")[2].split(",")]
+        X = gen_block_design(10, 4, [2, 2], 0.6, 0.9, RngSpec(seed=7, stream_id=0)).values
+        L = 1.5 * np.sqrt(2 * np.log(4)) * np.linalg.norm(X, axis=0).max()
+        np.testing.assert_allclose(grid, np.geomspace(0.01 * L, L, 5), rtol=1e-14, atol=0)
 
     def test_best_subset_beyond_capacity_exits_3(self, tmp_path, capsys):
         text = (
@@ -253,6 +306,35 @@ class TestSteinCheckCommand:
         ridge = rows[1]
         assert float(ridge[2]) == pytest.approx(0.0, abs=1e-12)
         assert float(ridge[1]) == pytest.approx(float(ridge[4]), abs=1e-6)
+
+    def test_nonpositive_sigma_exits_2(self, tmp_path, capsys):
+        cfg = _write(tmp_path / "st.txt", "mode=library\nsigmas=1,0\n")
+        out = tmp_path / "o"
+        assert cli.main(["stein-check", "--config", cfg, "--out", str(out)]) == 2
+        assert "sigmas must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("signal", ["signal=null\n", "signal=sparse\nsupport=0,3\nrho=2\n"])
+    def test_closed_forms_on_the_orthogonal_design(self, tmp_path, signal):
+        from dfsearch import closedform as cf
+
+        cfg = _write(tmp_path / "st.txt",
+                     "mode=decompose\nprocedures=soft-threshold,lasso,best-subset,relaxed-lasso\n"
+                     "reps=4\n" + signal)
+        out = tmp_path / "run"
+        assert cli.main(["stein-check", "--config", cfg, "--out", str(out)]) == 0
+        # the default design is the 10 x 10 identity, so X'mu is the signal's
+        # coefficients; threshold=1 and lambda=0.5 by default
+        xtmu = np.zeros(10)
+        if "sparse" in signal:
+            xtmu[[0, 3]] = 2.0
+        closed = {row[0]: row[4] for row in _read_csv(out / "stein-decompose.csv")[2]}
+        assert closed == {
+            "soft-threshold": cli._csv_cell(cf.expected_active_hard(xtmu, 1.0, 1.0)),
+            "lasso": cli._csv_cell(cf.expected_active_hard(xtmu, 1.0, 0.5)),
+            "best-subset": cli._csv_cell(cf.df_subset_orthogonal(xtmu, 1.0, 0.5).df),
+            "relaxed-lasso": cli._csv_cell(cf.df_relaxed_lasso_orthogonal(xtmu, 1.0, 0.5).df),
+        }
 
     def test_rerun_from_sidecar_is_byte_identical(self, tmp_path):
         cfg = _write(

@@ -137,3 +137,21 @@ class TestSampleResponse:
         n = 100_000
         y = sample_response(SignalSpec(np.zeros(n), 1.0), RngSpec(seed=13, stream_id=0))
         assert abs(y.mean()) < 4.0 / np.sqrt(n)
+
+
+class TestRngSpec:
+    @pytest.mark.parametrize("name", ["seed", "stream_id"])
+    @pytest.mark.parametrize("value", [1.5, 1.0])
+    def test_float_arguments_are_rejected(self, name, value):
+        # before, a float seed was truncated when the Philox key was built
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            RngSpec(**{"seed": 1, "stream_id": 2, name: value})
+
+    @pytest.mark.parametrize("name", ["seed", "stream_id"])
+    @pytest.mark.parametrize("kind", [np.int64, np.uint64])
+    def test_numpy_integers_are_accepted(self, name, kind):
+        spec = RngSpec(**{"seed": 1, "stream_id": 2, name: kind(5)})
+        want = RngSpec(**{"seed": 1, "stream_id": 2, name: 5})
+        assert spec == want
+        npt.assert_array_equal(spec.generator().standard_normal(4),
+                               want.generator().standard_normal(4))

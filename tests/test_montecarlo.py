@@ -67,6 +67,22 @@ class TestDrawResponses:
         with pytest.raises(ValueError, match="seed"):
             draw_responses(signal, reps=1, seed=2**64)
 
+    @pytest.mark.parametrize("name", ["seed", "stream_offset"])
+    @pytest.mark.parametrize("value", [1.5, 1.0])
+    def test_float_seed_or_offset_is_rejected(self, name, value):
+        # before, seed=1.5 drew seed 1's responses and stream_offset=1.5 offset 1's
+        args = {"seed": 1, "stream_offset": 0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            draw_responses(SignalSpec(np.zeros(3), 1.0), 2, **args)
+
+    @pytest.mark.parametrize("name", ["seed", "stream_offset"])
+    @pytest.mark.parametrize("kind", [np.int64, np.uint64])
+    def test_numpy_integer_seed_or_offset_is_accepted(self, name, kind):
+        signal = SignalSpec(np.zeros(3), 1.0)
+        got = draw_responses(signal, 2, **{"seed": 1, "stream_offset": 0, name: kind(2)})
+        want = draw_responses(signal, 2, **{"seed": 1, "stream_offset": 0, name: 2})
+        npt.assert_array_equal(got, want)
+
     def test_stream_offset_gives_fresh_noise(self):
         signal = SignalSpec(np.zeros(8), 1.0)
         Y0 = draw_responses(signal, reps=4, seed=3)

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -379,6 +380,21 @@ class TestScanDiscontinuities:
             scan_discontinuities(proc, 0, np.zeros(4), 1.0, -1.0)
 
 
+    @pytest.mark.parametrize("coord", [1.5, 1.0])
+    def test_float_coordinate_is_rejected(self, coord):
+        # before, 1.0 passed the range check and failed inside the scan
+        proc = FitProcedure(kind="hard-threshold", lam=1.0, design=gen_orthogonal_design(4, 4))
+        with pytest.raises(ValueError, match="coord must be an integer"):
+            scan_discontinuities(proc, coord, np.zeros(4), -3.0, 3.0)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.uint64])
+    def test_numpy_integer_coordinate_is_accepted(self, kind):
+        proc = FitProcedure(kind="hard-threshold", lam=1.0, design=gen_orthogonal_design(4, 4))
+        y = np.array([0.3, -2.0, 0.5, 1.2])
+        got = scan_discontinuities(proc, kind(1), y, -3.0, 3.0)
+        assert len(got) == 2 and got == scan_discontinuities(proc, 1, y, -3.0, 3.0)
+
+
 class TestSteinDecomposition:
     def test_hard_threshold_matches_closed_form(self):
         n = 6
@@ -468,6 +484,40 @@ class TestSteinDecomposition:
         proc = FitProcedure(kind="hard-threshold", lam=1.0, design=d)
         with pytest.raises(ValueError):
             stein_decompose_df(proc, SignalSpec(np.zeros(3), 1.0), reps=1, seed=0)
+
+    @pytest.mark.parametrize("far", [True, False])
+    def test_heavy_tailed_boundary_sums_warn(self, monkeypatch, far):
+        # one replication far out: within a sample of R values none is more
+        # than (R - 1) / sqrt(R) standard deviations from the mean, so the
+        # 10-sd rule can only fire from R = 102 on
+        reps = 200
+        sums = np.linspace(0.0, 1.0, reps)
+        sums[7] += 100.0 if far else 0.0
+        monkeypatch.setattr(stein, "_boundary_terms", lambda *args: sums)
+        proc = FitProcedure(kind="hard-threshold", lam=1.0, design=gen_orthogonal_design(3, 3))
+        signal = SignalSpec(np.zeros(3), 1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            dec = stein_decompose_df(proc, signal, reps=reps, seed=0)
+        heavy = [w for w in caught if "heavy-tailed" in str(w.message)]
+        assert len(heavy) == (1 if far else 0)
+        assert dec.boundary == float(sums.mean())
+
+    def test_relaxed_lasso_above_every_line_has_no_knot(self, monkeypatch):
+        # on the identity design X'y = y, and along every line over
+        # +/- 8 sigma |y|_inf stays below 9 here: the lasso fit is zero
+        # throughout, so no line meets a knot
+        design = gen_orthogonal_design(5, 5)
+        signal = SignalSpec(np.zeros(5), 1.0)
+        proc = FitProcedure(kind="relaxed-lasso", lam=9.0, design=design)
+        Y0 = draw_responses(signal, 6, 4)
+        assert np.abs(Y0).max() < 9.0
+        jumps = _line_jumps(proc, Y0, np.full(5, -8.0), np.full(5, 8.0))
+        assert [col.size for col in jumps] == [0] * 5
+        none = _line_jumps(proc, Y0, -8.0, 8.0, lines=np.empty(0, dtype=np.intp))
+        assert [col.size for col in none] == [0] * 5
+        dec = stein_decompose_df(proc, signal, reps=6, seed=4)
+        assert dec.boundary == 0.0 and dec.boundary_se == 0.0
 
 
 class TestJumpPositivity:
